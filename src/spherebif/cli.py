@@ -59,8 +59,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated run settings; every field has a documented default.
 
-    ``quad_points`` defaults to N + 1 and ``lambda_floor`` to
-    1e-3 * lambda_1; both are resolved at build time when left unset.
+    ``lambda_floor`` defaults to 1e-3 * lambda_1, resolved at build time
+    when left unset.
     """
 
     n: int = 2
@@ -68,7 +68,6 @@ class RunConfig:
     q: float = 3.0
     k: int = 2
     N: int = 96
-    quad_points: int | None = None
     newton_tol: float = 1e-10
     max_iter: int = 30
     ds_init: float = 1e-2
@@ -86,7 +85,7 @@ class RunConfig:
         return ModelParams(n=self.n, delta=self.delta, q=self.q)
 
     def system(self) -> DiscreteSystem:
-        return DiscreteSystem(build_grid(self.N), self.params(), self.quad_points)
+        return DiscreteSystem(build_grid(self.N), self.params())
 
     def floor(self) -> float:
         if self.lambda_floor is not None:
@@ -94,7 +93,7 @@ class RunConfig:
         return 1e-3 * lambda_k(1, self.params())
 
 
-_INT_KEYS = {"n", "k", "N", "quad_points", "max_iter", "sample_count", "seed"}
+_INT_KEYS = {"n", "k", "N", "max_iter", "sample_count", "seed"}
 _STR_KEYS = {"output_dir"}
 
 
@@ -155,8 +154,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"mode index k must be >= 1, got {cfg.k}")
     if cfg.N < 2:
         raise ConfigError(f"N must be >= 2, got {cfg.N}")
-    if cfg.quad_points is not None and cfg.quad_points < 1:
-        raise ConfigError(f"quad_points must be >= 1, got {cfg.quad_points}")
     for key in ("newton_tol", "ds_init", "ds_min", "ds_max", "sigma_tol"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")

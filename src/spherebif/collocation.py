@@ -111,20 +111,19 @@ class DiscreteSystem:
     """Grid plus parameters, with the quadrature machinery precomputed.
 
     Residual rows follow the reduced ODE at interior nodes and its regular
-    limit at the two endpoint nodes.
+    limit at the two endpoint nodes.  Inner products use the (N+1)-point
+    Gauss-Jacobi rule, exact for the degree-2N product of two interpolants.
     """
 
     grid: SpectralGrid
     params: ModelParams
-    quad_points: int | None = None
     _qnodes: np.ndarray = field(init=False, repr=False)
     _qweights: np.ndarray = field(init=False, repr=False)
     _interp: np.ndarray = field(init=False, repr=False)
     _basis: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        m = self.quad_points if self.quad_points else self.grid.N + 1
-        rule = gauss_jacobi_rule(m, self.params.n)
+        rule = gauss_jacobi_rule(self.grid.N + 1, self.params.n)
         E = interpolation_matrix(self.grid, rule.nodes)
         E.setflags(write=False)
         object.__setattr__(self, "_qnodes", rule.nodes)
@@ -183,11 +182,8 @@ def assemble_jacobian(phi, lam: float, sys: DiscreteSystem) -> np.ndarray:
     grid, params = sys.grid, sys.params
     phi, u = _check_phi(phi, grid)
     mu = reduction_factor(lam, params)
-    x = grid.nodes
     dz = mu * ((params.q - 1) * u ** (params.q - 2) - 1.0)
-    J = (1 - x**2)[:, None] * grid.d2 - params.n * x[:, None] * grid.d1
-    J[0] = -params.n * grid.d1[0]
-    J[-1] = params.n * grid.d1[-1]
+    J = linear_operator(sys)
     J[np.arange(grid.N + 1), np.arange(grid.N + 1)] += dz
     return J
 
@@ -240,9 +236,9 @@ def sigma_min(J: np.ndarray) -> float:
 def nodal_count(grid: SpectralGrid, phi) -> int:
     """Sign-change zeros of the interpolant of phi on (-1, 1).
 
-    Scans a refinement grid of 8N points, ignores values inside the dead
-    band 1e-9 * max|phi| (tangential touches do not count), and confirms
-    each candidate sign change by bisection.
+    Scans a refinement grid of 8N points and counts the sign changes
+    between consecutive samples outside the dead band 1e-9 * max|phi|
+    (tangential touches do not count).
     """
     phi = np.asarray(phi, dtype=float)
     scale = np.max(np.abs(phi))
@@ -251,27 +247,9 @@ def nodal_count(grid: SpectralGrid, phi) -> int:
     tau = 1e-9 * scale
     fine = np.linspace(-1.0, 1.0, 8 * grid.N + 1)[1:-1]
     vals = interpolation_matrix(grid, fine) @ phi
-    live = np.abs(vals) > tau
-    idx = np.where(live)[0]
-    if idx.size < 2:
-        return 0
-    signs = np.sign(vals[idx])
+    signs = np.sign(vals[np.abs(vals) > tau])
     changes = np.where(signs[1:] * signs[:-1] < 0)[0]
-    count = 0
-    for c in changes:
-        lo, hi = fine[idx[c]], fine[idx[c + 1]]
-        flo = vals[idx[c]]
-        while hi - lo > 1e-14:
-            mid = 0.5 * (lo + hi)
-            fm = interpolate(grid, phi, mid)
-            if abs(fm) <= tau:
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        count += 1
-    return count
+    return int(changes.size)
 
 
 def solution_point(sys: DiscreteSystem, phi, lam, k=None, J=None) -> "SolutionPoint":

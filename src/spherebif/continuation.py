@@ -24,7 +24,6 @@ from .collocation import (
     assemble_jacobian,
     assemble_residual,
     dresidual_dlambda,
-    sigma_min,
     solution_point,
 )
 from .model import PositivityError, dlambda_ds0, lambda_k
@@ -300,14 +299,15 @@ def trace_branch(
         raise ValueError(f"mode index must be >= 1, got {k}")
     if direction not in (-1, 1):
         raise ValueError(f"direction must be -1 or +1, got {direction}")
+    if s0 == 0:
+        raise ValueError("seed parameter s0 must be nonzero")
     lam_k = lambda_k(k, sys.params)
     if lambda_floor is None:
         lambda_floor = 1e-3 * lambda_k(1, sys.params)
     branch = Branch(k=k, direction=direction, lambda_origin=lam_k)
 
-    seed = branch_seed(k, direction * s0, sys)
-    first = solve_at_s(k, direction * s0, sys, guess=(seed.phi, seed.lam),
-                       tol=tol, max_iter=max_iter)
+    # solve_at_s starts from the tangent predictor at s0
+    first = solve_at_s(k, direction * s0, sys, tol=tol, max_iter=max_iter)
     branch.points.append(first)
 
     # reference direction: the secant back to the bifurcation point
@@ -359,8 +359,8 @@ def locate_degenerate(
 ) -> DegeneracyReport | None:
     """Find a degenerate point along a traced branch, or None.
 
-    Candidates are consecutive point pairs where sigma_min changes sign or
-    where dlambda/ds flips (a fold); bisection by half-steps in arclength
+    Candidates are the point pairs that end at a ``fold`` or
+    ``sigma-zero`` event of the trace; bisection by half-steps in arclength
     then drives |sigma_min| below sigma_tol (an absolute target, stricter
     than any operator rescaling since the spectral scale exceeds one).  A
     candidate whose bracket collapses without the eigenvalue vanishing (a
@@ -370,14 +370,9 @@ def locate_degenerate(
     if len(pts) < 3:
         return None
     lam_min = min(p.lam for p in pts)
-    candidates = []
-    for i in range(len(pts) - 1):
-        if np.sign(pts[i].sigma_min) != np.sign(pts[i + 1].sigma_min):
-            candidates.append(i)
-        elif 0 < i and np.sign(pts[i + 1].lam - pts[i].lam) != np.sign(
-            pts[i].lam - pts[i - 1].lam
-        ):
-            candidates.append(i)
+    candidates = sorted(
+        {idx - 1 for idx, kind in branch.events if kind in ("fold", "sigma-zero")}
+    )
     for i in candidates:
         report = _bisect_candidate(
             branch, i, sigma_tol, sys, tol, max_bisect, lam_min

@@ -157,17 +157,8 @@ def gegenbauer_deriv(k: int, n: int, t):
     t = _check_t(t)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    p_prev, p_cur = np.ones_like(t), t.copy()
-    d_prev, d_cur = np.zeros_like(t), np.ones_like(t)
-    if k == 0:
-        return float(d_prev[0]) if scalar else d_prev
-    for j in range(1, k):
-        c1, c2 = 2 * j + n - 1, j + n - 1
-        p_next = (c1 * t * p_cur - j * p_prev) / c2
-        d_next = (c1 * (p_cur + t * d_cur) - j * d_prev) / c2
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return float(d_cur[0]) if scalar else d_cur
+    d = np.zeros_like(t) if k == 0 else _eval_and_deriv(k, n, t)[1]
+    return float(d[0]) if scalar else d
 
 
 def gegenbauer_zeros(k: int, n: int) -> np.ndarray:

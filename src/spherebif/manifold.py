@@ -23,7 +23,6 @@ from .model import ModelParams, PositivityError
 
 __all__ = [
     "SpherePair",
-    "FDScheme",
     "sample_pair",
     "tangent_frame",
     "laplace_beltrami_fd",
@@ -56,16 +55,10 @@ class SpherePair:
         return float(np.dot(self.p, self.q_vec))
 
 
-@dataclass(frozen=True)
-class FDScheme:
-    """Central second-order differencing with geodesic step h (radians)."""
-
-    h: float
-    order: int = 2
-
-    def __post_init__(self):
-        if not 0 < self.h < 0.1:
-            raise ValueError(f"step h must lie in (0, 0.1), got {self.h}")
+def _check_h(h: float):
+    """Reject a geodesic step h (radians) outside (0, 0.1)."""
+    if not 0 < h < 0.1:
+        raise ValueError(f"step h must lie in (0, 0.1), got {h}")
 
 
 def sample_pair(n: int, seed: int) -> SpherePair:
@@ -112,7 +105,7 @@ def laplace_beltrami_fd(u, x: SpherePair, h: float, delta: float) -> float:
     angular speed 1/sqrt(delta), the orthonormal frame for the scaled
     product metric.
     """
-    FDScheme(h)
+    _check_h(h)
     u0 = u(x.p, x.q_vec)
     total = 0.0
     for v in tangent_frame(x.p):
@@ -128,7 +121,7 @@ def gradient_sq_fd(x: SpherePair, h: float, delta: float) -> float:
 
     Matches (1 + 1/delta)(1 - f^2) to O(h^2).
     """
-    FDScheme(h)
+    _check_h(h)
     total = 0.0
     for v in tangent_frame(x.p):
         fp = np.dot(_geodesic(x.p, v, h), x.q_vec)
@@ -156,7 +149,7 @@ def lifted_residual(
     u = phi(<p, q>) + 1 is the lift of the profile; for a converged
     profile the result is O(h^2) plus the spectral error floor.
     """
-    FDScheme(h)
+    _check_h(h)
     phi = np.asarray(phi, dtype=float)
     rng = np.random.default_rng(seed)
 

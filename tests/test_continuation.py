@@ -171,6 +171,12 @@ class TestDegeneracy:
         assert "sigma-zero" in kinds
         assert "fold" in kinds
 
+    def test_crossing_is_a_trace_event(self, fold_report):
+        # the trace is the only place that decides what a crossing is
+        branch, report = fold_report
+        crossings = {idx for idx, kind in branch.events if kind in ("fold", "sigma-zero")}
+        assert report.crossing_index + 1 in crossings
+
     def test_not_found_on_short_branch(self, system48):
         branch = trace_branch(2, 1, system48, max_points=5)
         assert locate_degenerate(branch, 1e-6, system48) is None

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from spherebif.collocation import build_grid
 from spherebif.continuation import solve_at_s
 from spherebif.manifold import (
-    FDScheme,
     SpherePair,
     gradient_sq_fd,
     identity_residuals,
@@ -119,11 +118,16 @@ class TestIdentities:
                     order = math.log2(coarse[key] / fine[key])
                     assert 1.8 < order < 2.2
 
-    def test_scheme_validation(self):
+    def test_scheme_validation(self, params):
+        x = sample_pair(2, 0)
         with pytest.raises(ValueError):
-            FDScheme(0.5)
+            laplace_beltrami_fd(inner_field, x, 0.5, 1.0)
         with pytest.raises(ValueError):
-            laplace_beltrami_fd(inner_field, sample_pair(2, 0), 0.2, 1.0)
+            gradient_sq_fd(x, 0.5, 1.0)
+        with pytest.raises(ValueError):
+            lifted_residual(build_grid(8), np.zeros(9), 4.0, params, 5, 0.5)
+        with pytest.raises(ValueError):
+            laplace_beltrami_fd(inner_field, x, 0.2, 1.0)
 
 
 class TestLiftedResidual:
