@@ -269,7 +269,7 @@ def _cmd_poly(cfg: RunConfig) -> int:
     return 0
 
 
-def _trace(cfg, system, direction):
+def _trace(cfg, system, direction, stop=None):
     return continuation.trace_branch(
         cfg.k,
         direction,
@@ -281,6 +281,7 @@ def _trace(cfg, system, direction):
         ds_max=cfg.ds_max,
         tol=cfg.newton_tol,
         max_iter=cfg.max_iter,
+        stop=stop,
     )
 
 
@@ -301,11 +302,23 @@ def _cmd_branch(cfg: RunConfig) -> int:
 
 def _cmd_degenerate(cfg: RunConfig) -> int:
     system = cfg.system()
-    try:
-        branch = _trace(cfg, system, 1)
+    report = None
+
+    def located(branch) -> bool:
+        # bisect each crossing once, as the trace records it; a failed
+        # candidate lets the trace go on to the next one
+        nonlocal report
+        newest = len(branch.points) - 1
+        if not any(idx == newest and kind in continuation.CROSSING_EVENTS
+                   for idx, kind in branch.events):
+            return False
         report = continuation.locate_degenerate(
-            branch, cfg.sigma_tol, system, tol=cfg.newton_tol
+            branch, cfg.sigma_tol, system, tol=cfg.newton_tol, first=newest - 1
         )
+        return report is not None
+
+    try:
+        _trace(cfg, system, 1, stop=located)
     except ConvergenceError as exc:
         _log(f"degenerate k={cfg.k}: {exc}", err=True)
         return 2

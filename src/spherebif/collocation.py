@@ -13,6 +13,7 @@ across threads; all assembly routines are pure functions of their inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,11 +246,20 @@ def nodal_count(grid: SpectralGrid, phi) -> int:
     if scale == 0.0:
         return 0
     tau = 1e-9 * scale
-    fine = np.linspace(-1.0, 1.0, 8 * grid.N + 1)[1:-1]
-    vals = interpolation_matrix(grid, fine) @ phi
+    vals = _refinement_matrix(grid.N) @ phi
     signs = np.sign(vals[np.abs(vals) > tau])
     changes = np.where(signs[1:] * signs[:-1] < 0)[0]
     return int(changes.size)
+
+
+@functools.lru_cache(maxsize=8)
+def _refinement_matrix(N: int) -> np.ndarray:
+    """Read-only interpolation from the degree-N grid onto nodal_count's
+    refinement grid of 8N - 1 equispaced interior points, built once per N."""
+    fine = np.linspace(-1.0, 1.0, 8 * N + 1)[1:-1]
+    M = interpolation_matrix(build_grid(N), fine)
+    M.setflags(write=False)
+    return M
 
 
 def solution_point(sys: DiscreteSystem, phi, lam, k=None, J=None) -> "SolutionPoint":

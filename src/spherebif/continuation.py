@@ -7,6 +7,9 @@ follows the branch through folds.  A solution is degenerate where the
 linearization acquires a kernel, i.e. where the smallest-magnitude
 eigenvalue of the Jacobian crosses zero; along even-k branches this
 happens at the fold in lambda, and bisection in arclength pins it down.
+A caller that only wants the degenerate point passes trace_branch a
+``stop`` predicate that bisects each crossing as the trace records it, so
+the trace ends one point past the located crossing.
 
 Branch traces are strictly sequential; distinct branches share only
 immutable grids and may run concurrently.
@@ -15,6 +18,7 @@ immutable grids and may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +55,8 @@ SIGMA_TOL = 1e-6
 SEED_AMPLITUDE = 1e-2
 # damped-Newton backtracking when an iterate loses positivity
 MAX_BACKTRACK = 20
+# branch event kinds that mark a candidate eigenvalue crossing
+CROSSING_EVENTS = ("fold", "sigma-zero")
 
 
 class ConvergenceError(RuntimeError):
@@ -88,8 +94,9 @@ class DegeneracyReport:
     """A located degenerate pair (phi*, lambda*) with diagnostics.
 
     ``s_bracket`` is the final bisection bracket in the projection
-    coordinate s; ``branch_lambda_min`` is the running minimum of lambda
-    over the traced points, so the relation between the eigenvalue
+    coordinate s; ``branch_lambda_min`` is the minimum of lambda over the
+    traced points and the located one (a trace stopped at the crossing
+    ends one point past it), so the relation between the eigenvalue
     crossing and the minimal-lambda point stays observable.
     ``endpoint_derivs`` reports phi'(+1), phi'(-1) of the profile.
     """
@@ -288,12 +295,16 @@ def trace_branch(
     ds_max: float = DS_MAX,
     tol: float = NEWTON_TOL,
     max_iter: int = MAX_ITER,
+    stop: Callable[[Branch], bool] | None = None,
 ) -> Branch:
     """Trace the branch D_k^+ (direction=+1) or D_k^- (direction=-1).
 
     Stops on the lambda floor, the point budget, |s| > s_max, loss of
-    positivity, or a terminal step failure; every recorded point carries
-    the full diagnostics and the branch keeps a constant nodal count.
+    positivity, a terminal step failure, or when ``stop(branch)`` returns
+    True; every recorded point carries the full diagnostics and the branch
+    keeps a constant nodal count.  ``stop`` is called once after each
+    accepted point, after that point's fold and sigma-zero events are
+    recorded, so it sees every crossing event exactly once.
     """
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
@@ -340,6 +351,8 @@ def trace_branch(
         prev_dlam = dlam
         if current.sigma_min != 0 and np.sign(nxt.sigma_min) != np.sign(current.sigma_min):
             branch.events.append((idx, "sigma-zero"))
+        if stop is not None and stop(branch):
+            break
         if nxt.lam < lambda_floor:
             branch.events.append((idx, "lambda-floor"))
             break
@@ -356,22 +369,25 @@ def locate_degenerate(
     sys: DiscreteSystem,
     tol: float = NEWTON_TOL,
     max_bisect: int = 80,
+    first: int = 0,
 ) -> DegeneracyReport | None:
     """Find a degenerate point along a traced branch, or None.
 
-    Candidates are the point pairs that end at a ``fold`` or
-    ``sigma-zero`` event of the trace; bisection by half-steps in arclength
-    then drives |sigma_min| below sigma_tol (an absolute target, stricter
-    than any operator rescaling since the spectral scale exceeds one).  A
-    candidate whose bracket collapses without the eigenvalue vanishing (a
-    min-magnitude eigenvalue swap, not a crossing) is skipped.
+    Candidates are the point pairs (i, i + 1) with i >= ``first`` that end
+    at a ``fold`` or ``sigma-zero`` event of the trace; bisection by
+    half-steps in arclength then drives |sigma_min| below sigma_tol (an
+    absolute target, stricter than any operator rescaling since the
+    spectral scale exceeds one).  A candidate whose bracket collapses
+    without the eigenvalue vanishing (a min-magnitude eigenvalue swap, not
+    a crossing) is skipped.  A caller bisecting each crossing as the trace
+    records it passes the newest pair's index as ``first``, so no earlier
+    candidate is bisected twice.
     """
     pts = branch.points
-    if len(pts) < 3:
-        return None
     lam_min = min(p.lam for p in pts)
     candidates = sorted(
-        {idx - 1 for idx, kind in branch.events if kind in ("fold", "sigma-zero")}
+        {idx - 1 for idx, kind in branch.events
+         if kind in CROSSING_EVENTS and idx - 1 >= first}
     )
     for i in candidates:
         report = _bisect_candidate(
@@ -391,11 +407,23 @@ def _bisect_candidate(branch, i, sigma_tol, sys, tol, max_bisect, lam_min):
     ref_phi, ref_lam = dphi / gap, dlam / gap
     sig_a = a.sigma_min
     for _ in range(max_bisect):
+        collapse = 1e-13 * (1 + abs(a.lam))
+        if gap < collapse:
+            return None
         try:
             tphi, tlam = _tangent(sys, a.phi, a.lam, ref_phi, ref_lam)
-            mid = arclength_step(a, (tphi, tlam), gap / 2, sys, k=k, tol=tol)
-        except (StepRejected, ConvergenceError):
+        except ConvergenceError:
             return None
+        # a corrector that fails on the half-step may succeed on a shorter one
+        step = gap / 2
+        while True:
+            try:
+                mid = arclength_step(a, (tphi, tlam), step, sys, k=k, tol=tol)
+                break
+            except (StepRejected, ConvergenceError):
+                step /= 2
+                if step < collapse:
+                    return None
         if abs(mid.sigma_min) < sigma_tol:
             F = assemble_residual(mid.phi, mid.lam, sys)
             d1 = sys.grid.d1
@@ -422,11 +450,11 @@ def _bisect_candidate(branch, i, sigma_tol, sys, tol, max_bisect, lam_min):
             if nrm == 0:
                 return None
             ref_phi, ref_lam = ref_phi / nrm, ref_lam / nrm
+            # a half-step in arclength need not halve the chord; measure it
+            gap = nrm
         else:
             b = mid
-        gap /= 2
-        if gap < 1e-13 * (1 + abs(a.lam)):
-            return None
+            gap = step
     return None
 
 

@@ -16,6 +16,7 @@ from spherebif.cli import (
     read_branch_records,
 )
 from spherebif.collocation import SolutionPoint
+from spherebif.continuation import locate_degenerate, trace_branch
 
 
 class TestConfig:
@@ -201,6 +202,44 @@ class TestDegenerateAndVerify:
         rep = json.loads((tmp_path / "verify.json").read_text())
         assert rep["lifted"]["source"] == "trivial"
         assert rep["lifted"]["max_residual"] < 1e-8
+
+    def test_trace_stops_at_the_located_crossing(self, tmp_path, monkeypatch, system48):
+        import spherebif.cli as cli_mod
+
+        original = cli_mod.continuation.trace_branch
+        traced = []
+
+        def recording_trace(*args, **kwargs):
+            traced.append(original(*args, **kwargs))
+            return traced[-1]
+
+        monkeypatch.setattr(cli_mod.continuation, "trace_branch", recording_trace)
+        cfg = parse_config(None, [f"output_dir={tmp_path}", "k=2", "N=48"])
+        assert dispatch("degenerate", cfg) == 0
+        rep = json.loads((tmp_path / "degenerate_k2.json").read_text())
+        assert len(traced[0].points) == rep["crossing_index"] + 2
+
+        # the same answer as bisecting after a full-budget trace
+        full = trace_branch(2, 1, system48)
+        assert len(full.points) == 400
+        ref = locate_degenerate(full, 1e-6, system48)
+        assert rep["crossing_index"] == ref.crossing_index
+        assert rep["lambda_star"] == ref.lambda_star
+        assert rep["phi"] == [float(v) for v in ref.phi_star]
+
+    @pytest.mark.parametrize("q,k", [(6.0, 6), (4.0, 4)])
+    def test_hard_folds_are_located(self, tmp_path, q, k):
+        # the bisection used to give up on these after one stalled
+        # corrector (q=6 k=6) or a bracket shrunk faster than the chord (q=4 k=4)
+        cfg = parse_config(
+            None, [f"output_dir={tmp_path}", "n=2", "delta=1", f"q={q}", f"k={k}", "N=96"]
+        )
+        assert dispatch("degenerate", cfg) == 0
+        rep = json.loads((tmp_path / f"degenerate_k{k}.json").read_text())
+        assert rep["found"] is True
+        assert rep["residual_norm"] < 1e-10
+        assert abs(rep["sigma_at_star"]) < cfg.sigma_tol
+        assert rep["nodal_count"] == k
 
     def test_not_found_exits_two(self, tmp_path):
         # an odd-mode branch climbs away without an eigenvalue crossing

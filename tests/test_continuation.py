@@ -171,6 +171,23 @@ class TestDegeneracy:
         assert "sigma-zero" in kinds
         assert "fold" in kinds
 
+    def test_never_stopping_predicate_changes_nothing(self, fold_report, system48):
+        branch, _ = fold_report
+        offered = []
+
+        def never(b):
+            offered.append(len(b.points) - 1)
+            return False
+
+        again = trace_branch(2, 1, system48, max_points=60, stop=never)
+        assert again.events == branch.events
+        assert len(again.points) == len(branch.points)
+        for p, q in zip(again.points, branch.points):
+            assert p.lam == q.lam and np.array_equal(p.phi, q.phi)
+            assert p.sigma_min == q.sigma_min
+        # offered once per accepted point, every crossing event included
+        assert offered == list(range(1, len(branch.points)))
+
     def test_crossing_is_a_trace_event(self, fold_report):
         # the trace is the only place that decides what a crossing is
         branch, report = fold_report
