@@ -20,6 +20,7 @@ from spherebif.collocation import (
     sigma_min,
     solution_point,
 )
+from spherebif.continuation import trace_branch
 from spherebif.model import (
     ModelParams,
     PositivityError,
@@ -139,6 +140,13 @@ class TestJacobian:
         expected = linear_operator(system48) + c * np.eye(49)
         assert_allclose(J, expected, atol=1e-12)
 
+    def test_linear_operator_is_a_fresh_copy(self, system48):
+        L0 = linear_operator(system48)
+        L = linear_operator(system48)
+        L[:] = 0.0
+        assemble_jacobian(np.zeros(49), 7.0, system48)
+        assert np.array_equal(linear_operator(system48), L0)
+
     def test_finite_difference_agreement(self):
         # central differences confirm the analytic Jacobian on random
         # smooth profiles across the parameter matrix
@@ -227,6 +235,53 @@ class TestSigmaMin:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             sigma_min(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("q, k, direction", [(3.0, 2, 1), (3.0, 2, -1), (4.0, 4, 1)])
+    def test_matches_eigvals_along_branches(self, q, k, direction):
+        system = DiscreteSystem(build_grid(48), ModelParams(2, 1.0, q))
+        branch = trace_branch(k, direction, system)
+        for pt in branch.points:
+            J = assemble_jacobian(pt.phi, pt.lam, system)
+            ev = np.linalg.eigvals(J)
+            ref = ev[np.argmin(np.abs(ev))].real
+            got = sigma_min(J)
+            assert np.sign(got) == np.sign(ref)
+            assert got == pytest.approx(ref, rel=1e-8)
+
+    def test_odd_mode_of_an_even_operator(self, system96, params):
+        # the trivial-branch Jacobian commutes with the node flip t -> -t
+        # (to rounding), and its mode nearest zero just above lambda_1 is
+        # the odd P_1, not the even constant mode
+        lam = 1.001 * lambda_k(1, params)
+        J = assemble_jacobian(np.zeros(97), lam, system96)
+        assert_allclose(J[::-1, ::-1], J, atol=1e-9 * np.abs(J).max())
+        expected = derived_constants(params).c_factor(lam) - params.n
+        assert sigma_min(J) == pytest.approx(expected, rel=1e-8)
+
+    def test_odd_mode_of_a_well_conditioned_even_matrix(self):
+        # 2 I - 1.5 u u^T with u odd under the flip: every even vector stays
+        # in the eigenvalue-2 space to rounding, so only a start vector with
+        # an odd part finds the eigenvalue 0.5
+        u = np.zeros(9)
+        u[0], u[-1] = 1.0, -1.0
+        u /= np.linalg.norm(u)
+        J = 2.0 * np.eye(9) - 1.5 * np.outer(u, u)
+        assert sigma_min(J) == pytest.approx(0.5, rel=1e-12)
+
+    def test_tie_between_two_modes(self, system96, params):
+        # halfway between lambda_1 and lambda_2 the eigenvalues -2 and +2
+        # are equally near zero
+        lam = 0.5 * (lambda_k(1, params) + lambda_k(2, params))
+        J = assemble_jacobian(np.zeros(97), lam, system96)
+        ref = np.min(np.abs(np.linalg.eigvals(J)))
+        assert abs(sigma_min(J)) == pytest.approx(ref, rel=1e-10)
+
+    def test_singular_matrix_gives_zero(self):
+        assert sigma_min(np.diag([0.0, 1.0, 2.0])) == 0.0
+
+    def test_repeatable(self, system96):
+        J = assemble_jacobian(0.1 * system96.basis(2), 12.0, system96)
+        assert sigma_min(J) == sigma_min(J)
 
 
 class TestNodalCount:
