@@ -11,6 +11,13 @@ A caller that only wants the degenerate point passes trace_branch a
 ``stop`` predicate that bisects each crossing as the trace records it, so
 the trace ends one point past the located crossing.
 
+Even k is traced in the even sector: P_{k,n} is even in t, and so is
+every point of the branch, so Newton, the arclength corrector, the tangent
+and the bisection solve on the even block of the Jacobian (about half the
+unknowns, see ``collocation``).  Every profile is mirrored from its values
+at t >= 0, so it is exactly even.  Odd k, and ``newton_solve`` without a
+mode index, solve the full system.
+
 Branch traces are strictly sequential; distinct branches share only
 immutable grids and may run concurrently.
 """
@@ -23,8 +30,13 @@ from typing import Callable
 import numpy as np
 
 from .collocation import (
+    NEWTON_TOL,
     DiscreteSystem,
     SolutionPoint,
+    _even_sector,
+    _fold,
+    _mirror,
+    _sector_jacobian,
     assemble_jacobian,
     assemble_residual,
     dresidual_dlambda,
@@ -46,7 +58,6 @@ __all__ = [
     "psi_smallness_check",
 ]
 
-NEWTON_TOL = 1e-10
 MAX_ITER = 30
 DS_INIT = 1e-2
 DS_MIN = 1e-6
@@ -113,6 +124,19 @@ class DegeneracyReport:
     endpoint_derivs: tuple
 
 
+def _jacobian(phi, lam, sys, k):
+    """The Jacobian, or its even block when mode k is traced in the even sector."""
+    if _even_sector(k):
+        return _sector_jacobian(phi, lam, sys)
+    return assemble_jacobian(phi, lam, sys)
+
+
+def _start(phi, sys, k):
+    """A writable copy of phi, mirrored from t >= 0 on the even sector."""
+    phi = np.asarray(phi, dtype=float)
+    return _mirror(phi, sys.grid.N) if _even_sector(k) else phi.copy()
+
+
 def _apply_update(phi, lam, dphi, dlam):
     """Damped update: halve the step while positivity fails."""
     step = 1.0
@@ -136,18 +160,21 @@ def newton_solve(
 
     Returns a SolutionPoint with diagnostics populated; raises
     ConvergenceError after max_iter iterations without meeting the
-    residual max-norm tolerance.
+    residual max-norm tolerance.  An even mode index k solves on the even
+    sector from the mirror of phi0's values at t >= 0.
     """
-    phi = np.asarray(phi0, dtype=float).copy()
+    phi = _start(phi0, sys, k)
     for _ in range(max_iter):
         F = assemble_residual(phi, lam, sys)
         if np.max(np.abs(F)) < tol:
             return solution_point(sys, phi, lam, k=k)
-        J = assemble_jacobian(phi, lam, sys)
+        J = _jacobian(phi, lam, sys, k)
         try:
-            dphi = np.linalg.solve(J, -F)
+            dphi = np.linalg.solve(J, -F[: J.shape[0]])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian: {exc}") from exc
+        if _even_sector(k):
+            dphi = _mirror(dphi, sys.grid.N)
         phi, lam = _apply_update(phi, lam, dphi, 0.0)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations at lambda = {lam}"
@@ -168,7 +195,16 @@ def branch_seed(k: int, s0: float, sys: DiscreteSystem) -> SolutionPoint:
 
 
 def _bordered_solve(J, flam, wrow, wlam, rtop, rbot):
+    """Solve [[J, flam], [wrow, wlam]] [x; xl] = [rtop; rbot] for (x, xl).
+
+    flam, wrow and rtop have one entry per node.  When J is the even block
+    (fewer rows than nodes), the system is folded onto the even sector: the
+    top entries of flam and rtop, wrow folded; x is mirrored back.
+    """
     m = J.shape[0]
+    N = len(flam) - 1
+    if m <= N:
+        flam, wrow, rtop = flam[:m], _fold(wrow, 1), rtop[:m]
     A = np.zeros((m + 1, m + 1))
     A[:m, :m] = J
     A[:m, -1] = flam
@@ -181,7 +217,8 @@ def _bordered_solve(J, flam, wrow, wlam, rtop, rbot):
         z = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular bordered system: {exc}") from exc
-    return z[:m], z[-1]
+    x = z[:m] if m > N else _mirror(z[:m], N)
+    return x, z[-1]
 
 
 def solve_at_s(
@@ -197,15 +234,16 @@ def solve_at_s(
     Unknowns are (phi, lambda); the extra equation is the normalization
     <phi, P_{k,n}>_w = s <P_{k,n}, P_{k,n}>_w, which pins the on-branch
     parametrization w(s) = s P_{k,n} + (remainder orthogonal to P_{k,n}).
+    Even k solves on the even sector (see the module docstring).
     """
     p = sys.basis(k)
     p2 = sys.inner(p, p)
     wrow = sys.inner_gradient(p)
     if guess is None:
-        phi = s * p
+        phi = _start(s * p, sys, k)
         lam = lambda_k(k, sys.params) + s * dlambda_ds0(k, sys.params)
     else:
-        phi = np.asarray(guess[0], dtype=float).copy()
+        phi = _start(guess[0], sys, k)
         lam = float(guess[1])
     for _ in range(max_iter):
         F = assemble_residual(phi, lam, sys)
@@ -213,17 +251,20 @@ def solve_at_s(
         if max(np.max(np.abs(F)), abs(g)) < tol:
             pt = solution_point(sys, phi, lam, k=k)
             return pt
-        J = assemble_jacobian(phi, lam, sys)
+        J = _jacobian(phi, lam, sys, k)
         flam = dresidual_dlambda(phi, lam, sys)
         dphi, dlam = _bordered_solve(J, flam, wrow, 0.0, -F, -g)
         phi, lam = _apply_update(phi, lam, dphi, dlam)
     raise ConvergenceError(f"no convergence at s = {s}")
 
 
-def _tangent(sys, phi, lam, ref_phi, ref_lam, J=None):
-    """Unit tangent (in the weighted norm) oriented along the reference."""
+def _tangent(sys, phi, lam, ref_phi, ref_lam, k=None, J=None):
+    """Unit tangent (in the weighted norm) oriented along the reference.
+
+    J, when given, is the Jacobian at (phi, lam) as ``_jacobian`` builds it.
+    """
     if J is None:
-        J = assemble_jacobian(phi, lam, sys)
+        J = _jacobian(phi, lam, sys, k)
     flam = dresidual_dlambda(phi, lam, sys)
     wrow = sys.inner_gradient(ref_phi)
     tphi, tlam = _bordered_solve(J, flam, wrow, ref_lam, np.zeros(len(phi)), 1.0)
@@ -242,17 +283,21 @@ def arclength_step(
     k: int | None = None,
     tol: float = NEWTON_TOL,
     max_iter: int = MAX_ITER,
-) -> SolutionPoint:
+    return_jacobian: bool = False,
+):
     """One pseudo-arclength step of length ds from a converged point.
 
     The corrector solves F(phi, lambda) = 0 together with the affine
-    constraint <phi - phi_0, t_phi>_w + (lambda - lambda_0) t_lambda = ds.
-    The new point is accepted only if its nodal count matches the current
-    one and u stays positive; otherwise StepRejected carries the reason.
+    constraint <phi - phi_0, t_phi>_w + (lambda - lambda_0) t_lambda = ds;
+    even k solves on the even sector.  The new point is accepted only if its
+    nodal count matches the current one and u stays positive; otherwise
+    StepRejected carries the reason.  Returns the SolutionPoint, or with
+    ``return_jacobian`` the pair (point, Jacobian at the point), the
+    Jacobian being the even block on the even sector.
     """
     tphi, tlam = tangent
     phi0, lam0 = current.phi, current.lam
-    phi = phi0 + ds * tphi
+    phi = _start(phi0 + ds * tphi, sys, k)
     lam = lam0 + ds * tlam
     wrow = sys.inner_gradient(tphi)
     for _ in range(max_iter):
@@ -261,8 +306,8 @@ def arclength_step(
         except PositivityError as exc:
             raise StepRejected("step-failure", str(exc)) from exc
         g = sys.inner(phi - phi0, tphi) + (lam - lam0) * tlam - ds
+        J = _jacobian(phi, lam, sys, k)
         if max(np.max(np.abs(F)), abs(g)) < tol:
-            J = assemble_jacobian(phi, lam, sys)
             pt = solution_point(sys, phi, lam, k=k, J=J)
             if pt.u_min <= 0:
                 raise StepRejected("positivity-loss", f"u_min = {pt.u_min}")
@@ -271,8 +316,7 @@ def arclength_step(
                     "nodal-change",
                     f"nodal count {pt.nodal_count} != {current.nodal_count}",
                 )
-            return pt
-        J = assemble_jacobian(phi, lam, sys)
+            return (pt, J) if return_jacobian else pt
         flam = dresidual_dlambda(phi, lam, sys)
         try:
             dphi, dlam = _bordered_solve(J, flam, wrow, tlam, -F, -g)
@@ -323,14 +367,15 @@ def trace_branch(
 
     # reference direction: the secant back to the bifurcation point
     tphi, tlam = _tangent(sys, first.phi, first.lam, first.phi,
-                          first.lam - lam_k)
+                          first.lam - lam_k, k=k)
     ds = ds_init
     prev_dlam = first.lam - lam_k
     while len(branch.points) < max_points:
         current = branch.points[-1]
         try:
-            nxt = arclength_step(current, (tphi, tlam), ds, sys, k=k,
-                                 tol=tol, max_iter=max_iter)
+            nxt, J = arclength_step(current, (tphi, tlam), ds, sys, k=k,
+                                    tol=tol, max_iter=max_iter,
+                                    return_jacobian=True)
         except StepRejected as exc:
             idx = len(branch.points) - 1
             if exc.reason == "positivity-loss":
@@ -358,7 +403,7 @@ def trace_branch(
             break
         if s_max is not None and abs(nxt.s_coord) >= s_max:
             break
-        tphi, tlam = _tangent(sys, nxt.phi, nxt.lam, tphi, tlam)
+        tphi, tlam = _tangent(sys, nxt.phi, nxt.lam, tphi, tlam, J=J)
         ds = min(ds * 1.3, ds_max)
     return branch
 
@@ -406,19 +451,23 @@ def _bisect_candidate(branch, i, sigma_tol, sys, tol, max_bisect, lam_min):
     gap = np.sqrt(sys.inner(dphi, dphi) + dlam**2)
     ref_phi, ref_lam = dphi / gap, dlam / gap
     sig_a = a.sigma_min
+    # the tangent at the lower end changes only when that end moves
+    tangent, J_a = None, None
     for _ in range(max_bisect):
         collapse = 1e-13 * (1 + abs(a.lam))
         if gap < collapse:
             return None
-        try:
-            tphi, tlam = _tangent(sys, a.phi, a.lam, ref_phi, ref_lam)
-        except ConvergenceError:
-            return None
+        if tangent is None:
+            try:
+                tangent = _tangent(sys, a.phi, a.lam, ref_phi, ref_lam, k=k, J=J_a)
+            except ConvergenceError:
+                return None
         # a corrector that fails on the half-step may succeed on a shorter one
         step = gap / 2
         while True:
             try:
-                mid = arclength_step(a, (tphi, tlam), step, sys, k=k, tol=tol)
+                mid, J_mid = arclength_step(a, tangent, step, sys, k=k, tol=tol,
+                                            return_jacobian=True)
                 break
             except (StepRejected, ConvergenceError):
                 step /= 2
@@ -443,7 +492,7 @@ def _bisect_candidate(branch, i, sigma_tol, sys, tol, max_bisect, lam_min):
                 ),
             )
         if np.sign(mid.sigma_min) == np.sign(sig_a):
-            a, sig_a = mid, mid.sigma_min
+            a, sig_a, J_a, tangent = mid, mid.sigma_min, J_mid, None
             ref_phi = (b.phi - a.phi)
             ref_lam = b.lam - a.lam
             nrm = np.sqrt(sys.inner(ref_phi, ref_phi) + ref_lam**2)

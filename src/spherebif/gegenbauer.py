@@ -327,6 +327,27 @@ def _q_poly_coeffs(k, n):
     return npoly.polysub(first, second)
 
 
+def _positive_sign_changes(coeffs) -> int:
+    """Sign changes of a polynomial on (0, infinity): its positive real roots
+    of odd multiplicity.  A root of multiplicity m comes out of the companion
+    matrix as a cluster of m roots, real or in conjugate pairs, spread by
+    about eps**(1/m); roots within 1e-3 (relative) of each other count as one
+    cluster, which resolves multiplicities up to four."""
+    roots = npoly.polyroots(coeffs)
+    changes = 0
+    counted = np.zeros(roots.size, dtype=bool)
+    for r in roots:
+        cluster = np.abs(roots - r) <= 1e-3 * (1 + abs(r))
+        if counted[cluster].any():
+            continue
+        counted |= cluster
+        centre = roots[cluster].mean()
+        real = abs(centre.imag) <= 1e-3 * (1 + abs(centre))
+        if real and centre.real > 0 and cluster.sum() % 2 == 1:
+            changes += 1
+    return changes
+
+
 def gasper_recurrence_report(k: int, n: int) -> GasperDiagnostics:
     """Run the auxiliary d_j recurrence and the Q(J) sign analysis.
 
@@ -344,14 +365,7 @@ def gasper_recurrence_report(k: int, n: int) -> GasperDiagnostics:
         d[j + 1] = (b * d[j] - c * d[j - 1]) / a
     all_pos = bool(np.all(d > 0))
 
-    coeffs = _q_poly_coeffs(k, n)
-    # Cauchy bound on root magnitudes, then dense sign sampling
-    lead = coeffs[-1]
-    bound = 1.0 + np.max(np.abs(coeffs[:-1])) / abs(lead)
-    grid = np.linspace(1e-9, bound, 200_001)
-    vals = npoly.polyval(grid, coeffs)
-    signs = np.sign(vals[np.abs(vals) > 0])
-    q_changes = int(np.sum(signs[1:] * signs[:-1] < 0))
+    q_changes = _positive_sign_changes(_q_poly_coeffs(k, n))
 
     proj = linearization_coeffs(k, n)
     g = proj.coeffs

@@ -241,6 +241,19 @@ class TestDegenerateAndVerify:
         assert abs(rep["sigma_at_star"]) < cfg.sigma_tol
         assert rep["nodal_count"] == k
 
+    @pytest.mark.parametrize("N", [32, 48])
+    def test_q6_k6_located_at_low_resolution(self, tmp_path, N):
+        # at N <= 48 the plus branch used to step onto the trivial solution
+        # and the command exited 2 with "no eigenvalue crossing found"
+        cfg = parse_config(
+            None, [f"output_dir={tmp_path}", "n=2", "delta=1", "q=6", "k=6", f"N={N}"]
+        )
+        assert dispatch("degenerate", cfg) == 0
+        rep = json.loads((tmp_path / "degenerate_k6.json").read_text())
+        assert rep["residual_norm"] < 1e-10
+        assert rep["nodal_count"] == 6
+        assert rep["lambda_star"] == pytest.approx(20.364737861326915, rel=1e-5)
+
     def test_not_found_exits_two(self, tmp_path):
         # an odd-mode branch climbs away without an eigenvalue crossing
         import spherebif.cli as cli_mod

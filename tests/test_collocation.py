@@ -8,6 +8,7 @@ from scipy.linalg import eig
 
 from spherebif.gegenbauer import gegenbauer_eval, weighted_inner
 from spherebif.collocation import (
+    NEWTON_TOL,
     DiscreteSystem,
     assemble_jacobian,
     assemble_residual,
@@ -20,6 +21,7 @@ from spherebif.collocation import (
     sigma_min,
     solution_point,
 )
+from spherebif.collocation import _fold, _mirror, _sector_jacobian
 from spherebif.continuation import trace_branch
 from spherebif.model import (
     ModelParams,
@@ -236,17 +238,21 @@ class TestSigmaMin:
         with pytest.raises(ValueError):
             sigma_min(np.zeros((3, 4)))
 
-    @pytest.mark.parametrize("q, k, direction", [(3.0, 2, 1), (3.0, 2, -1), (4.0, 4, 1)])
+    @pytest.mark.parametrize(
+        "q, k, direction", [(3.0, 2, 1), (3.0, 2, -1), (4.0, 4, 1), (6.0, 6, 1)]
+    )
     def test_matches_eigvals_along_branches(self, q, k, direction):
+        # sigma_min of the full Jacobian, and the recorded sigma_min of the
+        # even-sector trace (from the even and odd blocks), against eigvals
         system = DiscreteSystem(build_grid(48), ModelParams(2, 1.0, q))
         branch = trace_branch(k, direction, system)
         for pt in branch.points:
             J = assemble_jacobian(pt.phi, pt.lam, system)
             ev = np.linalg.eigvals(J)
             ref = ev[np.argmin(np.abs(ev))].real
-            got = sigma_min(J)
-            assert np.sign(got) == np.sign(ref)
-            assert got == pytest.approx(ref, rel=1e-8)
+            for got in (sigma_min(J), pt.sigma_min):
+                assert np.sign(got) == np.sign(ref)
+                assert got == pytest.approx(ref, rel=1e-8)
 
     def test_odd_mode_of_an_even_operator(self, system96, params):
         # the trivial-branch Jacobian commutes with the node flip t -> -t
@@ -284,6 +290,79 @@ class TestSigmaMin:
         assert sigma_min(J) == sigma_min(J)
 
 
+class TestParitySectors:
+    @pytest.mark.parametrize("N", [48, 33])
+    def test_fold_and_mirror(self, N):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((7, N + 1))
+        a = rng.standard_normal(N // 2 + 1)
+        v = _mirror(a, N)
+        assert np.array_equal(v, v[::-1])
+        assert np.array_equal(v[: a.size], a)
+        assert_allclose(M @ v, _fold(M, 1) @ a, atol=1e-12)
+        b = rng.standard_normal((N + 1) // 2)
+        w = np.zeros(N + 1)
+        w[: b.size] = b
+        w[N + 1 - b.size :] = -b[::-1]
+        assert_allclose(M @ w, _fold(M, -1) @ b, atol=1e-12)
+        # a single row folds like a matrix
+        assert_allclose(_fold(M[0], 1), _fold(M, 1)[0], atol=0)
+
+    @pytest.mark.parametrize("N", [48, 33])
+    def test_blocks_split_the_spectrum(self, N, params):
+        system = DiscreteSystem(build_grid(N), params)
+        phi = _mirror(0.3 * system.basis(2), N)
+        even = _sector_jacobian(phi, 9.0, system, 1)
+        odd = _sector_jacobian(phi, 9.0, system, -1)
+        assert even.shape == (N // 2 + 1,) * 2
+        assert odd.shape == ((N + 1) // 2,) * 2
+
+        def nearest_zero(*blocks):
+            ev = np.concatenate([np.linalg.eigvals(B).real for B in blocks])
+            return np.sort(ev[np.argsort(np.abs(ev))[:8]])
+
+        full = assemble_jacobian(phi, 9.0, system)
+        assert_allclose(nearest_zero(even, odd), nearest_zero(full), rtol=1e-8)
+
+    def test_stored_blocks_are_read_only(self, system48):
+        for L in (system48._linop_even, system48._linop_odd):
+            with pytest.raises(ValueError):
+                L[0, 0] = 1.0
+        J = _sector_jacobian(np.zeros(49), 5.0, system48)
+        J[0, 0] = 1.0  # a fresh copy
+        assert system48._linop_even[0, 0] != 1.0
+
+    def test_block_sigma_finds_the_odd_mode(self, system96, params):
+        # just above lambda_1 the mode nearest zero is the odd P_1, which
+        # lives in the odd block only
+        lam = 1.001 * lambda_k(1, params)
+        phi = np.zeros(97)
+        even = _sector_jacobian(phi, lam, system96, 1)
+        odd = _sector_jacobian(phi, lam, system96, -1)
+        expected = derived_constants(params).c_factor(lam) - params.n
+        assert sigma_min(even, odd) == pytest.approx(expected, rel=1e-8)
+        assert sigma_min(even, odd) == pytest.approx(
+            sigma_min(assemble_jacobian(phi, lam, system96)), rel=1e-10
+        )
+
+    def test_block_sigma_validation(self):
+        assert sigma_min(np.eye(3), np.diag([0.0, 1.0])) == 0.0
+        assert sigma_min(np.diag([4.0, -3.0]), np.diag([0.5])) == pytest.approx(0.5)
+        with pytest.raises(ValueError):
+            sigma_min(np.eye(3), np.zeros((2, 3)))
+
+    def test_solution_point_uses_the_blocks_for_even_k(self, system48):
+        phi = _mirror(0.2 * system48.basis(2), 48)
+        J = assemble_jacobian(phi, 10.0, system48)
+        ev = np.linalg.eigvals(J)
+        ref = ev[np.argmin(np.abs(ev))].real
+        pt = solution_point(system48, phi, 10.0, k=2)
+        assert pt.sigma_min == pytest.approx(ref, rel=1e-9)
+        assert solution_point(system48, phi, 10.0).sigma_min == sigma_min(J)
+        # a full Jacobian handed in for even k is used as it is
+        assert solution_point(system48, phi, 10.0, k=2, J=J).sigma_min == sigma_min(J)
+
+
 class TestNodalCount:
     def test_zonal_profiles(self, system96):
         grid = system96.grid
@@ -294,6 +373,14 @@ class TestNodalCount:
         grid = system48.grid
         assert nodal_count(grid, np.full(49, 0.4)) == 0
         assert nodal_count(grid, np.zeros(49)) == 0
+
+    def test_rounding_level_profile_has_no_zeros(self, system48):
+        grid = system48.grid
+        p6 = gegenbauer_eval(6, 2, grid.nodes)
+        assert nodal_count(grid, 6e-16 * p6) == 0
+        assert nodal_count(grid, 0.5 * NEWTON_TOL * p6) == 0
+        # small but above the tolerance, the zeros are counted
+        assert nodal_count(grid, 1e-6 * p6) == 6
 
     def test_tangency_not_counted(self, system48):
         # (t^2 - 1/4)^2 touches zero twice without changing sign

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spherebif.collocation as collocation
+import spherebif.continuation as continuation
+from spherebif import DiscreteSystem, ModelParams, build_grid
 from spherebif.collocation import assemble_jacobian, assemble_residual, sigma_min
 from spherebif.continuation import (
     ConvergenceError,
@@ -206,6 +209,80 @@ class TestDegeneracy:
             lo = sigma_min(assemble_jacobian(np.zeros(49), lam * 0.995, system48))
             hi = sigma_min(assemble_jacobian(np.zeros(49), lam * 1.005, system48))
             assert lo < 0 < hi
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called on the wrong sector path")
+
+
+class TestEvenSector:
+    def test_even_k_profiles_are_exactly_even(self, system48, fold_report, params):
+        for k, direction in ((2, 1), (2, -1), (4, 1)):
+            branch = trace_branch(k, direction, system48, max_points=30)
+            assert all(np.array_equal(pt.phi, pt.phi[::-1]) for pt in branch.points)
+        _, report = fold_report
+        assert np.array_equal(report.phi_star, report.phi_star[::-1])
+        # a start that is not even is mirrored from its values at t >= 0
+        phi0 = 0.05 * system48.basis(2) + 1e-9 * system48.grid.nodes
+        pt = newton_solve(phi0, lambda_k(2, params) - 0.1, system48, k=2)
+        assert np.array_equal(pt.phi, pt.phi[::-1])
+        pt = solve_at_s(4, 0.1, system48)
+        assert np.array_equal(pt.phi, pt.phi[::-1])
+
+    def test_odd_N_trace(self, params):
+        system = DiscreteSystem(build_grid(33), params)
+        branch = trace_branch(2, 1, system, max_points=60)
+        assert len(branch.points) == 60
+        assert all(pt.nodal_count == 2 for pt in branch.points)
+        assert all(np.array_equal(pt.phi, pt.phi[::-1]) for pt in branch.points)
+        report = locate_degenerate(branch, 1e-6, system)
+        assert report.residual_norm < 1e-10
+        # the N=96 value of the acceptance tests
+        assert report.lambda_star == pytest.approx(11.223525580301466, rel=1e-10)
+
+    def test_odd_k_solves_the_full_system(self, system48, monkeypatch):
+        monkeypatch.setattr(continuation, "_sector_jacobian", _forbidden)
+        monkeypatch.setattr(collocation, "_sector_jacobian", _forbidden)
+        branch = trace_branch(3, 1, system48, max_points=20)
+        assert len(branch.points) == 20
+        assert all(pt.nodal_count == 3 for pt in branch.points)
+
+    def test_even_k_assembles_no_full_jacobian(self, system48, monkeypatch):
+        monkeypatch.setattr(continuation, "assemble_jacobian", _forbidden)
+        monkeypatch.setattr(collocation, "assemble_jacobian", _forbidden)
+        branch = trace_branch(2, 1, system48, max_points=20)
+        assert len(branch.points) == 20
+        assert locate_degenerate(branch, 1e-6, system48) is not None
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_step_returns_the_jacobian_at_the_new_point(self, system48, k):
+        # trace_branch builds the next tangent from this Jacobian, so it must
+        # be exactly the one the tangent would assemble
+        branch = trace_branch(k, 1, system48, max_points=4)
+        a, b = branch.points[-2], branch.points[-1]
+        tangent = continuation._tangent(system48, a.phi, a.lam, b.phi - a.phi,
+                                        b.lam - a.lam, k=k)
+        pt, J = arclength_step(a, tangent, 0.05, system48, k=k, return_jacobian=True)
+        assert np.array_equal(J, continuation._jacobian(pt.phi, pt.lam, system48, k))
+        assert J.shape[0] == (25 if k == 2 else 49)
+        again = arclength_step(a, tangent, 0.05, system48, k=k)
+        assert np.array_equal(again.phi, pt.phi) and again.lam == pt.lam
+
+
+@pytest.mark.parametrize("N", [32, 48])
+def test_no_jump_onto_the_trivial_solution(N):
+    # at N <= 48 a step of the q=6 k=6 plus branch used to land on u = 1 and
+    # keep tracing the trivial family; nodal_count now reads 0 zeros there,
+    # so the nodal-change guard halves the step instead
+    system = DiscreteSystem(build_grid(N), ModelParams(2, 1.0, 6.0))
+    for direction in (1, -1):
+        branch = trace_branch(6, direction, system)
+        assert min(np.max(np.abs(pt.phi)) for pt in branch.points) > 1e-8
+        assert all(pt.nodal_count == 6 for pt in branch.points)
+        if direction == 1:
+            report = locate_degenerate(branch, 1e-6, system)
+            # the N=96 value, 20.364737861326915
+            assert report.lambda_star == pytest.approx(20.364737861326915, rel=1e-5)
 
 
 class TestPsiSmallness:

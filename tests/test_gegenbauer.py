@@ -21,6 +21,7 @@ from spherebif.gegenbauer import (
     linearization_coeffs,
     weighted_inner,
 )
+from spherebif.gegenbauer import _positive_sign_changes, _q_poly_coeffs
 
 
 def even_moment(j, n):
@@ -289,6 +290,30 @@ class TestGasperDiagnostics:
     def test_q_single_sign_change(self):
         assert gasper_recurrence_report(2, 2).q_sign_changes == 1
         assert gasper_recurrence_report(3, 3).q_sign_changes == 1
+
+    def test_q_sign_changes_match_dense_sampling(self):
+        # the sign count from Q's roots agrees with Q sampled densely on
+        # (0, Cauchy bound], past which Q keeps the sign of its leading term
+        for k, n in [(1, 2), (2, 2), (3, 3), (4, 5), (7, 2), (12, 9)]:
+            coeffs = _q_poly_coeffs(k, n)
+            bound = 1.0 + np.max(np.abs(coeffs[:-1])) / abs(coeffs[-1])
+            vals = npoly.polyval(np.linspace(1e-9, bound, 20_001), coeffs)
+            signs = np.sign(vals[vals != 0])
+            sampled = int(np.sum(signs[1:] * signs[:-1] < 0))
+            assert gasper_recurrence_report(k, n).q_sign_changes == sampled
+
+    def test_sign_changes_from_roots_of_odd_multiplicity(self):
+        cases = [
+            ([1.5, 1.5, 4.0, -1.0], 1),  # double root: no change there
+            ([2.0, 2.0, 2.0, -3.0], 1),  # triple root: one change
+            ([0.7, 0.75], 2),
+            ([-1.0, -2.0], 0),
+            ([3.0, 3.0, 3.0, 3.0], 0),
+        ]
+        for roots, changes in cases:
+            assert _positive_sign_changes(npoly.polyfromroots(roots)) == changes
+        # t^2 + 1 has no real roots
+        assert _positive_sign_changes(np.array([1.0, 0.0, 1.0])) == 0
 
     def test_projection_comparison_flag(self):
         rep = gasper_recurrence_report(1, 2)
