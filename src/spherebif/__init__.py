@@ -22,7 +22,6 @@ w = u - 1 on [-1, 1].  This package provides:
 from .gegenbauer import (
     CoeffExpansion,
     GasperDiagnostics,
-    JacobiParams,
     QuadratureRule,
     cube_integral,
     gasper_recurrence_report,

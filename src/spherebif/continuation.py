@@ -11,10 +11,14 @@ A caller that only wants the degenerate point passes trace_branch a
 ``stop`` predicate that bisects each crossing as the trace records it, so
 the trace ends one point past the located crossing.
 
-Even k is traced in the even sector: P_{k,n} is even in t, and so is
-every point of the branch, so Newton, the arclength corrector, the tangent
-and the bisection solve on the even block of the Jacobian (about half the
-unknowns, see ``collocation``).  Every profile is mirrored from its values
+Every point comes from one damped Newton corrector on F(phi, lambda) = 0
+plus one linear equation in (phi, lambda), solved as a bordered system
+and converged on the full residual: lambda fixed (``newton_solve``), the
+projection onto P_{k,n} (``solve_at_s``) or the pseudo-arclength equation
+(``arclength_step``).  Even k is traced in the even sector: P_{k,n} is
+even in t, and so is every point of the branch, so the corrector, the
+tangent and the bisection solve on the even block of the Jacobian (about
+half the unknowns, see ``collocation``).  Every profile is mirrored from its values
 at t >= 0, so it is exactly even.  Odd k, and ``newton_solve`` without a
 mode index, solve the full system.
 
@@ -66,6 +70,8 @@ SIGMA_TOL = 1e-6
 SEED_AMPLITUDE = 1e-2
 # damped-Newton backtracking when an iterate loses positivity
 MAX_BACKTRACK = 20
+# arclength half-steps per candidate crossing in locate_degenerate
+MAX_BISECT = 80
 # branch event kinds that mark a candidate eigenvalue crossing
 CROSSING_EVENTS = ("fold", "sigma-zero")
 
@@ -148,6 +154,22 @@ def _apply_update(phi, lam, dphi, dlam):
     raise ConvergenceError("iterate lost positivity and backtracking failed")
 
 
+def _correct(sys, k, phi, lam, wrow, wlam, constraint, tol, max_iter):
+    """Newton on F = 0 and g = constraint(phi, lam) = 0, g having gradient
+    (wrow, wlam), until max(|F|_inf, |g|) < tol.  Returns the SolutionPoint
+    and the Jacobian at it; raises ConvergenceError when it stalls."""
+    for _ in range(max_iter):
+        F = assemble_residual(phi, lam, sys)
+        g = constraint(phi, lam)
+        J = _jacobian(phi, lam, sys, k)
+        if max(np.max(np.abs(F)), abs(g)) < tol:
+            return solution_point(sys, phi, lam, k=k, J=J), J
+        flam = dresidual_dlambda(phi, lam, sys)
+        dphi, dlam = _bordered_solve(J, flam, wrow, wlam, -F, -g)
+        phi, lam = _apply_update(phi, lam, dphi, dlam)
+    raise ConvergenceError(f"no convergence after {max_iter} iterations")
+
+
 def newton_solve(
     phi0,
     lam: float,
@@ -163,22 +185,9 @@ def newton_solve(
     residual max-norm tolerance.  An even mode index k solves on the even
     sector from the mirror of phi0's values at t >= 0.
     """
-    phi = _start(phi0, sys, k)
-    for _ in range(max_iter):
-        F = assemble_residual(phi, lam, sys)
-        if np.max(np.abs(F)) < tol:
-            return solution_point(sys, phi, lam, k=k)
-        J = _jacobian(phi, lam, sys, k)
-        try:
-            dphi = np.linalg.solve(J, -F[: J.shape[0]])
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian: {exc}") from exc
-        if _even_sector(k):
-            dphi = _mirror(dphi, sys.grid.N)
-        phi, lam = _apply_update(phi, lam, dphi, 0.0)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations at lambda = {lam}"
-    )
+    pt, _ = _correct(sys, k, _start(phi0, sys, k), lam, np.zeros(sys.grid.N + 1),
+                     1.0, lambda phi, lam: 0.0, tol, max_iter)
+    return pt
 
 
 def branch_seed(k: int, s0: float, sys: DiscreteSystem) -> SolutionPoint:
@@ -225,7 +234,6 @@ def solve_at_s(
     k: int,
     s: float,
     sys: DiscreteSystem,
-    guess: tuple | None = None,
     tol: float = NEWTON_TOL,
     max_iter: int = MAX_ITER,
 ) -> SolutionPoint:
@@ -234,28 +242,16 @@ def solve_at_s(
     Unknowns are (phi, lambda); the extra equation is the normalization
     <phi, P_{k,n}>_w = s <P_{k,n}, P_{k,n}>_w, which pins the on-branch
     parametrization w(s) = s P_{k,n} + (remainder orthogonal to P_{k,n}).
-    Even k solves on the even sector (see the module docstring).
+    The corrector starts from the tangent predictor at s; even k solves on
+    the even sector (see the module docstring).
     """
     p = sys.basis(k)
     p2 = sys.inner(p, p)
-    wrow = sys.inner_gradient(p)
-    if guess is None:
-        phi = _start(s * p, sys, k)
-        lam = lambda_k(k, sys.params) + s * dlambda_ds0(k, sys.params)
-    else:
-        phi = _start(guess[0], sys, k)
-        lam = float(guess[1])
-    for _ in range(max_iter):
-        F = assemble_residual(phi, lam, sys)
-        g = sys.inner(phi, p) - s * p2
-        if max(np.max(np.abs(F)), abs(g)) < tol:
-            pt = solution_point(sys, phi, lam, k=k)
-            return pt
-        J = _jacobian(phi, lam, sys, k)
-        flam = dresidual_dlambda(phi, lam, sys)
-        dphi, dlam = _bordered_solve(J, flam, wrow, 0.0, -F, -g)
-        phi, lam = _apply_update(phi, lam, dphi, dlam)
-    raise ConvergenceError(f"no convergence at s = {s}")
+    phi = _start(s * p, sys, k)
+    lam = lambda_k(k, sys.params) + s * dlambda_ds0(k, sys.params)
+    pt, _ = _correct(sys, k, phi, lam, sys.inner_gradient(p), 0.0,
+                     lambda phi, lam: sys.inner(phi, p) - s * p2, tol, max_iter)
+    return pt
 
 
 def _tangent(sys, phi, lam, ref_phi, ref_lam, k=None, J=None):
@@ -283,7 +279,6 @@ def arclength_step(
     k: int | None = None,
     tol: float = NEWTON_TOL,
     max_iter: int = MAX_ITER,
-    return_jacobian: bool = False,
 ):
     """One pseudo-arclength step of length ds from a converged point.
 
@@ -291,39 +286,30 @@ def arclength_step(
     constraint <phi - phi_0, t_phi>_w + (lambda - lambda_0) t_lambda = ds;
     even k solves on the even sector.  The new point is accepted only if its
     nodal count matches the current one and u stays positive; otherwise
-    StepRejected carries the reason.  Returns the SolutionPoint, or with
-    ``return_jacobian`` the pair (point, Jacobian at the point), the
-    Jacobian being the even block on the even sector.
+    StepRejected carries the reason (``step-failure`` when the corrector
+    fails).  Returns the pair (point, Jacobian at the point), the Jacobian
+    being the even block on the even sector.
     """
     tphi, tlam = tangent
     phi0, lam0 = current.phi, current.lam
     phi = _start(phi0 + ds * tphi, sys, k)
     lam = lam0 + ds * tlam
-    wrow = sys.inner_gradient(tphi)
-    for _ in range(max_iter):
-        try:
-            F = assemble_residual(phi, lam, sys)
-        except PositivityError as exc:
-            raise StepRejected("step-failure", str(exc)) from exc
-        g = sys.inner(phi - phi0, tphi) + (lam - lam0) * tlam - ds
-        J = _jacobian(phi, lam, sys, k)
-        if max(np.max(np.abs(F)), abs(g)) < tol:
-            pt = solution_point(sys, phi, lam, k=k, J=J)
-            if pt.u_min <= 0:
-                raise StepRejected("positivity-loss", f"u_min = {pt.u_min}")
-            if pt.nodal_count != current.nodal_count:
-                raise StepRejected(
-                    "nodal-change",
-                    f"nodal count {pt.nodal_count} != {current.nodal_count}",
-                )
-            return (pt, J) if return_jacobian else pt
-        flam = dresidual_dlambda(phi, lam, sys)
-        try:
-            dphi, dlam = _bordered_solve(J, flam, wrow, tlam, -F, -g)
-            phi, lam = _apply_update(phi, lam, dphi, dlam)
-        except ConvergenceError as exc:
-            raise StepRejected("step-failure", str(exc)) from exc
-    raise StepRejected("step-failure", f"corrector stalled at ds = {ds}")
+    try:
+        pt, J = _correct(
+            sys, k, phi, lam, sys.inner_gradient(tphi), tlam,
+            lambda phi, lam: sys.inner(phi - phi0, tphi) + (lam - lam0) * tlam - ds,
+            tol, max_iter,
+        )
+    except (ConvergenceError, PositivityError) as exc:
+        raise StepRejected("step-failure", str(exc)) from exc
+    if pt.u_min <= 0:
+        raise StepRejected("positivity-loss", f"u_min = {pt.u_min}")
+    if pt.nodal_count != current.nodal_count:
+        raise StepRejected(
+            "nodal-change",
+            f"nodal count {pt.nodal_count} != {current.nodal_count}",
+        )
+    return pt, J
 
 
 def trace_branch(
@@ -332,7 +318,6 @@ def trace_branch(
     sys: DiscreteSystem,
     lambda_floor: float | None = None,
     max_points: int = 400,
-    s_max: float | None = None,
     s0: float = SEED_AMPLITUDE,
     ds_init: float = DS_INIT,
     ds_min: float = DS_MIN,
@@ -343,10 +328,10 @@ def trace_branch(
 ) -> Branch:
     """Trace the branch D_k^+ (direction=+1) or D_k^- (direction=-1).
 
-    Stops on the lambda floor, the point budget, |s| > s_max, loss of
-    positivity, a terminal step failure, or when ``stop(branch)`` returns
-    True; every recorded point carries the full diagnostics and the branch
-    keeps a constant nodal count.  ``stop`` is called once after each
+    Stops on the lambda floor, the point budget, loss of positivity, a
+    terminal step failure, or when ``stop(branch)`` returns True; every
+    recorded point carries the full diagnostics and the branch keeps a
+    constant nodal count.  ``stop`` is called once after each
     accepted point, after that point's fold and sigma-zero events are
     recorded, so it sees every crossing event exactly once.
     """
@@ -374,8 +359,7 @@ def trace_branch(
         current = branch.points[-1]
         try:
             nxt, J = arclength_step(current, (tphi, tlam), ds, sys, k=k,
-                                    tol=tol, max_iter=max_iter,
-                                    return_jacobian=True)
+                                    tol=tol, max_iter=max_iter)
         except StepRejected as exc:
             idx = len(branch.points) - 1
             if exc.reason == "positivity-loss":
@@ -401,8 +385,6 @@ def trace_branch(
         if nxt.lam < lambda_floor:
             branch.events.append((idx, "lambda-floor"))
             break
-        if s_max is not None and abs(nxt.s_coord) >= s_max:
-            break
         tphi, tlam = _tangent(sys, nxt.phi, nxt.lam, tphi, tlam, J=J)
         ds = min(ds * 1.3, ds_max)
     return branch
@@ -413,16 +395,15 @@ def locate_degenerate(
     sigma_tol: float,
     sys: DiscreteSystem,
     tol: float = NEWTON_TOL,
-    max_bisect: int = 80,
     first: int = 0,
 ) -> DegeneracyReport | None:
     """Find a degenerate point along a traced branch, or None.
 
     Candidates are the point pairs (i, i + 1) with i >= ``first`` that end
-    at a ``fold`` or ``sigma-zero`` event of the trace; bisection by
-    half-steps in arclength then drives |sigma_min| below sigma_tol (an
-    absolute target, stricter than any operator rescaling since the
-    spectral scale exceeds one).  A candidate whose bracket collapses
+    at a ``fold`` or ``sigma-zero`` event of the trace; bisection by at
+    most MAX_BISECT half-steps in arclength then drives |sigma_min| below
+    sigma_tol (an absolute target, stricter than any operator rescaling
+    since the spectral scale exceeds one).  A candidate whose bracket collapses
     without the eigenvalue vanishing (a min-magnitude eigenvalue swap, not
     a crossing) is skipped.  A caller bisecting each crossing as the trace
     records it passes the newest pair's index as ``first``, so no earlier
@@ -435,25 +416,32 @@ def locate_degenerate(
          if kind in CROSSING_EVENTS and idx - 1 >= first}
     )
     for i in candidates:
-        report = _bisect_candidate(
-            branch, i, sigma_tol, sys, tol, max_bisect, lam_min
-        )
+        report = _bisect_candidate(branch, i, sigma_tol, sys, tol, lam_min)
         if report is not None:
             return report
     return None
 
 
-def _bisect_candidate(branch, i, sigma_tol, sys, tol, max_bisect, lam_min):
-    k = branch.k
-    a, b = branch.points[i], branch.points[i + 1]
+def _chord(sys, a, b):
+    """Unit chord from point a to point b and its length, or None if they coincide."""
     dphi = b.phi - a.phi
     dlam = b.lam - a.lam
     gap = np.sqrt(sys.inner(dphi, dphi) + dlam**2)
-    ref_phi, ref_lam = dphi / gap, dlam / gap
-    sig_a = a.sigma_min
+    if gap == 0:
+        return None
+    return dphi / gap, dlam / gap, gap
+
+
+def _bisect_candidate(branch, i, sigma_tol, sys, tol, lam_min):
+    k = branch.k
+    a, b = branch.points[i], branch.points[i + 1]
+    chord = _chord(sys, a, b)
     # the tangent at the lower end changes only when that end moves
     tangent, J_a = None, None
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
+        if chord is None:
+            return None
+        ref_phi, ref_lam, gap = chord
         collapse = 1e-13 * (1 + abs(a.lam))
         if gap < collapse:
             return None
@@ -466,16 +454,15 @@ def _bisect_candidate(branch, i, sigma_tol, sys, tol, max_bisect, lam_min):
         step = gap / 2
         while True:
             try:
-                mid, J_mid = arclength_step(a, tangent, step, sys, k=k, tol=tol,
-                                            return_jacobian=True)
+                mid, J_mid = arclength_step(a, tangent, step, sys, k=k, tol=tol)
                 break
-            except (StepRejected, ConvergenceError):
+            except StepRejected:
                 step /= 2
                 if step < collapse:
                     return None
         if abs(mid.sigma_min) < sigma_tol:
             F = assemble_residual(mid.phi, mid.lam, sys)
-            d1 = sys.grid.d1
+            dphi_star = sys.grid.d1 @ mid.phi
             return DegeneracyReport(
                 lambda_star=mid.lam,
                 phi_star=mid.phi,
@@ -486,24 +473,15 @@ def _bisect_candidate(branch, i, sigma_tol, sys, tol, max_bisect, lam_min):
                 residual_norm=float(np.max(np.abs(F))),
                 branch_lambda_min=min(lam_min, mid.lam),
                 crossing_index=i,
-                endpoint_derivs=(
-                    float((d1 @ mid.phi)[0]),
-                    float((d1 @ mid.phi)[-1]),
-                ),
+                endpoint_derivs=(float(dphi_star[0]), float(dphi_star[-1])),
             )
-        if np.sign(mid.sigma_min) == np.sign(sig_a):
-            a, sig_a, J_a, tangent = mid, mid.sigma_min, J_mid, None
-            ref_phi = (b.phi - a.phi)
-            ref_lam = b.lam - a.lam
-            nrm = np.sqrt(sys.inner(ref_phi, ref_phi) + ref_lam**2)
-            if nrm == 0:
-                return None
-            ref_phi, ref_lam = ref_phi / nrm, ref_lam / nrm
+        if np.sign(mid.sigma_min) == np.sign(a.sigma_min):
+            a, J_a, tangent = mid, J_mid, None
             # a half-step in arclength need not halve the chord; measure it
-            gap = nrm
+            chord = _chord(sys, a, b)
         else:
             b = mid
-            gap = step
+            chord = ref_phi, ref_lam, step
     return None
 
 

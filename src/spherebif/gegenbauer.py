@@ -23,7 +23,6 @@ from numpy.polynomial import polynomial as npoly
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
-    "JacobiParams",
     "QuadratureRule",
     "CoeffExpansion",
     "GasperDiagnostics",
@@ -41,26 +40,6 @@ __all__ = [
 # tolerance for accepting |t| marginally above 1 (rounding in inner products
 # of unit vectors); larger excursions are rejected as domain errors
 _T_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Exponent pair of the Jacobi weight (1-t)^alpha (1+t)^beta."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("Jacobi exponents must exceed -1")
-
-    @classmethod
-    def ultraspherical(cls, n: int) -> "JacobiParams":
-        """Exponents for the zonal weight on S^n: alpha = beta = (n-2)/2."""
-        if n < 2:
-            raise ValueError(f"sphere dimension must be >= 2, got {n}")
-        a = (n - 2) / 2.0
-        return cls(a, a)
 
 
 @dataclass(frozen=True)
@@ -142,13 +121,8 @@ def gegenbauer_eval(k: int, n: int, t):
     t = _check_t(t)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    prev = np.ones_like(t)
-    if k == 0:
-        return float(prev[0]) if scalar else prev
-    cur = t.copy()
-    for j in range(1, k):
-        prev, cur = cur, ((2 * j + n - 1) * t * cur - j * prev) / (j + n - 1)
-    return float(cur[0]) if scalar else cur
+    p = np.ones_like(t) if k == 0 else _eval_and_deriv(k, n, t)[0]
+    return float(p[0]) if scalar else p
 
 
 def gegenbauer_deriv(k: int, n: int, t):

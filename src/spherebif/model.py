@@ -58,13 +58,12 @@ class ModelParams:
 
     ``n`` is the dimension of each sphere factor, ``delta`` the scale of
     the second factor's metric, ``q`` the nonlinearity exponent with
-    2 < q < q_f(n), and ``lam`` an optional bound value of lambda.
+    2 < q < q_f(n).
     """
 
     n: int
     delta: float
     q: float
-    lam: float | None = None
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -74,8 +73,6 @@ class ModelParams:
         qf = _q_critical(self.n)
         if not (2 < self.q < qf):
             raise ValueError(f"exponent q must satisfy 2 < q < {qf}, got {self.q}")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
 
 
 def _q_critical(n: int) -> float:

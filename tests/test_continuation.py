@@ -10,6 +10,7 @@ from spherebif import DiscreteSystem, ModelParams, build_grid
 from spherebif.collocation import assemble_jacobian, assemble_residual, sigma_min
 from spherebif.continuation import (
     ConvergenceError,
+    StepRejected,
     arclength_step,
     branch_seed,
     locate_degenerate,
@@ -49,6 +50,15 @@ class TestNewton:
         with pytest.raises(PositivityError):
             newton_solve(phi0, 2.0, system48)
 
+    @pytest.mark.parametrize("k", [2, None])
+    def test_lambda_stays_fixed(self, system48, params, k):
+        # the corrector carries lambda as an unknown whose update is pinned
+        # to zero; the returned point must keep the requested value exactly
+        lam = lambda_k(2, params) - 0.1
+        pt = newton_solve(0.05 * system48.basis(2), lam, system48, k=k)
+        assert pt.lam == lam
+        assert np.max(np.abs(assemble_residual(pt.phi, pt.lam, system48))) < 1e-10
+
 
 class TestSeeding:
     def test_predictor_values(self, system48, params):
@@ -82,6 +92,10 @@ class TestSolveAtS:
         pt = solve_at_s(2, 0.2, system48)
         assert np.max(np.abs(pt.phi - pt.phi[::-1])) < 1e-12
 
+    def test_no_convergence_error(self, system48):
+        with pytest.raises(ConvergenceError):
+            solve_at_s(2, 0.5, system48, max_iter=1)
+
     def test_odd_branch_reflection(self, system48):
         plus = solve_at_s(1, 0.15, system48)
         minus = solve_at_s(1, -0.15, system48)
@@ -92,9 +106,22 @@ class TestSolveAtS:
 class TestArclengthStep:
     def test_along_trivial_branch(self, system48):
         triv = newton_solve(np.zeros(49), 5.0, system48)
-        nxt = arclength_step(triv, (np.zeros(49), 1.0), 0.25, system48)
+        nxt, _ = arclength_step(triv, (np.zeros(49), 1.0), 0.25, system48)
         assert nxt.lam == pytest.approx(5.25, rel=1e-12)
         assert np.max(np.abs(nxt.phi)) < 1e-12
+
+    def test_stalled_corrector_is_a_step_failure(self, system48):
+        triv = newton_solve(np.zeros(49), 5.0, system48)
+        tangent = (system48.basis(2) / system48.norm(system48.basis(2)), 0.0)
+        with pytest.raises(StepRejected) as info:
+            arclength_step(triv, tangent, 0.3, system48, max_iter=1)
+        assert info.value.reason == "step-failure"
+
+    def test_nonpositive_predictor_is_a_step_failure(self, system48):
+        triv = newton_solve(np.zeros(49), 5.0, system48)
+        with pytest.raises(StepRejected) as info:
+            arclength_step(triv, (-np.ones(49), 0.0), 2.0, system48)
+        assert info.value.reason == "step-failure"
 
     def test_lambda_decreases_off_even_seed(self, system48):
         branch = trace_branch(2, 1, system48, max_points=6)
@@ -262,10 +289,10 @@ class TestEvenSector:
         a, b = branch.points[-2], branch.points[-1]
         tangent = continuation._tangent(system48, a.phi, a.lam, b.phi - a.phi,
                                         b.lam - a.lam, k=k)
-        pt, J = arclength_step(a, tangent, 0.05, system48, k=k, return_jacobian=True)
+        pt, J = arclength_step(a, tangent, 0.05, system48, k=k)
         assert np.array_equal(J, continuation._jacobian(pt.phi, pt.lam, system48, k))
         assert J.shape[0] == (25 if k == 2 else 49)
-        again = arclength_step(a, tangent, 0.05, system48, k=k)
+        again, _ = arclength_step(a, tangent, 0.05, system48, k=k)
         assert np.array_equal(again.phi, pt.phi) and again.lam == pt.lam
 
 

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from scipy.special import roots_jacobi
 
 from spherebif.gegenbauer import (
-    JacobiParams,
     QuadratureRule,
     cube_integral,
     gasper_recurrence_report,
@@ -325,11 +324,3 @@ class TestGasperDiagnostics:
             rep.all_d_positive == rep.projection_positive
         )
 
-
-def test_jacobi_params():
-    jp = JacobiParams.ultraspherical(5)
-    assert jp.alpha == jp.beta == 1.5
-    with pytest.raises(ValueError):
-        JacobiParams(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        JacobiParams.ultraspherical(1)

@@ -52,8 +52,6 @@ class TestParams:
             ModelParams(2, 1.0, 2.0)
         with pytest.raises(ValueError):
             ModelParams(3, 1.0, 6.0)  # q above (n+2)/(n-2) = 5
-        with pytest.raises(ValueError):
-            ModelParams(2, 1.0, 3.0, lam=-1.0)
         ModelParams(2, 1.0, 12.0)  # n = 2 carries no upper bound on q
 
     def test_derived_constants(self):
