@@ -387,7 +387,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
     if os.path.exists(report_path):
         with open(report_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("found") and payload.get("N") == cfg.N:
+        if not payload.get("found"):
+            _log(f"verify: {report_path} has found: false; lifting the trivial profile")
+        elif payload.get("N") != cfg.N:
+            _log(
+                f"verify: {report_path} holds N={payload.get('N')}, not N={cfg.N}; "
+                "lifting the trivial profile"
+            )
+        else:
             phi = np.array(payload["phi"], dtype=float)
             lam = float(payload["lambda_star"])
             source = f"degenerate_k{cfg.k}"

@@ -118,9 +118,14 @@ def interpolation_matrix(grid: SpectralGrid, targets) -> np.ndarray:
 
 
 def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
-    """Barycentric interpolant of node values phi at t (scalar or array)."""
+    """Barycentric interpolant of node values phi at t (scalar or 1-D array).
+
+    Each value is one row-by-phi dot product, so it rounds the same whether
+    its target comes alone or among others.
+    """
     scalar = np.ndim(t) == 0
-    vals = interpolation_matrix(grid, t) @ np.asarray(phi, dtype=float)
+    M = interpolation_matrix(grid, t)
+    vals = (M[:, None, :] @ np.asarray(phi, dtype=float)[:, None])[:, 0, 0]
     return float(vals[0]) if scalar else vals
 
 

@@ -9,7 +9,15 @@ the scaled metric.  Everything here is O(h^2) in the step and entirely
 independent of the spectral machinery, so it cross-checks computed
 profiles by lifting them back to the manifold through u = phi(<p, q>) + 1.
 
-All sampling is deterministic given the seed.
+The stencils work on blocks: a ``SpherePair`` may stack sample pairs along
+leading axes, and the field is called once on all stencil points of the
+block.  ``lifted_residual`` and ``identity_residuals`` take their samples
+in ``_BLOCK_SAMPLES`` pairs at a time, so the lift makes one interpolation
+call per block and its temporaries stay small whatever the sample count.
+
+All sampling is deterministic given the seed.  Both residual functions
+draw every pair from one ``standard_normal((count, 2, n+1))`` call, which
+is the same stream as drawing p and then q sample by sample.
 """
 
 from __future__ import annotations
@@ -34,7 +42,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpherePair:
-    """A point of S^n x S^n as two unit vectors in R^(n+1)."""
+    """A point of S^n x S^n as two unit vectors in R^(n+1).
+
+    p and q_vec may carry the same leading axes, stacking a block of pairs;
+    every row must be a unit vector.
+    """
 
     p: np.ndarray
     q_vec: np.ndarray
@@ -43,16 +55,16 @@ class SpherePair:
         p = np.asarray(self.p, dtype=float)
         q = np.asarray(self.q_vec, dtype=float)
         for v in (p, q):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+            if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-12):
                 raise ValueError("sphere points must be unit vectors")
             v.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q_vec", q)
 
     @property
-    def f(self) -> float:
-        """The isoparametric value <p, q> in [-1, 1]."""
-        return float(np.dot(self.p, self.q_vec))
+    def f(self):
+        """The isoparametric value <p, q> in [-1, 1], per pair of a block."""
+        return _float_if_single(_inner(self.p, self.q_vec))
 
 
 def _check_h(h: float):
@@ -72,67 +84,115 @@ def sample_pair(n: int, seed: int) -> SpherePair:
 
 
 def tangent_frame(point: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space of S^n at the point.
+    """Orthonormal bases of the tangent spaces of S^n at points (..., n+1).
 
     Projects the ambient coordinate axes and orthonormalizes, skipping
-    axes that project degenerately; the fixed axis order makes the frame
-    reproducible.
+    axes that project degenerately and stopping at n vectors; the fixed
+    axis order makes the frame reproducible.  Returns shape (..., n, n+1).
     """
     point = np.asarray(point, dtype=float)
-    dim = point.size - 1
-    frame = []
-    for e in np.eye(point.size):
-        v = e - np.dot(e, point) * point
-        for u in frame:
-            v = v - np.dot(v, u) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            frame.append(v / norm)
-        if len(frame) == dim:
-            break
-    return np.array(frame)
+    dim = point.shape[-1] - 1
+    pts = point.reshape(-1, dim + 1)
+    frame = np.zeros((len(pts), dim, dim + 1))
+    count = np.zeros(len(pts), dtype=int)
+    for axis, e in enumerate(np.eye(dim + 1)):
+        v = e - pts[:, axis, None] * pts
+        # slots not yet filled are zero and leave v as it is
+        for slot in range(min(axis, dim)):
+            u = frame[:, slot]
+            v = v - _inner(v, u)[:, None] * u
+        norm = np.sqrt(_inner(v, v))
+        rows = np.flatnonzero((norm > 1e-8) & (count < dim))
+        frame[rows, count[rows]] = v[rows] / norm[rows, None]
+        count[rows] += 1
+    return frame.reshape(point.shape[:-1] + (dim, dim + 1))
+
+
+def _inner(a, b):
+    """<a, b> over the last axis, rounded as np.dot rounds one pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _float_if_single(value):
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _geodesic(base, direction, angle):
     return np.cos(angle) * base + np.sin(angle) * direction
 
 
-def laplace_beltrami_fd(u, x: SpherePair, h: float, delta: float) -> float:
+def _stencil(x: SpherePair, h: float, delta: float):
+    """Stacked stencil points (P, Q), each of shape (..., 1 + 4n, n+1).
+
+    Row 0 is x itself, rows 1..2n the forward steps and rows 2n+1..4n the
+    backward steps; each set takes the n first-factor directions (angle h)
+    before the n second-factor ones (angle h / sqrt(delta)).
+    """
+    fp = tangent_frame(x.p)
+    fq = tangent_frame(x.q_vec)
+    p = np.broadcast_to(x.p[..., None, :], fp.shape)
+    q = np.broadcast_to(x.q_vec[..., None, :], fq.shape)
+    hh = h / np.sqrt(delta)
+    P = np.concatenate(
+        [x.p[..., None, :], _geodesic(p, fp, h), p, _geodesic(p, fp, -h), p], axis=-2
+    )
+    Q = np.concatenate(
+        [x.q_vec[..., None, :], q, _geodesic(q, fq, hh), q, _geodesic(q, fq, -hh)],
+        axis=-2,
+    )
+    return P, Q
+
+
+def laplace_beltrami_fd(u, x: SpherePair, h: float, delta: float):
     """Laplacian of the scalar field u(p, q) at x, by central differences.
 
     Sums 2n second differences: n great-circle directions through the
     first factor at unit speed and n through the second factor at ambient
     angular speed 1/sqrt(delta), the orthonormal frame for the scaled
-    product metric.
+    product metric.  u is called once, on the stacked stencil points
+    (P, Q) of shape (..., 1 + 4n, n+1) with x itself first, and returns
+    values of shape (..., 1 + 4n).  A float for a single pair, else an
+    array over the pairs of x.
     """
     _check_h(h)
-    u0 = u(x.p, x.q_vec)
+    P, Q = _stencil(x, h, delta)
+    vals = np.broadcast_to(u(P, Q), P.shape[:-1])
+    steps = (P.shape[-2] - 1) // 2
+    u0 = vals[..., 0]
     total = 0.0
-    for v in tangent_frame(x.p):
-        total += u(_geodesic(x.p, v, h), x.q_vec) - 2 * u0 + u(_geodesic(x.p, v, -h), x.q_vec)
-    hh = h / np.sqrt(delta)
-    for v in tangent_frame(x.q_vec):
-        total += u(x.p, _geodesic(x.q_vec, v, hh)) - 2 * u0 + u(x.p, _geodesic(x.q_vec, v, -hh))
-    return total / h**2
+    for d in range(1, steps + 1):
+        total = total + (vals[..., d] - 2 * u0 + vals[..., steps + d])
+    return _float_if_single(total / h**2)
 
 
-def gradient_sq_fd(x: SpherePair, h: float, delta: float) -> float:
+def gradient_sq_fd(x: SpherePair, h: float, delta: float):
     """|grad f|^2 at x by first differences of f = <p, q>.
 
-    Matches (1 + 1/delta)(1 - f^2) to O(h^2).
+    Matches (1 + 1/delta)(1 - f^2) to O(h^2).  A float for a single pair,
+    else an array over the pairs of x.
     """
     _check_h(h)
+    P, Q = _stencil(x, h, delta)
+    f = _inner(P, Q)
+    steps = (P.shape[-2] - 1) // 2
     total = 0.0
-    for v in tangent_frame(x.p):
-        fp = np.dot(_geodesic(x.p, v, h), x.q_vec)
-        fm = np.dot(_geodesic(x.p, v, -h), x.q_vec)
-        total += ((fp - fm) / (2 * h)) ** 2
-    hh = h / np.sqrt(delta)
-    for v in tangent_frame(x.q_vec):
-        fp = np.dot(x.p, _geodesic(x.q_vec, v, hh))
-        fm = np.dot(x.p, _geodesic(x.q_vec, v, -hh))
-        total += ((fp - fm) / (2 * h)) ** 2
-    return total
+    for d in range(1, steps + 1):
+        total = total + ((f[..., d] - f[..., steps + d]) / (2 * h)) ** 2
+    return _float_if_single(total)
+
+
+# sample pairs per stencil evaluation; larger blocks buy little speed and
+# grow the (block * (1 + 4n)) x (N + 1) interpolation temporaries
+_BLOCK_SAMPLES = 32
+
+
+def _sample_blocks(n: int, sample_count: int, seed: int):
+    """Uniform random pairs on S^n x S^n as (index of first, SpherePair block)."""
+    raw = np.random.default_rng(seed).standard_normal((sample_count, 2, n + 1))
+    raw /= np.sqrt(_inner(raw, raw))[..., None]
+    for start in range(0, sample_count, _BLOCK_SAMPLES):
+        block = raw[start : start + _BLOCK_SAMPLES]
+        yield start, SpherePair(block[:, 0], block[:, 1])
 
 
 def lifted_residual(
@@ -151,23 +211,22 @@ def lifted_residual(
     """
     _check_h(h)
     phi = np.asarray(phi, dtype=float)
-    rng = np.random.default_rng(seed)
+    evaluated = []
 
-    def u(p, q_vec):
-        val = interpolate(grid, phi, float(np.dot(p, q_vec))) + 1.0
-        return val
+    def u(P, Q):
+        t = _inner(P, Q)
+        evaluated.append(interpolate(grid, phi, t.ravel()).reshape(t.shape) + 1.0)
+        return evaluated[-1]
 
     worst = 0.0
-    for i in range(sample_count):
-        p = rng.standard_normal(params.n + 1)
-        q_vec = rng.standard_normal(params.n + 1)
-        x = SpherePair(p / np.linalg.norm(p), q_vec / np.linalg.norm(q_vec))
-        u0 = u(x.p, x.q_vec)
-        if u0 <= 0:
-            raise PositivityError(f"lifted u is not positive at sample {i}")
+    for start, x in _sample_blocks(params.n, sample_count, seed):
         lap = laplace_beltrami_fd(u, x, h, params.delta)
-        res = abs(-lap + lam * u0 - lam * u0 ** (params.q - 1))
-        worst = max(worst, res)
+        u0 = evaluated.pop()[:, 0]  # the stencil lists x itself first
+        bad = np.flatnonzero(u0 <= 0)
+        if bad.size:
+            raise PositivityError(f"lifted u is not positive at sample {start + bad[0]}")
+        res = np.abs(-lap + lam * u0 - lam * u0 ** (params.q - 1))
+        worst = max(worst, float(res.max()))
     return worst
 
 
@@ -177,19 +236,16 @@ def identity_residuals(
     """Worst-case errors of the two isoparametric identities for f = <p, q>.
 
     Checks Lap(f) = -n (1 + 1/delta) f and |grad f|^2 = (1 + 1/delta)(1 - f^2)
-    at random pairs; returns the max absolute errors.
+    at random pairs; returns the max absolute errors as floats.
     """
-    rng = np.random.default_rng(seed)
-    f_field = lambda p, q_vec: float(np.dot(p, q_vec))
     worst_lap = 0.0
     worst_grad = 0.0
-    for _ in range(sample_count):
-        p = rng.standard_normal(n + 1)
-        q_vec = rng.standard_normal(n + 1)
-        x = SpherePair(p / np.linalg.norm(p), q_vec / np.linalg.norm(q_vec))
+    for _, x in _sample_blocks(n, sample_count, seed):
         fval = x.f
-        lap = laplace_beltrami_fd(f_field, x, h, delta)
+        lap = laplace_beltrami_fd(_inner, x, h, delta)
         grad2 = gradient_sq_fd(x, h, delta)
-        worst_lap = max(worst_lap, abs(lap + n * (1 + 1 / delta) * fval))
-        worst_grad = max(worst_grad, abs(grad2 - (1 + 1 / delta) * (1 - fval**2)))
+        worst_lap = max(worst_lap, float(np.max(np.abs(lap + n * (1 + 1 / delta) * fval))))
+        worst_grad = max(
+            worst_grad, float(np.max(np.abs(grad2 - (1 + 1 / delta) * (1 - fval**2))))
+        )
     return {"laplacian": worst_lap, "gradient": worst_grad}

@@ -203,6 +203,24 @@ class TestDegenerateAndVerify:
         assert rep["lifted"]["source"] == "trivial"
         assert rep["lifted"]["max_residual"] < 1e-8
 
+    @pytest.mark.parametrize(
+        "report, reason",
+        [({"found": False}, "has found: false"), ({"found": True, "N": 24}, "holds N=24, not N=16")],
+    )
+    def test_verify_names_why_a_report_is_not_lifted(self, tmp_path, capsys, report, reason):
+        overrides = [f"output_dir={tmp_path}", "N=16", "sample_count=20"]
+        assert dispatch("verify", parse_config(None, overrides)) == 0
+        expected = (tmp_path / "verify.json").read_bytes()
+        capsys.readouterr()
+
+        (tmp_path / "degenerate_k2.json").write_text(json.dumps(report))
+        assert dispatch("verify", parse_config(None, overrides)) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert "degenerate_k2.json" in err[0] and reason in err[0]
+        assert err[0].endswith("lifting the trivial profile")
+        assert (tmp_path / "verify.json").read_bytes() == expected
+
     def test_trace_stops_at_the_located_crossing(self, tmp_path, monkeypatch, system48):
         import spherebif.cli as cli_mod
 

@@ -31,7 +31,8 @@ def pair_with_f(n, fval):
 
 
 def inner_field(p, q_vec):
-    return float(np.dot(p, q_vec))
+    # fields are called on stacked stencil points (..., 1 + 4n, n+1)
+    return np.sum(p * q_vec, axis=-1)
 
 
 class TestSampling:
@@ -71,6 +72,17 @@ class TestFrames:
         assert frame.shape == (2, 3)
         assert_allclose(frame @ frame.T, np.eye(2), atol=1e-14)
 
+    def test_stacked_frames_match_single_frames(self):
+        rows = [sample_pair(3, seed).p for seed in range(5)]
+        rows.insert(2, np.array([1.0, 0.0, 0.0, 0.0]))  # along e_0: skip rule
+        points = np.array(rows).reshape(2, 3, 4)
+        frames = tangent_frame(points)
+        assert frames.shape == (2, 3, 3, 4)
+        for point, frame in zip(points.reshape(-1, 4), frames.reshape(-1, 3, 4)):
+            assert_allclose(frame, tangent_frame(point), atol=1e-15)
+        # e_0 projects to zero, so its frame is built from e_1, e_2, e_3
+        assert_allclose(frames[0, 2], np.eye(4)[1:], atol=0)
+
 
 class TestIdentities:
     def test_laplacian_of_f(self):
@@ -87,7 +99,7 @@ class TestIdentities:
         # u(p, q) = p_1 is a degree-1 spherical harmonic: Lap u = -n u
         n = 3
         x = sample_pair(n, 11)
-        u = lambda p, q: float(p[0])
+        u = lambda p, q: p[..., 0]
         got = laplace_beltrami_fd(u, x, 1e-3, 2.0)
         assert got == pytest.approx(-n * x.p[0], abs=1e-5)
 
@@ -104,6 +116,31 @@ class TestIdentities:
         assert abs(gradient_sq_fd(x, 1e-3, 1.0)) < 1e-5
         y = SpherePair(x.p, -x.q_vec)  # f = -1
         assert abs(gradient_sq_fd(y, 1e-3, 1.0)) < 1e-5
+
+    def test_block_matches_single_pairs(self):
+        n, h, delta = 3, 2e-3, 0.5
+        pairs = [sample_pair(n, seed) for seed in range(6)] + [pair_with_f(n, 1.0)]
+        block = SpherePair(np.array([x.p for x in pairs]), np.array([x.q_vec for x in pairs]))
+        field = lambda p, q: np.sum(p * q, axis=-1) ** 2 + p[..., 1] * q[..., 0]
+        lap = laplace_beltrami_fd(field, block, h, delta)
+        grad2 = gradient_sq_fd(block, h, delta)
+        assert lap.shape == grad2.shape == (len(pairs),)
+        for i, x in enumerate(pairs):
+            single = laplace_beltrami_fd(field, x, h, delta)
+            assert isinstance(single, float)
+            assert abs(lap[i] - single) < 1e-9
+            assert abs(grad2[i] - gradient_sq_fd(x, h, delta)) < 1e-9
+        assert_allclose(block.f, [x.f for x in pairs], atol=1e-15)
+
+    def test_block_rows_must_be_unit(self):
+        p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
+        with pytest.raises(ValueError):
+            SpherePair(p, np.eye(3)[:2])
+
+    def test_identity_residuals_are_floats(self):
+        errs = identity_residuals(2, 1.0, 1e-3, 70, 0)
+        assert type(errs["laplacian"]) is float
+        assert type(errs["gradient"]) is float
 
     def test_worst_case_and_order(self):
         h = 4e-3
@@ -168,9 +205,64 @@ class TestLiftedResidual:
         )
         assert bad > 100 * good
 
+    def test_matches_a_pair_by_pair_loop(self, system48):
+        # reference: draw p then q per sample, Gram-Schmidt each frame and
+        # difference one geodesic at a time; rounding may differ only at the
+        # 1/h^2 floor, a few ulps of u times 1e6
+        pt = solve_at_s(2, 0.3, system48)
+        grid, params, h = system48.grid, system48.params, 1e-3
+        from spherebif.collocation import interpolate
+
+        def frame(x):
+            out = []
+            for e in np.eye(x.size):
+                v = e - np.dot(e, x) * x
+                for w in out:
+                    v = v - np.dot(v, w) * w
+                if np.linalg.norm(v) > 1e-8 and len(out) < x.size - 1:
+                    out.append(v / np.linalg.norm(v))
+            return out
+
+        u = lambda p, q: interpolate(grid, pt.phi, float(np.dot(p, q))) + 1.0
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        for _ in range(70):
+            p, q = rng.standard_normal(3), rng.standard_normal(3)
+            p, q = p / np.linalg.norm(p), q / np.linalg.norm(q)
+            u0 = u(p, q)
+            lap = 0.0
+            for v in frame(p):
+                a, b = np.cos(h) * p + np.sin(h) * v, np.cos(h) * p - np.sin(h) * v
+                lap += u(a, q) - 2 * u0 + u(b, q)
+            hh = h / np.sqrt(params.delta)
+            for v in frame(q):
+                a, b = np.cos(hh) * q + np.sin(hh) * v, np.cos(hh) * q - np.sin(hh) * v
+                lap += u(p, a) - 2 * u0 + u(p, b)
+            lap /= h**2
+            worst = max(worst, abs(-lap + pt.lam * u0 - pt.lam * u0 ** (params.q - 1)))
+        got = lifted_residual(grid, pt.phi, pt.lam, params, 70, h, 8)
+        assert got == pytest.approx(worst, abs=1e-8)
+
     def test_positivity_error(self, params):
         grid = build_grid(16)
         phi = np.full(17, -0.9999)
         phi[0] = 0.0  # keep u positive at t = 1 only
         with pytest.raises(PositivityError):
             lifted_residual(grid, phi - 0.001, 4.0, params, 20, 1e-3, 5)
+
+    def test_positivity_error_names_the_first_bad_sample(self, params):
+        # u = phi(t) + 1 with phi(t) = -1.01 (1 - t) / 2 is positive only for
+        # t > 1 - 2 / 1.01; the message names the first sample of the stream
+        # at or below it, which lies past the first blocks
+        grid = build_grid(8)
+        phi = -1.01 * (1 - grid.nodes) / 2
+        rng = np.random.default_rng(4)
+        t = []
+        for _ in range(200):
+            p = rng.standard_normal(params.n + 1)
+            q = rng.standard_normal(params.n + 1)
+            t.append(np.dot(p, q) / np.linalg.norm(p) / np.linalg.norm(q))
+        first = int(np.argmax(np.array(t) <= 1 - 2 / 1.01))
+        assert first >= 64
+        with pytest.raises(PositivityError, match=f"at sample {first}$"):
+            lifted_residual(grid, phi, 4.0, params, 200, 1e-3, 4)
