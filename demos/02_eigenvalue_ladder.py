@@ -23,7 +23,7 @@ c = derived_constants(params).c_factor
 print("ladder for n=2, delta=1, q=3:")
 for k in range(1, 6):
     lam = lambda_k(k, params)
-    print(f"  lambda_{k} = {lam:6.1f}   c(lambda_{k}) = {c(lam):5.1f} = k(k+n-1)")
+    print(f"  lambda_{k} = {lam:6.1f}   c(lambda_{k}) = {c * lam:5.1f} = k(k+n-1)")
 
 print(f"\nYamabe value of lambda: {yamabe_lambda(2, 1.0):.6f} (n=2, delta=1)")
 

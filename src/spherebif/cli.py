@@ -11,10 +11,14 @@ verify      check the isoparametric identities and the lifted PDE residual
 Usage: spherebif <command> [--config PATH] [key=value ...]
 
 The config file is a flat key = value document ('#' comments allowed);
-command-line overrides take precedence.  Exit codes: 0 success, 2 solver
-non-convergence, 3 configuration error.  Output files are byte-identical
-across runs for a fixed config and seed on one platform; floats are
-written with 17 significant digits so values round-trip exactly.
+command-line overrides take precedence.  The keys are the problem data
+(n, delta, q, k), the resolution N, the degeneracy target sigma_tol, the
+verify sample count and seed, and output_dir; the solver's tolerances and
+step sizes are constants of the modules that use them.  Exit codes: 0
+success, 2 solver non-convergence, 3 configuration error.  Output files
+are byte-identical across runs for a fixed config and seed on one
+platform; floats are written with 17 significant digits so values
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +54,8 @@ __all__ = [
 ]
 
 COMMANDS = ("eigen", "poly", "branch", "degenerate", "verify")
+# finite-difference step of verify's stencils, written to verify.json as "h"
+_H = 1e-3
 
 
 class ConfigError(ValueError):
@@ -59,8 +66,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated run settings; every field has a documented default.
 
-    ``lambda_floor`` defaults to 1e-3 * lambda_1, resolved at build time
-    when left unset.
+    Only the problem data, the resolution N, the degeneracy target and the
+    verify sampling are settable; the solver's tolerances and step sizes are
+    constants of ``collocation`` and ``continuation``.
     """
 
     n: int = 2
@@ -68,15 +76,7 @@ class RunConfig:
     q: float = 3.0
     k: int = 2
     N: int = 96
-    newton_tol: float = 1e-10
-    max_iter: int = 30
-    ds_init: float = 1e-2
-    ds_min: float = 1e-6
-    ds_max: float = 0.1
     sigma_tol: float = 1e-6
-    lambda_floor: float | None = None
-    s0: float = 1e-2
-    h: float = 1e-3
     sample_count: int = 200
     seed: int = 0
     output_dir: str = "."
@@ -87,38 +87,25 @@ class RunConfig:
     def system(self) -> DiscreteSystem:
         return DiscreteSystem(build_grid(self.N), self.params())
 
-    def floor(self) -> float:
-        if self.lambda_floor is not None:
-            return self.lambda_floor
-        return 1e-3 * lambda_k(1, self.params())
 
-
-_INT_KEYS = {"n", "k", "N", "max_iter", "sample_count", "seed"}
-_STR_KEYS = {"output_dir"}
-
-
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, kind: type, raw: str):
     raw = raw.strip().strip("'\"")
-    if key in _STR_KEYS:
-        return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from exc
 
 
 def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     """Build a RunConfig from an optional file plus key=value overrides."""
-    known = {f.name for f in fields(RunConfig)}
+    kinds = typing.get_type_hints(RunConfig)  # int, float or str per key
     values: dict = {}
 
     def set_kv(key, raw, where):
         key = key.strip()
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"unknown configuration key {key!r} ({where})")
-        values[key] = _parse_value(key, raw)
+        values[key] = _parse_value(key, kinds[key], raw)
 
     if path is not None:
         try:
@@ -154,19 +141,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"mode index k must be >= 1, got {cfg.k}")
     if cfg.N < 2:
         raise ConfigError(f"N must be >= 2, got {cfg.N}")
-    for key in ("newton_tol", "ds_init", "ds_min", "ds_max", "sigma_tol"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive")
-    if not cfg.ds_min <= cfg.ds_init <= cfg.ds_max:
-        raise ConfigError("need ds_min <= ds_init <= ds_max")
-    if cfg.max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
-    if cfg.lambda_floor is not None and cfg.lambda_floor < 0:
-        raise ConfigError("lambda_floor must be >= 0")
-    if cfg.s0 == 0:
-        raise ConfigError("s0 must be nonzero")
-    if not 0 < cfg.h < 0.1:
-        raise ConfigError(f"h must lie in (0, 0.1), got {cfg.h}")
+    if cfg.sigma_tol <= 0:
+        raise ConfigError("sigma_tol must be positive")
     if cfg.sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
 
@@ -269,28 +245,12 @@ def _cmd_poly(cfg: RunConfig) -> int:
     return 0
 
 
-def _trace(cfg, system, direction, stop=None):
-    return continuation.trace_branch(
-        cfg.k,
-        direction,
-        system,
-        lambda_floor=cfg.floor(),
-        s0=cfg.s0,
-        ds_init=cfg.ds_init,
-        ds_min=cfg.ds_min,
-        ds_max=cfg.ds_max,
-        tol=cfg.newton_tol,
-        max_iter=cfg.max_iter,
-        stop=stop,
-    )
-
-
 def _cmd_branch(cfg: RunConfig) -> int:
     system = cfg.system()
     code = 0
     for direction, tag in ((1, "plus"), (-1, "minus")):
         try:
-            branch = _trace(cfg, system, direction)
+            branch = continuation.trace_branch(cfg.k, direction, system)
         except ConvergenceError as exc:
             _log(f"branch k={cfg.k} {tag}: {exc}", err=True)
             code = 2
@@ -312,13 +272,11 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
         if not any(idx == newest and kind in continuation.CROSSING_EVENTS
                    for idx, kind in branch.events):
             return False
-        report = continuation.locate_degenerate(
-            branch, cfg.sigma_tol, system, tol=cfg.newton_tol, first=newest - 1
-        )
+        report = continuation.locate_degenerate(branch, cfg.sigma_tol, system, first=newest - 1)
         return report is not None
 
     try:
-        _trace(cfg, system, 1, stop=located)
+        continuation.trace_branch(cfg.k, 1, system, stop=located)
     except ConvergenceError as exc:
         _log(f"degenerate k={cfg.k}: {exc}", err=True)
         return 2
@@ -368,8 +326,8 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     params = cfg.params()
     # isoparametric identities, with an h-halving order estimate
-    err_h = manifold.identity_residuals(cfg.n, cfg.delta, cfg.h, 1000, cfg.seed)
-    err_h2 = manifold.identity_residuals(cfg.n, cfg.delta, cfg.h / 2, 1000, cfg.seed)
+    err_h = manifold.identity_residuals(cfg.n, cfg.delta, _H, 1000, cfg.seed)
+    err_h2 = manifold.identity_residuals(cfg.n, cfg.delta, _H / 2, 1000, cfg.seed)
     ident = {}
     for name in ("laplacian", "gradient"):
         ident[name] = {
@@ -399,12 +357,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
             lam = float(payload["lambda_star"])
             source = f"degenerate_k{cfg.k}"
     residual = manifold.lifted_residual(
-        grid, phi, lam, params, cfg.sample_count, cfg.h, cfg.seed
+        grid, phi, lam, params, cfg.sample_count, _H, cfg.seed
     )
     out = {
         "n": cfg.n,
         "delta": cfg.delta,
-        "h": cfg.h,
+        "h": _H,
         "identity_samples": 1000,
         "identities": ident,
         "lifted": {

@@ -13,7 +13,9 @@ the trace ends one point past the located crossing.
 
 Every point comes from one damped Newton corrector on F(phi, lambda) = 0
 plus one linear equation in (phi, lambda), solved as a bordered system
-and converged on the full residual: lambda fixed (``newton_solve``), the
+and converged on the full residual to NEWTON_TOL, the tolerance that
+``collocation.nodal_count`` also takes as its trivial-profile floor.
+The linear equation holds lambda fixed (``newton_solve``), the
 projection onto P_{k,n} (``solve_at_s``) or the pseudo-arclength equation
 (``arclength_step``).  Even k is traced in the even sector: P_{k,n} is
 even in t, and so is every point of the branch, so the corrector, the
@@ -66,7 +68,6 @@ MAX_ITER = 30
 DS_INIT = 1e-2
 DS_MIN = 1e-6
 DS_MAX = 0.1
-SIGMA_TOL = 1e-6
 SEED_AMPLITUDE = 1e-2
 # damped-Newton backtracking when an iterate loses positivity
 MAX_BACKTRACK = 20
@@ -93,10 +94,9 @@ class Branch:
     """Ordered solution points of one connected branch off (0, lambda_k).
 
     ``direction`` is the sign of the seed parameter s.  ``events`` holds
-    (point index, kind) pairs with kind in {fold, sigma-zero,
-    positivity-loss, lambda-floor, step-failure}, plus ``nodal-change``
-    markers for rejected steps (a persistent one terminates the branch as
-    a step failure).
+    (point index, kind) pairs with kind in {fold, sigma-zero, lambda-floor,
+    step-failure}, plus ``nodal-change`` markers for rejected steps (a
+    persistent one terminates the branch as a step failure).
     """
 
     k: int
@@ -154,15 +154,16 @@ def _apply_update(phi, lam, dphi, dlam):
     raise ConvergenceError("iterate lost positivity and backtracking failed")
 
 
-def _correct(sys, k, phi, lam, wrow, wlam, constraint, tol, max_iter):
+def _correct(sys, k, phi, lam, wrow, wlam, constraint, max_iter):
     """Newton on F = 0 and g = constraint(phi, lam) = 0, g having gradient
-    (wrow, wlam), until max(|F|_inf, |g|) < tol.  Returns the SolutionPoint
-    and the Jacobian at it; raises ConvergenceError when it stalls."""
+    (wrow, wlam), until max(|F|_inf, |g|) < NEWTON_TOL.  Returns the
+    SolutionPoint and the Jacobian at it; raises ConvergenceError when it
+    stalls."""
     for _ in range(max_iter):
         F = assemble_residual(phi, lam, sys)
         g = constraint(phi, lam)
         J = _jacobian(phi, lam, sys, k)
-        if max(np.max(np.abs(F)), abs(g)) < tol:
+        if max(np.max(np.abs(F)), abs(g)) < NEWTON_TOL:
             return solution_point(sys, phi, lam, k=k, J=J), J
         flam = dresidual_dlambda(phi, lam, sys)
         dphi, dlam = _bordered_solve(J, flam, wrow, wlam, -F, -g)
@@ -174,19 +175,18 @@ def newton_solve(
     phi0,
     lam: float,
     sys: DiscreteSystem,
-    tol: float = NEWTON_TOL,
     max_iter: int = MAX_ITER,
     k: int | None = None,
 ) -> SolutionPoint:
     """Newton iteration at fixed lambda from the initial profile phi0.
 
     Returns a SolutionPoint with diagnostics populated; raises
-    ConvergenceError after max_iter iterations without meeting the
-    residual max-norm tolerance.  An even mode index k solves on the even
-    sector from the mirror of phi0's values at t >= 0.
+    ConvergenceError after max_iter iterations without bringing the
+    residual max-norm below NEWTON_TOL.  An even mode index k solves on the
+    even sector from the mirror of phi0's values at t >= 0.
     """
     pt, _ = _correct(sys, k, _start(phi0, sys, k), lam, np.zeros(sys.grid.N + 1),
-                     1.0, lambda phi, lam: 0.0, tol, max_iter)
+                     1.0, lambda phi, lam: 0.0, max_iter)
     return pt
 
 
@@ -234,7 +234,6 @@ def solve_at_s(
     k: int,
     s: float,
     sys: DiscreteSystem,
-    tol: float = NEWTON_TOL,
     max_iter: int = MAX_ITER,
 ) -> SolutionPoint:
     """Solve on the branch at projection coordinate s.
@@ -242,15 +241,16 @@ def solve_at_s(
     Unknowns are (phi, lambda); the extra equation is the normalization
     <phi, P_{k,n}>_w = s <P_{k,n}, P_{k,n}>_w, which pins the on-branch
     parametrization w(s) = s P_{k,n} + (remainder orthogonal to P_{k,n}).
-    The corrector starts from the tangent predictor at s; even k solves on
-    the even sector (see the module docstring).
+    The corrector starts from the tangent predictor at s and converges to
+    NEWTON_TOL within max_iter iterations; even k solves on the even sector
+    (see the module docstring).
     """
     p = sys.basis(k)
     p2 = sys.inner(p, p)
     phi = _start(s * p, sys, k)
     lam = lambda_k(k, sys.params) + s * dlambda_ds0(k, sys.params)
     pt, _ = _correct(sys, k, phi, lam, sys.inner_gradient(p), 0.0,
-                     lambda phi, lam: sys.inner(phi, p) - s * p2, tol, max_iter)
+                     lambda phi, lam: sys.inner(phi, p) - s * p2, max_iter)
     return pt
 
 
@@ -277,18 +277,19 @@ def arclength_step(
     ds: float,
     sys: DiscreteSystem,
     k: int | None = None,
-    tol: float = NEWTON_TOL,
     max_iter: int = MAX_ITER,
 ):
     """One pseudo-arclength step of length ds from a converged point.
 
     The corrector solves F(phi, lambda) = 0 together with the affine
-    constraint <phi - phi_0, t_phi>_w + (lambda - lambda_0) t_lambda = ds;
-    even k solves on the even sector.  The new point is accepted only if its
-    nodal count matches the current one and u stays positive; otherwise
-    StepRejected carries the reason (``step-failure`` when the corrector
-    fails).  Returns the pair (point, Jacobian at the point), the Jacobian
-    being the even block on the even sector.
+    constraint <phi - phi_0, t_phi>_w + (lambda - lambda_0) t_lambda = ds
+    to NEWTON_TOL; even k solves on the even sector.  The new point is
+    accepted only if its nodal count matches the current one; otherwise
+    StepRejected carries the reason ``nodal-change``.  A corrector that
+    stalls or loses positivity (u <= 0) raises StepRejected with the reason
+    ``step-failure``, so every accepted point has u > 0.  Returns the pair
+    (point, Jacobian at the point), the Jacobian being the even block on the
+    even sector.
     """
     tphi, tlam = tangent
     phi0, lam0 = current.phi, current.lam
@@ -298,12 +299,10 @@ def arclength_step(
         pt, J = _correct(
             sys, k, phi, lam, sys.inner_gradient(tphi), tlam,
             lambda phi, lam: sys.inner(phi - phi0, tphi) + (lam - lam0) * tlam - ds,
-            tol, max_iter,
+            max_iter,
         )
     except (ConvergenceError, PositivityError) as exc:
         raise StepRejected("step-failure", str(exc)) from exc
-    if pt.u_min <= 0:
-        raise StepRejected("positivity-loss", f"u_min = {pt.u_min}")
     if pt.nodal_count != current.nodal_count:
         raise StepRejected(
             "nodal-change",
@@ -316,59 +315,47 @@ def trace_branch(
     k: int,
     direction: int,
     sys: DiscreteSystem,
-    lambda_floor: float | None = None,
     max_points: int = 400,
-    s0: float = SEED_AMPLITUDE,
-    ds_init: float = DS_INIT,
-    ds_min: float = DS_MIN,
-    ds_max: float = DS_MAX,
-    tol: float = NEWTON_TOL,
-    max_iter: int = MAX_ITER,
     stop: Callable[[Branch], bool] | None = None,
 ) -> Branch:
     """Trace the branch D_k^+ (direction=+1) or D_k^- (direction=-1).
 
-    Stops on the lambda floor, the point budget, loss of positivity, a
-    terminal step failure, or when ``stop(branch)`` returns True; every
-    recorded point carries the full diagnostics and the branch keeps a
-    constant nodal count.  ``stop`` is called once after each
-    accepted point, after that point's fold and sigma-zero events are
-    recorded, so it sees every crossing event exactly once.
+    The first point is solve_at_s at s = direction * SEED_AMPLITUDE; then
+    pseudo-arclength steps start at DS_INIT, grow by 1.3 per accepted step
+    up to DS_MAX and halve on rejection.  Stops on the lambda floor
+    1e-3 * lambda_1, the point budget, a step shorter than DS_MIN, or when
+    ``stop(branch)`` returns True; every recorded point carries the full
+    diagnostics and the branch keeps a constant nodal count.  ``stop`` is called once after each accepted point, after
+    that point's fold and sigma-zero events are recorded, so it sees every
+    crossing event exactly once.
     """
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
     if direction not in (-1, 1):
         raise ValueError(f"direction must be -1 or +1, got {direction}")
-    if s0 == 0:
-        raise ValueError("seed parameter s0 must be nonzero")
     lam_k = lambda_k(k, sys.params)
-    if lambda_floor is None:
-        lambda_floor = 1e-3 * lambda_k(1, sys.params)
+    lambda_floor = 1e-3 * lambda_k(1, sys.params)
     branch = Branch(k=k, direction=direction, lambda_origin=lam_k)
 
-    # solve_at_s starts from the tangent predictor at s0
-    first = solve_at_s(k, direction * s0, sys, tol=tol, max_iter=max_iter)
+    # solve_at_s starts from the tangent predictor at the seed
+    first = solve_at_s(k, direction * SEED_AMPLITUDE, sys)
     branch.points.append(first)
 
     # reference direction: the secant back to the bifurcation point
     tphi, tlam = _tangent(sys, first.phi, first.lam, first.phi,
                           first.lam - lam_k, k=k)
-    ds = ds_init
+    ds = DS_INIT
     prev_dlam = first.lam - lam_k
     while len(branch.points) < max_points:
         current = branch.points[-1]
         try:
-            nxt, J = arclength_step(current, (tphi, tlam), ds, sys, k=k,
-                                    tol=tol, max_iter=max_iter)
+            nxt, J = arclength_step(current, (tphi, tlam), ds, sys, k=k)
         except StepRejected as exc:
             idx = len(branch.points) - 1
-            if exc.reason == "positivity-loss":
-                branch.events.append((idx, "positivity-loss"))
-                break
             if exc.reason == "nodal-change":
                 branch.events.append((idx, "nodal-change"))
             ds *= 0.5
-            if ds < ds_min:
+            if ds < DS_MIN:
                 branch.events.append((idx, "step-failure"))
                 break
             continue
@@ -386,7 +373,7 @@ def trace_branch(
             branch.events.append((idx, "lambda-floor"))
             break
         tphi, tlam = _tangent(sys, nxt.phi, nxt.lam, tphi, tlam, J=J)
-        ds = min(ds * 1.3, ds_max)
+        ds = min(ds * 1.3, DS_MAX)
     return branch
 
 
@@ -394,16 +381,16 @@ def locate_degenerate(
     branch: Branch,
     sigma_tol: float,
     sys: DiscreteSystem,
-    tol: float = NEWTON_TOL,
     first: int = 0,
 ) -> DegeneracyReport | None:
     """Find a degenerate point along a traced branch, or None.
 
     Candidates are the point pairs (i, i + 1) with i >= ``first`` that end
     at a ``fold`` or ``sigma-zero`` event of the trace; bisection by at
-    most MAX_BISECT half-steps in arclength then drives |sigma_min| below
-    sigma_tol (an absolute target, stricter than any operator rescaling
-    since the spectral scale exceeds one).  A candidate whose bracket collapses
+    most MAX_BISECT half-steps in arclength, each corrected to NEWTON_TOL
+    like a trace step, then drives |sigma_min| below sigma_tol (an
+    absolute target, stricter than any operator rescaling since the
+    spectral scale exceeds one).  A candidate whose bracket collapses
     without the eigenvalue vanishing (a min-magnitude eigenvalue swap, not
     a crossing) is skipped.  A caller bisecting each crossing as the trace
     records it passes the newest pair's index as ``first``, so no earlier
@@ -416,7 +403,7 @@ def locate_degenerate(
          if kind in CROSSING_EVENTS and idx - 1 >= first}
     )
     for i in candidates:
-        report = _bisect_candidate(branch, i, sigma_tol, sys, tol, lam_min)
+        report = _bisect_candidate(branch, i, sigma_tol, sys, lam_min)
         if report is not None:
             return report
     return None
@@ -432,7 +419,7 @@ def _chord(sys, a, b):
     return dphi / gap, dlam / gap, gap
 
 
-def _bisect_candidate(branch, i, sigma_tol, sys, tol, lam_min):
+def _bisect_candidate(branch, i, sigma_tol, sys, lam_min):
     k = branch.k
     a, b = branch.points[i], branch.points[i + 1]
     chord = _chord(sys, a, b)
@@ -454,7 +441,7 @@ def _bisect_candidate(branch, i, sigma_tol, sys, tol, lam_min):
         step = gap / 2
         while True:
             try:
-                mid, J_mid = arclength_step(a, tangent, step, sys, k=k, tol=tol)
+                mid, J_mid = arclength_step(a, tangent, step, sys, k=k)
                 break
             except StepRejected:
                 step /= 2

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .gegenbauer import cube_integral, gegenbauer_norm2
 
@@ -87,15 +86,15 @@ class DerivedConstants:
 
     ``q_f`` is the admissible upper bound on q (inf for n = 2), ``p_2n``
     the critical exponent (2n+2)/(2n-2) of the 2n-dimensional product,
-    ``a_2n`` the conformal constant 4(2n-1)/(2n-2), and ``c_factor``
-    maps lambda to the zero-order coefficient lambda (q-2) / (1 + 1/delta)
-    of the linearization at the trivial solution.
+    ``a_2n`` the conformal constant 4(2n-1)/(2n-2), and ``c_factor`` is
+    (q-2) / (1 + 1/delta), so ``c_factor * lam`` is the zero-order
+    coefficient of the linearization at the trivial solution.
     """
 
     q_f: float
     p_2n: float
     a_2n: float
-    c_factor: Callable[[float], float]
+    c_factor: float
 
 
 def derived_constants(params: ModelParams) -> DerivedConstants:
@@ -104,7 +103,7 @@ def derived_constants(params: ModelParams) -> DerivedConstants:
         q_f=_q_critical(n),
         p_2n=(2 * n + 2) / (2 * n - 2),
         a_2n=4 * (2 * n - 1) / (2 * n - 2),
-        c_factor=lambda lam: lam * (q - 2) / (1 + 1 / delta),
+        c_factor=(q - 2) / (1 + 1 / delta),
     )
 
 

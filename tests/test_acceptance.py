@@ -118,7 +118,7 @@ def test_criterion_3_discrete_spectrum():
         assert err.max() < 1e-8
         c = derived_constants(params).c_factor
         for k in range(1, 10):
-            ck = c(lambda_k(k, params))
+            ck = c * lambda_k(k, params)
             assert ck == float(k * (k + n - 1))  # exact, not approximate
             assert abs(got[k] - ck) <= 1e-8 * ck
     elapsed = time.perf_counter() - t0

@@ -23,10 +23,8 @@ class TestConfig:
     def test_defaults(self):
         cfg = parse_config()
         assert (cfg.n, cfg.delta, cfg.q, cfg.k, cfg.N) == (2, 1.0, 3.0, 2, 96)
-        assert cfg.newton_tol == 1e-10
-        assert cfg.ds_init == 1e-2
         assert cfg.sigma_tol == 1e-6
-        assert cfg.floor() == pytest.approx(4e-3)
+        assert (cfg.sample_count, cfg.seed, cfg.output_dir) == (200, 0, ".")
 
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -55,6 +53,20 @@ class TestConfig:
         path.write_text("mystery = 1\n")
         with pytest.raises(ConfigError, match="mystery"):
             parse_config(str(path))
+
+    @pytest.mark.parametrize(
+        "item",
+        ["newton_tol=1e-6", "max_iter=5", "ds_init=0.02", "ds_min=1e-5",
+         "ds_max=0.2", "lambda_floor=0.1", "s0=0.05", "h=0.002"],
+    )
+    def test_solver_constants_are_not_keys(self, tmp_path, capsys, item):
+        assert main(["eigen", f"output_dir={tmp_path}", item]) == 3
+        assert "unknown configuration key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item", ["N=3.5", "seed=x"])
+    def test_unparsable_value_exits_three(self, tmp_path, capsys, item):
+        assert main(["eigen", f"output_dir={tmp_path}", item]) == 3
+        assert "cannot parse value" in capsys.readouterr().err
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.cfg"

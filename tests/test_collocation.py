@@ -106,7 +106,7 @@ class TestResidual:
         for k in (1, 2, 3, 5):
             p = system.basis(k)
             lam = lambda_k(k, params)
-            lin = linear_operator(system) @ p + c(lam) * p
+            lin = linear_operator(system) @ p + c * lam * p
             assert np.max(np.abs(lin)) < 1e-9
 
     def test_matches_pointwise_model(self, system48, params):
@@ -138,7 +138,7 @@ class TestJacobian:
     def test_linear_at_trivial(self, system48, params):
         lam = 7.0
         J = assemble_jacobian(np.zeros(49), lam, system48)
-        c = derived_constants(params).c_factor(lam)
+        c = derived_constants(params).c_factor * lam
         expected = linear_operator(system48) + c * np.eye(49)
         assert_allclose(J, expected, atol=1e-12)
 
@@ -224,7 +224,7 @@ class TestSigmaMin:
         lam = 0.5 * (lambda_k(2, params) + lambda_k(3, params))
         J = assemble_jacobian(np.zeros(97), lam, system96)
         expected = min(
-            abs(c(lam) - j * (j + params.n - 1)) for j in range(0, 8)
+            abs(c * lam - j * (j + params.n - 1)) for j in range(0, 8)
         )
         assert abs(sigma_min(J)) == pytest.approx(expected, rel=1e-10)
 
@@ -261,7 +261,7 @@ class TestSigmaMin:
         lam = 1.001 * lambda_k(1, params)
         J = assemble_jacobian(np.zeros(97), lam, system96)
         assert_allclose(J[::-1, ::-1], J, atol=1e-9 * np.abs(J).max())
-        expected = derived_constants(params).c_factor(lam) - params.n
+        expected = derived_constants(params).c_factor * lam - params.n
         assert sigma_min(J) == pytest.approx(expected, rel=1e-8)
 
     def test_odd_mode_of_a_well_conditioned_even_matrix(self):
@@ -339,7 +339,7 @@ class TestParitySectors:
         phi = np.zeros(97)
         even = _sector_jacobian(phi, lam, system96, 1)
         odd = _sector_jacobian(phi, lam, system96, -1)
-        expected = derived_constants(params).c_factor(lam) - params.n
+        expected = derived_constants(params).c_factor * lam - params.n
         assert sigma_min(even, odd) == pytest.approx(expected, rel=1e-8)
         assert sigma_min(even, odd) == pytest.approx(
             sigma_min(assemble_jacobian(phi, lam, system96)), rel=1e-10

@@ -1,6 +1,7 @@
 """Tests for the reduced-equation model layer."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -67,10 +68,16 @@ class TestParams:
     def test_c_factor(self):
         params = ModelParams(2, 1.0, 3.0)
         c = derived_constants(params).c_factor
-        assert c(12.0) == pytest.approx(6.0)
-        assert c(4.0) == pytest.approx(2.0)
+        assert c * 12.0 == pytest.approx(6.0)
+        assert c * 4.0 == pytest.approx(2.0)
         # strictly increasing in lambda
-        assert c(5.0) > c(4.0)
+        assert c * 5.0 > c * 4.0
+
+    def test_derived_constants_compare_and_pickle(self):
+        params = ModelParams(3, 2.0, 2.8)
+        d = derived_constants(params)
+        assert d == derived_constants(params)
+        assert pickle.loads(pickle.dumps(d)) == d
 
 
 class TestLambdaLadder:
@@ -194,7 +201,7 @@ class TestLinearizedPotential:
         lam = 4.2
         c = derived_constants(params).c_factor
         got = -linearized_potential(1.0, lam, params) / (1 + 1 / params.delta)
-        assert got == pytest.approx(c(lam), rel=1e-14)
+        assert got == pytest.approx(c * lam, rel=1e-14)
 
 
 class TestBranchSlope:
@@ -227,7 +234,7 @@ class TestEigenConsistency:
             (ModelParams(4, 2.0, 2.5), 5),
         ]:
             n = params.n
-            c = derived_constants(params).c_factor(lambda_k(k, params))
+            c = derived_constants(params).c_factor * lambda_k(k, params)
             assert c == pytest.approx(k * (k + n - 1), rel=1e-13)
             coeffs = zonal_poly(k, n)
             d1 = npoly.polyder(coeffs)
