@@ -2,10 +2,10 @@
 # linearized operator acquires a kernel.
 #
 # Along the even-mode branch the smallest-magnitude eigenvalue of the
-# Jacobian changes sign at the fold in lambda; bisection in arclength
-# drives it to zero.  The resulting pair (u = phi + 1, lambda*) is a
-# positive solution with exactly k sign changes that depends on both
-# sphere factors.
+# Jacobian changes sign at the fold in lambda; Newton on the extended
+# system F = 0, J v = 0, <ell, v> = 1 solves for the fold directly.  The
+# resulting pair (u = phi + 1, lambda*) is a positive solution with
+# exactly k sign changes that depends on both sphere factors.
 
 import numpy as np
 
@@ -34,6 +34,7 @@ print(f"  min of u       = {report.u_min:.6f}  (stays positive)")
 print(f"  residual norm  = {report.residual_norm:.3e}")
 print(f"  s bracket      = ({report.s_bracket[0]:.6f}, {report.s_bracket[1]:.6f})")
 print(f"  branch lambda-min = {report.branch_lambda_min:.9f}")
+print(f"  newton iterations = {report.newton_iterations}")
 
 # independent confirmation: fresh Jacobian, dense eigenvalues
 J = assemble_jacobian(report.phi_star, report.lambda_star, system)

@@ -145,6 +145,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("sigma_tol must be positive")
     if cfg.sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
 
 
 def _fmt(x: float) -> str:
@@ -265,7 +267,7 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
     report = None
 
     def located(branch) -> bool:
-        # bisect each crossing once, as the trace records it; a failed
+        # solve for each crossing once, as the trace records it; a failed
         # candidate lets the trace go on to the next one
         nonlocal report
         newest = len(branch.points) - 1
@@ -301,6 +303,7 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
                 "residual_norm": report.residual_norm,
                 "branch_lambda_min": report.branch_lambda_min,
                 "crossing_index": report.crossing_index,
+                "newton_iterations": report.newton_iterations,
                 "endpoint_derivs": list(report.endpoint_derivs),
                 "phi": [float(v) for v in report.phi_star],
             }
@@ -318,7 +321,8 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
     )
     _log(
         f"degenerate k={cfg.k}: lambda* = {report.lambda_star:.9g}, "
-        f"sigma = {report.sigma_at_star:.3e} -> {path}"
+        f"sigma = {report.sigma_at_star:.3e}, "
+        f"newton_iterations = {report.newton_iterations} -> {path}"
     )
     return 0
 

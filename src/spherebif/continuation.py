@@ -6,10 +6,13 @@ dlambda/ds(0) seed the first corrector, and pseudo-arclength continuation
 follows the branch through folds.  A solution is degenerate where the
 linearization acquires a kernel, i.e. where the smallest-magnitude
 eigenvalue of the Jacobian crosses zero; along even-k branches this
-happens at the fold in lambda, and bisection in arclength pins it down.
-A caller that only wants the degenerate point passes trace_branch a
-``stop`` predicate that bisects each crossing as the trace records it, so
-the trace ends one point past the located crossing.
+happens at the fold in lambda.  Each candidate crossing is solved for
+directly by Newton on the minimally extended system of Moore and Spence
+(SIAM J. Numer. Anal. 17, 1980), F(phi, lambda) = 0, J v = 0,
+<ell, v> = 1, started from the traced point just before it.  A caller that
+only wants the degenerate point passes trace_branch a ``stop`` predicate
+that locates each crossing as the trace records it, so the trace ends one
+point past the located crossing.
 
 Every point comes from one damped Newton corrector on F(phi, lambda) = 0
 plus one linear equation in (phi, lambda), solved as a bordered system
@@ -19,7 +22,7 @@ The linear equation holds lambda fixed (``newton_solve``), the
 projection onto P_{k,n} (``solve_at_s``) or the pseudo-arclength equation
 (``arclength_step``).  Even k is traced in the even sector: P_{k,n} is
 even in t, and so is every point of the branch, so the corrector, the
-tangent and the bisection solve on the even block of the Jacobian (about
+tangent and the fold solve work on the even block of the Jacobian (about
 half the unknowns, see ``collocation``).  Every profile is mirrored from its values
 at t >= 0, so it is exactly even.  Odd k, and ``newton_solve`` without a
 mode index, solve the full system.
@@ -48,7 +51,7 @@ from .collocation import (
     dresidual_dlambda,
     solution_point,
 )
-from .model import PositivityError, dlambda_ds0, lambda_k
+from .model import PositivityError, dlambda_ds0, lambda_k, reduction_factor
 
 __all__ = [
     "ConvergenceError",
@@ -71,8 +74,6 @@ DS_MAX = 0.1
 SEED_AMPLITUDE = 1e-2
 # damped-Newton backtracking when an iterate loses positivity
 MAX_BACKTRACK = 20
-# arclength half-steps per candidate crossing in locate_degenerate
-MAX_BISECT = 80
 # branch event kinds that mark a candidate eigenvalue crossing
 CROSSING_EVENTS = ("fold", "sigma-zero")
 
@@ -110,12 +111,14 @@ class Branch:
 class DegeneracyReport:
     """A located degenerate pair (phi*, lambda*) with diagnostics.
 
-    ``s_bracket`` is the final bisection bracket in the projection
-    coordinate s; ``branch_lambda_min`` is the minimum of lambda over the
-    traced points and the located one (a trace stopped at the crossing
-    ends one point past it), so the relation between the eigenvalue
-    crossing and the minimal-lambda point stays observable.
-    ``endpoint_derivs`` reports phi'(+1), phi'(-1) of the profile.
+    ``s_bracket`` holds the projection coordinates s of the traced pair
+    (crossing_index, crossing_index + 1) whose crossing was located;
+    ``branch_lambda_min`` is the minimum of lambda over the traced points
+    and the located one (a trace stopped at the crossing ends one point
+    past it), so the relation between the eigenvalue crossing and the
+    minimal-lambda point stays observable.  ``endpoint_derivs`` reports
+    phi'(+1), phi'(-1) of the profile; ``newton_iterations`` counts the
+    Newton steps on the extended system that located it.
     """
 
     lambda_star: float
@@ -128,6 +131,7 @@ class DegeneracyReport:
     branch_lambda_min: float
     crossing_index: int
     endpoint_derivs: tuple
+    newton_iterations: int
 
 
 def _jacobian(phi, lam, sys, k):
@@ -386,15 +390,19 @@ def locate_degenerate(
     """Find a degenerate point along a traced branch, or None.
 
     Candidates are the point pairs (i, i + 1) with i >= ``first`` that end
-    at a ``fold`` or ``sigma-zero`` event of the trace; bisection by at
-    most MAX_BISECT half-steps in arclength, each corrected to NEWTON_TOL
-    like a trace step, then drives |sigma_min| below sigma_tol (an
-    absolute target, stricter than any operator rescaling since the
-    spectral scale exceeds one).  A candidate whose bracket collapses
-    without the eigenvalue vanishing (a min-magnitude eigenvalue swap, not
-    a crossing) is skipped.  A caller bisecting each crossing as the trace
+    at a ``fold`` or ``sigma-zero`` event of the trace.  Each is solved for
+    by Newton on the extended system F = 0, J v = 0, <ell, v> = 1 in
+    (phi, lambda, v), started from point i and converged to NEWTON_TOL
+    within MAX_ITER steps, with one ``solution_point`` for the diagnostics
+    at the end.  A candidate is skipped when the solve stalls or loses
+    positivity, when its point lies farther from either end of the pair
+    than the pair's chord length, when |sigma_min| there is not below
+    sigma_tol (an absolute target, stricter than any operator rescaling
+    since the spectral scale exceeds one), or when its nodal count differs
+    from the branch's; a min-magnitude eigenvalue swap, not a crossing, is
+    skipped this way.  A caller locating each crossing as the trace
     records it passes the newest pair's index as ``first``, so no earlier
-    candidate is bisected twice.
+    candidate is solved twice.
     """
     pts = branch.points
     lam_min = min(p.lam for p in pts)
@@ -403,7 +411,7 @@ def locate_degenerate(
          if kind in CROSSING_EVENTS and idx - 1 >= first}
     )
     for i in candidates:
-        report = _bisect_candidate(branch, i, sigma_tol, sys, lam_min)
+        report = _solve_fold(branch, i, sigma_tol, sys, lam_min)
         if report is not None:
             return report
     return None
@@ -419,57 +427,95 @@ def _chord(sys, a, b):
     return dphi / gap, dlam / gap, gap
 
 
-def _bisect_candidate(branch, i, sigma_tol, sys, lam_min):
+def _fold_system(sys, k, phi, lam, v, ell):
+    """Residual and Newton matrix of the extended system F(phi, lambda) = 0,
+    J v = 0, <ell, v> = 1 in the unknowns (phi, lambda, v).
+
+    phi is a node vector (exactly even on the even sector); v and ell have
+    one entry per sector unknown, m of them.  Returns (G, A, J, err): G has
+    the blocks (F, J v, <ell, v> - 1) on the sector, A is the (2m+1)-square
+    matrix [[J, F_lambda, 0], [F_phiphi v, J_lambda v, J], [0, 0, ell]] with
+    F_phiphi v = diag(mu (q-1)(q-2) u^(q-3) v), J the Jacobian (its even block
+    on the even sector) and err = max(|F|_inf, |J v|_inf, |<ell, v> - 1|)
+    over the full residual.
+    """
+    F = assemble_residual(phi, lam, sys)
+    J = _jacobian(phi, lam, sys, k)
+    m = len(J)
+    q = sys.params.q
+    u = 1.0 + phi[:m]
+    Jv = J @ v
+    G = np.empty(2 * m + 1)
+    G[:m] = F[:m]
+    G[m:-1] = Jv
+    G[-1] = ell @ v - 1.0
+    A = np.zeros((2 * m + 1, 2 * m + 1))
+    A[:m, :m] = J
+    A[:m, m] = dresidual_dlambda(phi, lam, sys)[:m]
+    rows = np.arange(m)
+    A[m + rows, rows] = reduction_factor(lam, sys.params) * (q - 1) * (q - 2) * u ** (q - 3) * v
+    A[m:-1, m] = ((q - 1) * u ** (q - 2) - 1.0) * v / (1 + 1 / sys.params.delta)
+    A[m:-1, m + 1:] = J
+    A[-1, m + 1:] = ell
+    err = max(np.max(np.abs(F)), np.max(np.abs(Jv)), abs(G[-1]))
+    return G, A, J, err
+
+
+def _solve_fold(branch, i, sigma_tol, sys, lam_min):
+    """Newton on the extended system for the candidate pair (a, b) = points
+    (i, i + 1), or None (see locate_degenerate for when).
+
+    It starts at a, with v the phi part of the unit tangent at a oriented
+    along the chord to b, and ell = v / (v . v).
+    """
     k = branch.k
     a, b = branch.points[i], branch.points[i + 1]
     chord = _chord(sys, a, b)
-    # the tangent at the lower end changes only when that end moves
-    tangent, J_a = None, None
-    for _ in range(MAX_BISECT):
-        if chord is None:
-            return None
-        ref_phi, ref_lam, gap = chord
-        collapse = 1e-13 * (1 + abs(a.lam))
-        if gap < collapse:
-            return None
-        if tangent is None:
-            try:
-                tangent = _tangent(sys, a.phi, a.lam, ref_phi, ref_lam, k=k, J=J_a)
-            except ConvergenceError:
-                return None
-        # a corrector that fails on the half-step may succeed on a shorter one
-        step = gap / 2
-        while True:
-            try:
-                mid, J_mid = arclength_step(a, tangent, step, sys, k=k)
+    if chord is None:
+        return None
+    ref_phi, ref_lam, gap = chord
+    N = sys.grid.N
+    J = _jacobian(a.phi, a.lam, sys, k)
+    m = len(J)
+    try:
+        tphi, _ = _tangent(sys, a.phi, a.lam, ref_phi, ref_lam, k=k, J=J)
+        phi, lam = a.phi, a.lam
+        v = tphi[:m]
+        ell = v / (v @ v)
+        for iterations in range(MAX_ITER):
+            G, A, J, err = _fold_system(sys, k, phi, lam, v, ell)
+            if err < NEWTON_TOL:
                 break
-            except StepRejected:
-                step /= 2
-                if step < collapse:
-                    return None
-        if abs(mid.sigma_min) < sigma_tol:
-            F = assemble_residual(mid.phi, mid.lam, sys)
-            dphi_star = sys.grid.d1 @ mid.phi
-            return DegeneracyReport(
-                lambda_star=mid.lam,
-                phi_star=mid.phi,
-                sigma_at_star=mid.sigma_min,
-                nodal_count=mid.nodal_count,
-                u_min=mid.u_min,
-                s_bracket=(a.s_coord, b.s_coord),
-                residual_norm=float(np.max(np.abs(F))),
-                branch_lambda_min=min(lam_min, mid.lam),
-                crossing_index=i,
-                endpoint_derivs=(float(dphi_star[0]), float(dphi_star[-1])),
-            )
-        if np.sign(mid.sigma_min) == np.sign(a.sigma_min):
-            a, J_a, tangent = mid, J_mid, None
-            # a half-step in arclength need not halve the chord; measure it
-            chord = _chord(sys, a, b)
+            z = np.linalg.solve(A, -G)
+            phi = phi + (z[:m] if m > N else _mirror(z[:m], N))
+            lam += z[m]
+            v = v + z[m + 1:]
         else:
-            b = mid
-            chord = ref_phi, ref_lam, step
-    return None
+            return None
+    except (ConvergenceError, PositivityError, np.linalg.LinAlgError):
+        return None
+    star = solution_point(sys, phi, lam, k=k, J=J)
+    for end in (a, b):
+        dist = _chord(sys, end, star)
+        if dist is not None and dist[2] > gap:
+            return None
+    if abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count:
+        return None
+    F = assemble_residual(star.phi, star.lam, sys)
+    dphi_star = sys.grid.d1 @ star.phi
+    return DegeneracyReport(
+        lambda_star=star.lam,
+        phi_star=star.phi,
+        sigma_at_star=star.sigma_min,
+        nodal_count=star.nodal_count,
+        u_min=star.u_min,
+        s_bracket=(a.s_coord, b.s_coord),
+        residual_norm=float(np.max(np.abs(F))),
+        branch_lambda_min=min(lam_min, star.lam),
+        crossing_index=i,
+        endpoint_derivs=(float(dphi_star[0]), float(dphi_star[-1])),
+        newton_iterations=iterations,
+    )
 
 
 def psi_smallness_check(k: int, s_list, sys: DiscreteSystem) -> list:

@@ -198,6 +198,7 @@ def test_criterion_7_degenerate_construction(degenerate_runs, params, system96):
         assert report.u_min > 0
         assert report.nodal_count == k
         assert report.residual_norm < 1e-10
+        assert report.newton_iterations <= 10
         assert all(pt.nodal_count == k for pt in run["branch"].points)
         # independent dense eigendecomposition at the reported point
         J = assemble_jacobian(report.phi_star, report.lambda_star, system96)
@@ -210,6 +211,7 @@ def test_criterion_7_degenerate_construction(degenerate_runs, params, system96):
         assert payload["u_min"] > 0
         assert payload["nodal_count"] == k
         assert payload["residual_norm"] < 1e-10
+        assert payload["newton_iterations"] <= 10
         assert payload["lambda_star"] == pytest.approx(
             report.lambda_star, rel=1e-8
         )

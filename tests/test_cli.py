@@ -81,6 +81,11 @@ class TestConfig:
     def test_exit_code_for_config_error(self, capsys):
         assert main(["eigen", "n=3", "q=6"]) == 3
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        argv = ["verify", "seed=-1", "N=16", "sample_count=5", f"output_dir={tmp_path}"]
+        assert main(argv) == 3
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestEigenCommand:
     def test_rows(self, tmp_path, capsys):
@@ -249,7 +254,7 @@ class TestDegenerateAndVerify:
         rep = json.loads((tmp_path / "degenerate_k2.json").read_text())
         assert len(traced[0].points) == rep["crossing_index"] + 2
 
-        # the same answer as bisecting after a full-budget trace
+        # the same answer as locating after a full-budget trace
         full = trace_branch(2, 1, system48)
         assert len(full.points) == 400
         ref = locate_degenerate(full, 1e-6, system48)
@@ -259,7 +264,7 @@ class TestDegenerateAndVerify:
 
     @pytest.mark.parametrize("q,k", [(6.0, 6), (4.0, 4)])
     def test_hard_folds_are_located(self, tmp_path, q, k):
-        # the bisection used to give up on these after one stalled
+        # an arclength bisection used to give up on these after one stalled
         # corrector (q=6 k=6) or a bracket shrunk faster than the chord (q=4 k=4)
         cfg = parse_config(
             None, [f"output_dir={tmp_path}", "n=2", "delta=1", f"q={q}", f"k={k}", "N=96"]
@@ -270,6 +275,7 @@ class TestDegenerateAndVerify:
         assert rep["residual_norm"] < 1e-10
         assert abs(rep["sigma_at_star"]) < cfg.sigma_tol
         assert rep["nodal_count"] == k
+        assert rep["newton_iterations"] <= 10
 
     @pytest.mark.parametrize("N", [32, 48])
     def test_q6_k6_located_at_low_resolution(self, tmp_path, N):

@@ -224,6 +224,37 @@ class TestDegeneracy:
         crossings = {idx for idx, kind in branch.events if kind in ("fold", "sigma-zero")}
         assert report.crossing_index + 1 in crossings
 
+    def test_fold_costs_one_sigma_min_and_no_arclength_step(self, fold_report, system48,
+                                                            monkeypatch):
+        branch, report = fold_report
+        calls = {"arclength_step": 0, "sigma_min": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(continuation, "arclength_step")
+        counting(collocation, "sigma_min")
+        again = locate_degenerate(branch, 1e-6, system48)
+        assert again.lambda_star == report.lambda_star
+        assert calls == {"arclength_step": 0, "sigma_min": 1}
+        assert 1 <= report.newton_iterations <= 10
+
+    @pytest.mark.parametrize("k,direction,max_points,index",
+                             [(3, 1, 70, 59), (2, -1, 60, 47)])
+    def test_swap_candidate_is_skipped(self, system48, k, direction, max_points, index):
+        # a min-magnitude eigenvalue swap flips the sign of sigma_min without
+        # a kernel; the extended system runs off to the bifurcation point at
+        # lambda_k, far outside the pair, and the candidate is skipped
+        branch = trace_branch(k, direction, system48, max_points=max_points)
+        assert branch.events == [(index, "sigma-zero")]
+        assert locate_degenerate(branch, 1e-6, system48) is None
+
     def test_not_found_on_short_branch(self, system48):
         branch = trace_branch(2, 1, system48, max_points=5)
         assert locate_degenerate(branch, 1e-6, system48) is None
@@ -236,6 +267,35 @@ class TestDegeneracy:
             lo = sigma_min(assemble_jacobian(np.zeros(49), lam * 0.995, system48))
             hi = sigma_min(assemble_jacobian(np.zeros(49), lam * 1.005, system48))
             assert lo < 0 < hi
+
+
+@pytest.mark.parametrize("q", [3.0, 4.0])
+@pytest.mark.parametrize("k", [2, 3])
+def test_extended_system_derivatives(k, q):
+    # central differences of the J v block in phi (sector unknowns) and lambda
+    system = DiscreteSystem(build_grid(48), ModelParams(2, 1.0, q))
+    pt = solve_at_s(k, 0.2, system)
+    m = 25 if k == 2 else 49
+    v = np.random.default_rng(1).standard_normal(m)
+    ell = v / (v @ v)
+    _, A, _, _ = continuation._fold_system(system, k, pt.phi, pt.lam, v, ell)
+
+    def jv(phi_top, lam):
+        phi = collocation._mirror(phi_top, 48) if k == 2 else phi_top
+        G = continuation._fold_system(system, k, phi, lam, v, ell)[0]
+        return G[m:-1]
+
+    h = 1e-4
+    top = pt.phi[:m].copy()
+    dphi = np.empty((m, m))
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = h
+        dphi[:, j] = (jv(top + e, pt.lam) - jv(top - e, pt.lam)) / (2 * h)
+    dlam = (jv(top, pt.lam + h) - jv(top, pt.lam - h)) / (2 * h)
+    block, column = A[m:-1, :m], A[m:-1, m]
+    assert np.linalg.norm(dphi - block) <= 1e-6 * np.linalg.norm(block)
+    assert np.linalg.norm(dlam - column) <= 1e-6 * np.linalg.norm(column)
 
 
 def _forbidden(*args, **kwargs):
