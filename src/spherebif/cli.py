@@ -18,17 +18,22 @@ step sizes are constants of the modules that use them.  Exit codes: 0
 success, 2 solver non-convergence, 3 configuration error.  Output files
 are byte-identical across runs for a fixed config and seed on one
 platform; floats are written with 17 significant digits so values
-round-trip exactly.
+round-trip exactly.  ``main`` runs numpy's OpenBLAS on one thread: the
+dense systems have at most a few hundred unknowns, too small for a second
+BLAS thread to shorten a run, which it would only double in CPU time.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import os
 import sys
 import typing
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -404,7 +409,28 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     return _HANDLERS[command](cfg)
 
 
+@functools.cache
+def _openblas_set_num_threads():
+    """Thread-count setter of the OpenBLAS numpy has loaded; None for another BLAS."""
+    pkg = Path(np.__file__).parent
+    libdirs = [pkg.parent / "numpy.libs", pkg / ".libs"]
+    for lib in (f for d in libdirs if d.is_dir() for f in sorted(d.glob("lib*openblas*"))):
+        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                       "openblas_set_num_threads"):
+            try:
+                setter = getattr(ctypes.CDLL(str(lib)), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None
+
+
 def main(argv=None) -> int:
+    # set here, not on import, so library users keep their own BLAS setting
+    setter = _openblas_set_num_threads()
+    if setter is not None:
+        setter(1)
     parser = argparse.ArgumentParser(
         prog="spherebif",
         description="Bifurcation branches and degenerate solutions of "

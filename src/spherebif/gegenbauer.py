@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "QuadratureRule",
@@ -90,7 +89,7 @@ def gauss_jacobi_rule(m: int, n: int) -> QuadratureRule:
     j = np.arange(1, m, dtype=float)
     # monic recurrence p_{j+1} = t p_j - b_j p_{j-1} for the zonal weight
     b = j * (j + n - 2) / ((2 * j + n - 1) * (2 * j + n - 3))
-    nodes, vecs = eigh_tridiagonal(np.zeros(m), np.sqrt(b))
+    nodes, vecs = np.linalg.eigh(np.diag(np.sqrt(b), -1), UPLO="L")
     weights = _weight_mass(n) * vecs[0] ** 2
     # enforce the exact symmetry of the rule about t = 0
     nodes = 0.5 * (nodes - nodes[::-1])

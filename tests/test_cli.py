@@ -1,12 +1,17 @@
 """Tests for configuration parsing, dispatch, and file outputs."""
 
+import ctypes
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spherebif
 from spherebif.cli import (
     ConfigError,
     RunConfig,
@@ -345,3 +350,74 @@ def test_main_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "k,lambda" in out
     assert (tmp_path / "eigen.csv").exists()
+
+
+def _run_python(script, *args):
+    """Run a script in a fresh interpreter that imports this spherebif."""
+    src = str(Path(spherebif.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+_NO_SCIPY_LOADED = """
+assert not [name for name, mod in sys.modules.items()
+            if (name == "scipy" or name.startswith("scipy.")) and mod is not None]
+"""
+
+
+def test_import_loads_no_scipy():
+    _run_python("import sys\nimport spherebif.cli\n" + _NO_SCIPY_LOADED)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    script = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import spherebif.cli
+out = sys.argv[1]
+assert spherebif.cli.main(["degenerate", "k=2", "N=32", f"output_dir={out}"]) == 0
+assert spherebif.cli.main(["verify", "k=2", "N=32", "sample_count=20", f"output_dir={out}"]) == 0
+with open(f"{out}/verify.json") as fh:
+    assert json.load(fh)["lifted"]["source"] == "degenerate_k2"
+""" + _NO_SCIPY_LOADED
+    _run_python(script, tmp_path)
+
+
+def _openblas_getter():
+    """(library, symbol) of the thread-count getter of numpy's OpenBLAS, or None."""
+    pkg = Path(np.__file__).parent
+    for libdir in (pkg.parent / "numpy.libs", pkg / ".libs"):
+        for lib in sorted(libdir.glob("lib*openblas*")) if libdir.is_dir() else ():
+            for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                           "openblas_get_num_threads"):
+                try:
+                    getattr(ctypes.CDLL(str(lib)), symbol)
+                except (OSError, AttributeError):
+                    continue
+                return str(lib), symbol
+    return None
+
+
+def test_main_pins_blas_to_one_thread_and_import_does_not(tmp_path):
+    found = _openblas_getter()
+    if found is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count getter")
+    script = """
+import ctypes, sys
+import numpy
+lib, symbol, out = sys.argv[1:]
+blas = ctypes.CDLL(lib)
+get, set_ = getattr(blas, symbol), getattr(blas, symbol.replace("_get_", "_set_"))
+get.argtypes, get.restype = [], ctypes.c_int
+set_.argtypes, set_.restype = [ctypes.c_int], None
+set_(2)
+assert get() == 2, get()
+import spherebif, spherebif.cli
+assert get() == 2, get()
+assert spherebif.cli.main(["eigen", f"output_dir={out}"]) == 0
+assert get() == 1, get()
+"""
+    _run_python(script, *found, tmp_path)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_max_ulp
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from spherebif.gegenbauer import (
@@ -20,7 +21,7 @@ from spherebif.gegenbauer import (
     linearization_coeffs,
     weighted_inner,
 )
-from spherebif.gegenbauer import _positive_sign_changes, _q_poly_coeffs
+from spherebif.gegenbauer import _positive_sign_changes, _q_poly_coeffs, _weight_mass
 
 
 def even_moment(j, n):
@@ -179,6 +180,18 @@ class TestQuadrature:
             x_ref, w_ref = roots_jacobi(m, a, a)
             assert_allclose(rule.nodes, x_ref, atol=1e-13)
             assert_allclose(rule.weights, w_ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+    def test_matches_tridiagonal_eigensolver(self, n):
+        # the Golub-Welsch rule as scipy's tridiagonal eigensolver gives it
+        for m in [2, 3, 4, 7, 16, 33, 50, 64, 97, 128, 160, 193, 230, 259]:
+            j = np.arange(1, m, dtype=float)
+            b = j * (j + n - 2) / ((2 * j + n - 1) * (2 * j + n - 3))
+            nodes, vecs = eigh_tridiagonal(np.zeros(m), np.sqrt(b))
+            weights = _weight_mass(n) * vecs[0] ** 2
+            rule = gauss_jacobi_rule(m, n)
+            assert_array_max_ulp(rule.nodes, 0.5 * (nodes - nodes[::-1]), maxulp=2)
+            assert_array_max_ulp(rule.weights, 0.5 * (weights + weights[::-1]), maxulp=2)
 
     def test_exactness_top_degree(self):
         for m, n in [(3, 2), (5, 3), (4, 6), (8, 2)]:
