@@ -18,9 +18,9 @@ step sizes are constants of the modules that use them.  Exit codes: 0
 success, 2 solver non-convergence, 3 configuration error.  Output files
 are byte-identical across runs for a fixed config and seed on one
 platform; floats are written with 17 significant digits so values
-round-trip exactly.  ``main`` runs numpy's OpenBLAS on one thread: the
-dense systems have at most a few hundred unknowns, too small for a second
-BLAS thread to shorten a run, which it would only double in CPU time.
+round-trip exactly.  ``main`` sets numpy's OpenBLAS to one thread, except
+for traces of 161 or more unknowns (``blas_threads``), for the whole calling
+process and after it returns; importing the package changes nothing.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ __all__ = [
     "parse_config",
     "dispatch",
     "main",
+    "numpy_openblas",
+    "blas_threads",
     "read_branch_records",
 ]
 
@@ -410,27 +412,40 @@ def dispatch(command: str, cfg: RunConfig) -> int:
 
 
 @functools.cache
-def _openblas_set_num_threads():
-    """Thread-count setter of the OpenBLAS numpy has loaded; None for another BLAS."""
+def numpy_openblas():
+    """(path, pattern, threads) of the OpenBLAS numpy has loaded; None for another BLAS.
+
+    '{}' in the pattern is ``set`` or ``get`` for the thread-count symbols;
+    threads is the count at the first lookup.
+    """
     pkg = Path(np.__file__).parent
     libdirs = [pkg.parent / "numpy.libs", pkg / ".libs"]
     for lib in (f for d in libdirs if d.is_dir() for f in sorted(d.glob("lib*openblas*"))):
-        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                       "openblas_set_num_threads"):
-            try:
-                setter = getattr(ctypes.CDLL(str(lib)), symbol)
-            except (OSError, AttributeError):
-                continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            return setter
+        try:
+            blas = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for pattern in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                        "openblas_{}_num_threads"):
+            if hasattr(blas, pattern.format("set")) and hasattr(blas, pattern.format("get")):
+                get = getattr(blas, pattern.format("get"))
+                get.restype = ctypes.c_int
+                return str(lib), pattern, get()
     return None
 
 
+def blas_threads(command: str, cfg: RunConfig, threads: int) -> int:
+    """BLAS threads for one command, given the count OpenBLAS started with.
+
+    A trace factors dense systems of N + 1 unknowns for odd k and N/2 + 1
+    for even k.  From 161 on a second thread shortens it (4% at 161, 7% at
+    193, on 2 vCPUs); below, it gains 2% at most for twice the CPU time.
+    """
+    size = cfg.N + 1 if cfg.k % 2 else cfg.N // 2 + 1
+    return threads if command in ("branch", "degenerate") and size >= 161 else 1
+
+
 def main(argv=None) -> int:
-    # set here, not on import, so library users keep their own BLAS setting
-    setter = _openblas_set_num_threads()
-    if setter is not None:
-        setter(1)
     parser = argparse.ArgumentParser(
         prog="spherebif",
         description="Bifurcation branches and degenerate solutions of "
@@ -445,6 +460,11 @@ def main(argv=None) -> int:
             if item.startswith("-"):
                 raise ConfigError(f"unrecognized option {item!r}")
         cfg = parse_config(args.config, overrides)
+        found = numpy_openblas()
+        if found is not None:  # for the whole process, and for good
+            path, pattern, threads = found
+            set_threads = getattr(ctypes.CDLL(path), pattern.format("set"))
+            set_threads(ctypes.c_int(blas_threads(args.command, cfg, threads)))
         return dispatch(args.command, cfg)
     except ConfigError as exc:
         _log(f"configuration error: {exc}", err=True)

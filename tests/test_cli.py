@@ -1,6 +1,5 @@
 """Tests for configuration parsing, dispatch, and file outputs."""
 
-import ctypes
 import json
 import math
 import os
@@ -15,8 +14,10 @@ import spherebif
 from spherebif.cli import (
     ConfigError,
     RunConfig,
+    blas_threads,
     dispatch,
     main,
+    numpy_openblas,
     parse_config,
     read_branch_records,
 )
@@ -386,31 +387,16 @@ with open(f"{out}/verify.json") as fh:
     _run_python(script, tmp_path)
 
 
-def _openblas_getter():
-    """(library, symbol) of the thread-count getter of numpy's OpenBLAS, or None."""
-    pkg = Path(np.__file__).parent
-    for libdir in (pkg.parent / "numpy.libs", pkg / ".libs"):
-        for lib in sorted(libdir.glob("lib*openblas*")) if libdir.is_dir() else ():
-            for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                           "openblas_get_num_threads"):
-                try:
-                    getattr(ctypes.CDLL(str(lib)), symbol)
-                except (OSError, AttributeError):
-                    continue
-                return str(lib), symbol
-    return None
-
-
 def test_main_pins_blas_to_one_thread_and_import_does_not(tmp_path):
-    found = _openblas_getter()
+    found = numpy_openblas()
     if found is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count getter")
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count setter")
     script = """
 import ctypes, sys
 import numpy
-lib, symbol, out = sys.argv[1:]
+lib, pattern, out = sys.argv[1:]
 blas = ctypes.CDLL(lib)
-get, set_ = getattr(blas, symbol), getattr(blas, symbol.replace("_get_", "_set_"))
+get, set_ = getattr(blas, pattern.format("get")), getattr(blas, pattern.format("set"))
 get.argtypes, get.restype = [], ctypes.c_int
 set_.argtypes, set_.restype = [ctypes.c_int], None
 set_(2)
@@ -419,5 +405,15 @@ import spherebif, spherebif.cli
 assert get() == 2, get()
 assert spherebif.cli.main(["eigen", f"output_dir={out}"]) == 0
 assert get() == 1, get()
+assert spherebif.cli.numpy_openblas()[2] == 2  # the count a large trace gets back
 """
-    _run_python(script, *found, tmp_path)
+    _run_python(script, *found[:2], tmp_path)
+
+
+@pytest.mark.parametrize("command, k, N, threads", [
+    ("branch", 3, 192, 4), ("degenerate", 3, 160, 4), ("branch", 3, 158, 1),
+    ("branch", 2, 192, 1), ("degenerate", 2, 320, 4), ("verify", 3, 192, 1), ("eigen", 3, 192, 1),
+])
+def test_blas_threads_follow_the_traced_system_size(command, k, N, threads):
+    cfg = parse_config(None, [f"k={k}", f"N={N}"])
+    assert blas_threads(command, cfg, 4) == threads
