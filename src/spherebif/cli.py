@@ -19,8 +19,9 @@ success, 2 solver non-convergence, 3 configuration error.  Output files
 are byte-identical across runs for a fixed config and seed on one
 platform; floats are written with 17 significant digits so values
 round-trip exactly.  ``main`` sets numpy's OpenBLAS to one thread, except
-for traces of 161 or more unknowns (``blas_threads``), for the whole calling
-process and after it returns; importing the package changes nothing.
+for traces of 161 or more unknowns (``blas_threads``), and raises glibc's
+malloc thresholds (``_hold_freed_memory``), for the whole calling process
+and after it returns; importing the package changes neither.
 """
 
 from __future__ import annotations
@@ -445,6 +446,22 @@ def blas_threads(command: str, cfg: RunConfig, threads: int) -> int:
     return threads if command in ("branch", "degenerate") and size >= 161 else 1
 
 
+def _hold_freed_memory():
+    """Let glibc's malloc serve and keep the dense temporaries of a run.
+
+    Each traced point allocates and frees arrays of 0.1-1 MB.  Above the
+    default 128 kB mmap threshold each one is a fresh mapping whose pages
+    fault in on first use: 100,000 faults in one odd-k trace at N=192.
+    glibc raises the threshold only after freeing a larger mapping, so
+    the cost came and went with unrelated edits.  These are the values
+    its dynamic rule reaches after freeing a 32 MiB block.
+    """
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spherebif",
@@ -460,6 +477,7 @@ def main(argv=None) -> int:
             if item.startswith("-"):
                 raise ConfigError(f"unrecognized option {item!r}")
         cfg = parse_config(args.config, overrides)
+        _hold_freed_memory()
         found = numpy_openblas()
         if found is not None:  # for the whole process, and for good
             path, pattern, threads = found

@@ -106,12 +106,10 @@ def interpolation_matrix(grid: SpectralGrid, targets) -> np.ndarray:
         raise ValueError("interpolation targets must lie in [-1, 1]")
     t = np.clip(t, -1.0, 1.0)
     w = _bary_weights(grid)
-    # one (targets x nodes) array, divided in place: with two alive, glibc
-    # trims the heap as they are freed and each verify block faults it back
     diff = t[:, None] - grid.nodes[None, :]
-    hit = (diff > -1e-14) & (diff < 1e-14)
+    hit = np.abs(diff) < 1e-14
     diff[hit] = 1.0
-    M = np.divide(w[None, :], diff, out=diff)
+    M = w[None, :] / diff
     M /= M.sum(axis=1)[:, None]
     rows = np.any(hit, axis=1)
     M[rows] = 0.0

@@ -1,5 +1,6 @@
 """Tests for configuration parsing, dispatch, and file outputs."""
 
+import ctypes
 import json
 import math
 import os
@@ -408,6 +409,29 @@ assert get() == 1, get()
 assert spherebif.cli.numpy_openblas()[2] == 2  # the count a large trace gets back
 """
     _run_python(script, *found[:2], tmp_path)
+
+
+def test_main_serves_large_temporaries_from_the_heap(tmp_path):
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("no glibc mallinfo2 to count mapped blocks")
+    script = """
+import ctypes, sys
+import numpy
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks",
+                "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+def maps(nbytes):
+    before = libc.mallinfo2().hblks
+    a = numpy.ones(nbytes // 8)
+    return libc.mallinfo2().hblks - before
+assert maps(8 << 20) == 1  # glibc's default: a block this large is a fresh mapping
+import spherebif.cli
+assert spherebif.cli.main(["eigen", f"output_dir={sys.argv[1]}"]) == 0
+assert maps(16 << 20) == 0
+"""
+    _run_python(script, tmp_path)
 
 
 @pytest.mark.parametrize("command, k, N, threads", [
