@@ -284,6 +284,20 @@ class TestDegenerateAndVerify:
         assert rep["nodal_count"] == k
         assert rep["newton_iterations"] <= 10
 
+    @pytest.mark.parametrize("q,k,lambda_star", [
+        (3.0, 2, 11.223525580301466), (3.0, 4, 38.85553446737754),
+        (6.0, 6, 20.364737861326915), (4.0, 4, 19.25113681849634),
+    ])
+    def test_located_lambda_star_is_pinned(self, tmp_path, q, k, lambda_star):
+        # the answers of the fold hunt at N=96; a change of discretization
+        # must reproduce them
+        cfg = parse_config(
+            None, [f"output_dir={tmp_path}", "n=2", "delta=1", f"q={q}", f"k={k}", "N=96"]
+        )
+        assert dispatch("degenerate", cfg) == 0
+        rep = json.loads((tmp_path / f"degenerate_k{k}.json").read_text())
+        assert rep["lambda_star"] == pytest.approx(lambda_star, rel=1e-10, abs=0)
+
     @pytest.mark.parametrize("N", [32, 48])
     def test_q6_k6_located_at_low_resolution(self, tmp_path, N):
         # at N <= 48 the plus branch used to step onto the trivial solution
