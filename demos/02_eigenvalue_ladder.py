@@ -3,17 +3,21 @@
 # The linearization at the trivial solution u = 1 is singular exactly where
 # its zero-order coefficient c(lambda) = lambda (q-2)/(1 + 1/delta) hits a
 # Laplacian eigenvalue k(k+n-1); the ladder lambda_k inverts that relation.
-# The collocation operator reproduces the eigenvalues to rounding.
+# In the zonal Galerkin basis the operator is diagonal with exactly these
+# eigenvalues, and the Jacobian at u = 1 has the eigenvalue nearest zero
+# c(lambda) - k(k+n-1), which changes sign at each lambda_k.
 
 import numpy as np
 
 from spherebif import (
     DiscreteSystem,
     ModelParams,
+    assemble_jacobian,
     build_grid,
     derived_constants,
     lambda_k,
     linear_spectrum,
+    sigma_min,
     yamabe_lambda,
 )
 
@@ -33,3 +37,10 @@ exact = np.array([j * (j + 1) for j in range(8)], dtype=float)
 print("\ndiscrete spectrum at N=96 vs j(j+n-1):")
 for j, (g, e) in enumerate(zip(got, exact)):
     print(f"  j={j}:  {g: .12f}   (error {abs(g - e):.2e})")
+
+print("\nsigma_min of the Jacobian at u = 1 just below and above each lambda_k:")
+zeros = np.zeros(97)
+for k in range(1, 5):
+    lam = lambda_k(k, params)
+    lo, hi = (sigma_min(assemble_jacobian(zeros, x, system)) for x in (0.99 * lam, 1.01 * lam))
+    print(f"  k={k}:  {lo: .4e}  {hi: .4e}")

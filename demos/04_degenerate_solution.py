@@ -14,6 +14,8 @@ from spherebif import (
     ModelParams,
     assemble_jacobian,
     build_grid,
+    endpoint_residual,
+    interpolate,
     lambda_k,
     locate_degenerate,
     trace_branch,
@@ -32,11 +34,19 @@ print(f"  sigma at star  = {report.sigma_at_star:.3e}")
 print(f"  nodal count    = {report.nodal_count}")
 print(f"  min of u       = {report.u_min:.6f}  (stays positive)")
 print(f"  residual norm  = {report.residual_norm:.3e}")
+print(f"  coefficient tail = {report.tail:.1e}  (resolved by N=64)")
 print(f"  s bracket      = ({report.s_bracket[0]:.6f}, {report.s_bracket[1]:.6f})")
 print(f"  branch lambda-min = {report.branch_lambda_min:.9f}")
 print(f"  newton iterations = {report.newton_iterations}")
 
-# independent confirmation: fresh Jacobian, dense eigenvalues
-J = assemble_jacobian(report.phi_star, report.lambda_star, system)
+# independent confirmation: the coefficients of the interpolant of the
+# reported node values, a fresh full Jacobian, all of its eigenvalues
+c = system.coefficients(lambda t: interpolate(system.grid, report.phi_star, t))
+J = assemble_jacobian(c, report.lambda_star, system)
 closest = np.min(np.abs(np.linalg.eigvals(J)))
 print(f"\nindependent eigendecomposition: min |eigenvalue| = {closest:.3e}")
+
+# the regular limits of the ODE at the poles hold without boundary rows
+for side, phi_end, dphi_end in zip((1, -1), report.phi_star[[0, -1]], report.endpoint_derivs):
+    res = endpoint_residual(side, phi_end, dphi_end, report.lambda_star, params)
+    print(f"endpoint condition at t = {side:+d}: residual {res:.1e}")

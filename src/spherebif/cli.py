@@ -329,7 +329,7 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
     )
     _log(
         f"degenerate k={cfg.k}: lambda* = {report.lambda_star:.9g}, "
-        f"sigma = {report.sigma_at_star:.3e}, "
+        f"sigma = {report.sigma_at_star:.3e}, tail = {report.tail:.1e}, "
         f"newton_iterations = {report.newton_iterations} -> {path}"
     )
     return 0

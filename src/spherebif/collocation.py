@@ -1,24 +1,33 @@
-"""Chebyshev-Lobatto collocation of the singular ODE on [-1, 1].
+"""Zonal Galerkin discretization of the singular ODE on [-1, 1].
 
-The grid keeps both endpoints as explicit rows so the regular-limit
-boundary conditions occupy the first and last equations; the factor
-(1 - t^2) multiplying the second derivative vanishes there, which is
-exactly the degeneration the endpoint rows resolve.  Weighted inner
-products of node vectors are evaluated by barycentric interpolation onto
-a Gauss-Jacobi rule for the weight (1 - t^2)^((n-2)/2).
+The reduced operator (1 - t^2) d^2 - n t d is w^-1 d[(1 - t^2) w d] for the
+weight w = (1 - t^2)^((n-2)/2), so it is diagonal in the orthonormal zonal
+polynomials p_j = P_{j,n} / ||P_{j,n}||_w, with eigenvalues -j(j + n - 1),
+and no boundary rows are needed: the regular limits at t = +/-1 hold for
+every polynomial.  A profile phi = sum_j c_j p_j, j <= N, solves
 
-The stability diagnostic ``sigma_min`` (the eigenvalue of the Jacobian
-nearest zero) uses shift-invert Arnoldi on the dense inverse instead of a
-full eigendecomposition; it costs one inversion and typically 10 to 20
-matrix-vector products per point.
+    F(c) = -Lambda c + mu(lambda) V^T W g(V c) = 0,    g(phi) = (phi+1)^(q-1) - phi - 1,
 
-Even k is traced in the even sector.  The grid is symmetric under the node
-flip t -> -t, and at an even profile the Jacobian commutes with it, so it
-splits into a block on the even node vectors (the N//2 + 1 values at
-t >= 0) and a block on the odd ones (the (N + 1)//2 values at t > 0).
-Both blocks are the folded linear operators, built once with the system,
-plus the diagonal term; the continuation solves on the even block, and
-``sigma_min`` inverts the two blocks instead of the whole Jacobian.
+with Lambda = diag(j(j + n - 1)), V the basis at the nodes of a Gauss-Jacobi
+rule for w of ceil(1.5 (N+1)) + 1 points and W its weights.  The Jacobian
+J = -Lambda + mu V^T W diag(g'(V c)) V is symmetric, so the stability
+diagnostic ``sigma_min`` (the eigenvalue of J nearest zero) comes from
+``numpy.linalg.eigvalsh``.  Coefficient vectors are orthonormal
+coordinates: the weighted inner product of two profiles is the dot product
+of their coefficients.
+
+Even k is traced in the even sector: the branch of an even mode is even in
+t, so only the even j are unknowns, and at an even profile J splits into
+the block of the even j and the block of the odd j.  Both blocks integrate
+even functions, so they use the rule folded onto its nodes t >= 0.  The
+functions here take a ``parity``: 0 for all N + 1 modes, 1 for the even
+modes; ``assemble_jacobian`` also takes -1 for the odd block at an even
+profile.  Coefficient vectors hold the modes of their sector in increasing
+order.
+
+Profiles leave the package as values on the N + 1 Chebyshev-Lobatto nodes
+of ``build_grid``, which determine the degree-N expansion exactly;
+``interpolate`` evaluates such node values anywhere in [-1, 1].
 
 Grids and systems are immutable after construction and safe to share
 across threads; all assembly routines are pure functions of their inputs.
@@ -26,7 +35,6 @@ across threads; all assembly routines are pure functions of their inputs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,38 +66,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Chebyshev-Lobatto nodes cos(j pi / N), decreasing from +1 to -1.
-
-    ``d1`` and ``d2`` are dense differentiation operators, exact on
-    polynomials of degree <= N; their rows annihilate constants.
-    """
+    """Chebyshev-Lobatto nodes cos(j pi / N), decreasing from +1 to -1."""
 
     N: int
     nodes: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
 
     def __post_init__(self):
-        for a in (self.nodes, self.d1, self.d2):
-            a.setflags(write=False)
+        self.nodes.setflags(write=False)
 
 
 def build_grid(N: int) -> SpectralGrid:
-    """Build the Lobatto grid and differentiation operators of degree N."""
+    """The N + 1 Lobatto nodes on which degree-N profiles are reported."""
     if N < 2:
         raise ValueError(f"polynomial degree must be >= 2, got {N}")
-    j = np.arange(N + 1)
-    x = np.cos(np.pi * j / N)
-    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** j
-    dx = x[:, None] - x[None, :]
-    D = np.outer(c, 1.0 / c) / (dx + np.eye(N + 1))
-    # negative-sum trick: constants must differentiate to zero exactly
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    D2 = D @ D
-    np.fill_diagonal(D2, 0.0)
-    np.fill_diagonal(D2, -D2.sum(axis=1))
-    return SpectralGrid(N=N, nodes=x, d1=D, d2=D2)
+    return SpectralGrid(N=N, nodes=np.cos(np.pi * np.arange(N + 1) / N))
 
 
 def _bary_weights(grid: SpectralGrid) -> np.ndarray:
@@ -129,309 +119,251 @@ def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
     return float(vals[0]) if scalar else vals
 
 
-def _sector_size(N: int, parity: int) -> int:
-    """Unknowns of the even (parity 1) or odd (parity -1) node vectors."""
-    return N // 2 + 1 if parity > 0 else (N + 1) // 2
+def _parity(k) -> int:
+    """The sector mode k is traced in: 1 (even modes) for even k, else 0 (all)."""
+    return 1 if k is not None and k % 2 == 0 else 0
 
 
-def _fold(M: np.ndarray, parity: int) -> np.ndarray:
-    """Columns of M restricted to the even (parity 1) or odd (-1) node vectors.
-
-    Node j < N/2 pairs with N - j; the middle node of an even N is its own
-    pair and drops out of the odd sector.  ``M @ v == _fold(M, parity) @ a``
-    for the node vector v of that parity whose top values are a.  M may be a
-    single row.
-    """
-    N = M.shape[-1] - 1
-    pairs = (N + 1) // 2
-    out = M[..., : _sector_size(N, parity)].copy()
-    out[..., :pairs] += parity * M[..., N + 1 - pairs :][..., ::-1]
-    return out
+def _modes(parity: int) -> slice:
+    """The mode indices j of a sector, as a slice of 0..N."""
+    return slice(None) if parity == 0 else slice((1 - parity) // 2, None, 2)
 
 
-def _mirror(a: np.ndarray, N: int) -> np.ndarray:
-    """The even node vector whose values at the N//2 + 1 nodes t >= 0 are
-    the first N//2 + 1 entries of a."""
-    h = _sector_size(N, 1)
-    out = np.empty(N + 1)
-    out[:h] = a[:h]
-    out[h:] = out[N - h :: -1]
-    return out
-
-
-def _even_sector(k) -> bool:
-    """Whether branches of mode k are traced in the even sector (k even)."""
-    return k is not None and k % 2 == 0
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Grid plus parameters, with the quadrature machinery, the linear
-    operator and its even and odd sector blocks precomputed (read-only).
+    """Grid plus parameters, with the basis tables of every sector (read-only).
 
-    Residual rows follow the reduced ODE at interior nodes and its regular
-    limit at the two endpoint nodes.  Inner products use the (N+1)-point
-    Gauss-Jacobi rule, exact for the degree-2N product of two interpolants.
+    For each parity the system holds the orthonormal basis at the rule
+    nodes (all of them for parity 0, the folded ones t >= 0 for +/-1), the
+    matching weights and the eigenvalues j(j + n - 1) of the sector's modes;
+    the basis at the Lobatto nodes; and the basis at nodal_count's
+    refinement points.  All of them come from one Gegenbauer recurrence
+    over all degrees.
     """
 
     grid: SpectralGrid
     params: ModelParams
-    _qnodes: np.ndarray = field(init=False, repr=False)
-    _qweights: np.ndarray = field(init=False, repr=False)
-    _interp: np.ndarray = field(init=False, repr=False)
-    _linop: np.ndarray = field(init=False, repr=False)
-    _linop_even: np.ndarray = field(init=False, repr=False)
-    _linop_odd: np.ndarray = field(init=False, repr=False)
-    _basis: dict = field(init=False, repr=False, default_factory=dict)
+    _rule: object = field(init=False, repr=False)
+    _norms: np.ndarray = field(init=False, repr=False)
+    _eig: np.ndarray = field(init=False, repr=False)
+    _sectors: dict = field(init=False, repr=False)
+    _output: dict = field(init=False, repr=False)
+    _fine: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        rule = gauss_jacobi_rule(self.grid.N + 1, self.params.n)
-        E = interpolation_matrix(self.grid, rule.nodes)
-        E.setflags(write=False)
-        object.__setattr__(self, "_qnodes", rule.nodes)
-        object.__setattr__(self, "_qweights", rule.weights)
-        object.__setattr__(self, "_interp", E)
-        grid, n = self.grid, self.params.n
-        x = grid.nodes
-        L = (1 - x**2)[:, None] * grid.d2 - n * x[:, None] * grid.d1
-        L[0] = -n * grid.d1[0]
-        L[-1] = n * grid.d1[-1]
-        L.setflags(write=False)
-        object.__setattr__(self, "_linop", L)
-        # L commutes with the node flip, so its top rows, folded, are its blocks
-        for name, parity in (("_linop_even", 1), ("_linop_odd", -1)):
-            M = _fold(L[: _sector_size(grid.N, parity)], parity)
-            M.setflags(write=False)
-            object.__setattr__(self, name, M)
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Weighted inner product of two node-value vectors."""
-        return float(np.dot(self._qweights, (self._interp @ u) * (self._interp @ v)))
-
-    def norm(self, u: np.ndarray) -> float:
-        return np.sqrt(max(self.inner(u, u), 0.0))
+        N, n = self.grid.N, self.params.n
+        rule = gauss_jacobi_rule(-(-3 * (N + 1) // 2) + 1, n)
+        M = rule.nodes.size
+        # nodal_count's refinement grid: 8N - 1 equispaced interior points
+        fine = np.linspace(-1.0, 1.0, 8 * N + 1)[1:-1]
+        P = gegenbauer_eval(N, n, np.concatenate([rule.nodes, self.grid.nodes, fine]),
+                            table=True)
+        norms = np.sqrt(rule.weights @ P[:M] ** 2)
+        P = P / norms
+        V = P[:M]
+        # the rule is symmetric; even integrands need only its nodes t >= 0
+        half = M // 2
+        folded = 2.0 * rule.weights[half:]
+        if M % 2:
+            folded[0] = rule.weights[half]
+        eig = np.arange(N + 1) * (np.arange(N + 1) + n - 1.0)
+        sectors = {0: (_frozen(V), rule.weights, _frozen(eig))}
+        for parity in (1, -1):
+            m = _modes(parity)
+            sectors[parity] = (_frozen(V[half:, m]), _frozen(folded), _frozen(eig[m]))
+        B = P[M : M + N + 1]
+        output = {0: _frozen(B), 1: _frozen(B[: N // 2 + 1, ::2])}
+        F = P[M + N + 1 :]
+        object.__setattr__(self, "_rule", rule)
+        object.__setattr__(self, "_norms", _frozen(norms))
+        object.__setattr__(self, "_eig", sectors[0][2])
+        object.__setattr__(self, "_sectors", sectors)
+        object.__setattr__(self, "_output", output)
+        object.__setattr__(self, "_fine", {0: _frozen(F), 1: _frozen(F[:, ::2])})
 
     def basis(self, k: int) -> np.ndarray:
-        """Samples of P_{k,n} on the grid (cached)."""
-        if k not in self._basis:
-            v = gegenbauer_eval(k, self.params.n, self.grid.nodes)
-            v.setflags(write=False)
-            self._basis[k] = v
-        return self._basis[k]
+        """Coefficients of P_{k,n}, over all N + 1 modes."""
+        if not 0 <= k <= self.grid.N:
+            raise ValueError(f"mode index must lie in 0..{self.grid.N}, got {k}")
+        c = np.zeros(self.grid.N + 1)
+        c[k] = self._norms[k]
+        return c
 
-    def inner_gradient(self, v: np.ndarray) -> np.ndarray:
-        """Row vector r with r @ u == inner(u, v) for every u."""
-        return self._qweights @ (self._interp * (self._interp @ v)[:, None])
+    def coefficients(self, f) -> np.ndarray:
+        """Coefficients of the weighted projection of a callable f(t) onto
+        the N + 1 modes, by the system's quadrature rule."""
+        V, w, _ = self._sectors[0]
+        return V.T @ (w * f(self._rule.nodes))
+
+    def node_values(self, c, parity: int = 0) -> np.ndarray:
+        """Values of the expansion on the Lobatto nodes; exactly even for
+        parity 1, whose values at t < 0 mirror those at t > 0."""
+        phi = self._output[parity] @ c
+        if parity:
+            N = self.grid.N
+            phi = np.concatenate([phi, phi[N - phi.size :: -1]])
+        return phi
+
+    def rule_values(self, c, parity: int = 0) -> np.ndarray:
+        """Values of the expansion at the rule nodes of the sector."""
+        return self._sectors[parity][0] @ c
+
+    def endpoint_derivatives(self, c) -> tuple:
+        """phi'(+1) and phi'(-1) of the expansion with all N + 1 coefficients c.
+
+        The regular limit of the operator at t = +/-1 gives
+        P_{j,n}'(1) = j(j + n - 1) / n, and P_{j,n}'(-1) = (-1)^(j+1) P_{j,n}'(1).
+        """
+        d = self._eig * np.asarray(c, dtype=float) / (self._norms * self.params.n)
+        return float(d.sum()), float(d[1::2].sum() - d[::2].sum())
 
 
-def _check_phi(phi, grid):
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (grid.N + 1,):
-        raise ValueError(f"profile must have {grid.N + 1} entries, got {phi.shape}")
-    u = phi + 1.0
-    if np.any(u <= 0):
+def _sector_u(c, sys: DiscreteSystem, parity: int):
+    """The basis, weights and eigenvalues of the sector, and u = 1 + phi at
+    its rule nodes; the profile of the odd block (-1) is the even one."""
+    V, w, eig = sys._sectors[parity]
+    c = np.asarray(c, dtype=float)
+    profile = sys._sectors[1 if parity else 0][0]
+    if c.shape != (profile.shape[1],):
+        raise ValueError(f"expected {profile.shape[1]} coefficients, got {c.shape}")
+    u = 1.0 + profile @ c
+    if u.min() <= 0:
         bad = int(np.argmin(u))
-        raise PositivityError(
-            f"u = phi + 1 is not positive at node {bad} (t = {grid.nodes[bad]:.6f})"
-        )
-    return phi, u
+        raise PositivityError(f"u = phi + 1 is not positive at rule node {bad}")
+    return V, w, eig, u
 
 
-def assemble_residual(phi, lam: float, sys: DiscreteSystem) -> np.ndarray:
-    """Residual vector: ODE at interior nodes, regular limit at t = +/-1."""
-    grid, params = sys.grid, sys.params
-    phi, u = _check_phi(phi, grid)
-    mu = reduction_factor(lam, params)
-    x = grid.nodes
-    dphi = grid.d1 @ phi
-    bracket = u ** (params.q - 1) - u
-    r = (1 - x**2) * (grid.d2 @ phi) - params.n * x * dphi + mu * bracket
-    r[0] = -params.n * dphi[0] + mu * bracket[0]
-    r[-1] = params.n * dphi[-1] + mu * bracket[-1]
-    return r
+def assemble_residual(c, lam: float, sys: DiscreteSystem, parity: int = 0) -> np.ndarray:
+    """Galerkin residual -Lambda c + mu V^T W g(V c) in the sector's modes."""
+    V, w, eig, u = _sector_u(c, sys, parity)
+    mu = reduction_factor(lam, sys.params)
+    return mu * (V.T @ (w * (u ** (sys.params.q - 1) - u))) - eig * c
 
 
-def _plus_diagonal(L, phi, lam, sys):
-    # L plus the diagonal derivative of the nonlinearity on L's rows
-    phi, u = _check_phi(phi, sys.grid)
+def assemble_jacobian(c, lam: float, sys: DiscreteSystem, parity: int = 0) -> np.ndarray:
+    """Symmetric Jacobian -Lambda + mu V^T W diag(g'(V c)) V of the sector.
+
+    Parity -1 gives the block of the odd modes at the even profile whose
+    even-mode coefficients are c.
+    """
+    V, w, eig, u = _sector_u(c, sys, parity)
     q = sys.params.q
-    m = L.shape[0]
-    dz = reduction_factor(lam, sys.params) * ((q - 1) * u[:m] ** (q - 2) - 1.0)
-    J = L.copy()
-    J[np.arange(m), np.arange(m)] += dz
+    d = reduction_factor(lam, sys.params) * w * ((q - 1) * u ** (q - 2) - 1.0)
+    J = (V.T * d) @ V
+    J.ravel()[:: len(eig) + 1] -= eig
     return J
 
 
-def assemble_jacobian(phi, lam: float, sys: DiscreteSystem) -> np.ndarray:
-    """Analytic derivative of assemble_residual in phi."""
-    return _plus_diagonal(sys._linop, phi, lam, sys)
+def _jacobian_derivatives(c, lam: float, v, sys: DiscreteSystem, parity: int):
+    """Derivatives of J v in the coefficients c (a matrix) and in lambda (a
+    vector), at (c, lam), for a fixed v of the same sector."""
+    V, w, _, u = _sector_u(c, sys, parity)
+    q = sys.params.q
+    wv = w * (V @ v)
+    mu = reduction_factor(lam, sys.params)
+    dc = (V.T * (mu * (q - 1) * (q - 2) * u ** (q - 3) * wv)) @ V
+    dlam = V.T @ (((q - 1) * u ** (q - 2) - 1.0) * wv) / (1 + 1 / sys.params.delta)
+    return dc, dlam
 
 
-def _sector_jacobian(phi, lam: float, sys: DiscreteSystem, parity: int = 1) -> np.ndarray:
-    """Block of the Jacobian at an even profile on the even (parity 1) or
-    odd (parity -1) node vectors: the stored folded operator plus the
-    diagonal term at the nodes t >= 0."""
-    L = sys._linop_even if parity > 0 else sys._linop_odd
-    return _plus_diagonal(L, phi, lam, sys)
-
-
-def dresidual_dlambda(phi, lam: float, sys: DiscreteSystem) -> np.ndarray:
-    """Derivative of the residual in lambda (the bracket over 1 + 1/delta)."""
-    phi, u = _check_phi(phi, sys.grid)
-    return (u ** (sys.params.q - 1) - u) / (1 + 1 / sys.params.delta)
+def dresidual_dlambda(c, lam: float, sys: DiscreteSystem, parity: int = 0) -> np.ndarray:
+    """Derivative of the residual in lambda (the projected bracket over 1 + 1/delta)."""
+    V, w, _, u = _sector_u(c, sys, parity)
+    return V.T @ (w * (u ** (sys.params.q - 1) - u)) / (1 + 1 / sys.params.delta)
 
 
 def linear_operator(sys: DiscreteSystem) -> np.ndarray:
-    """Rows of (1-t^2) d^2 - n t d with regular-limit endpoint rows.
-
-    The matrix is built once with the system; this returns a writable copy.
-    """
-    return sys._linop.copy()
+    """The operator (1-t^2) d^2 - n t d on the N + 1 modes: diag(-j(j + n - 1))."""
+    return np.diag(-sys._eig)
 
 
 def linear_spectrum(sys: DiscreteSystem, count: int) -> np.ndarray:
     """Smallest ``count`` eigenvalues of -[(1-t^2) v'' - n t v'].
 
-    The exact values are j(j + n - 1); the discrete operator reproduces
-    them to rounding because the eigenfunctions are polynomials of degree
-    j <= N.
+    The exact values are j(j + n - 1); the Galerkin operator is diagonal
+    with exactly these entries, because the eigenfunctions are the basis.
     """
-    if count > sys.grid.N - 1:
-        raise ValueError(f"count must be <= N - 1 = {sys.grid.N - 1}")
-    ev = np.linalg.eigvals(-linear_operator(sys))
-    # the operator is similar to a self-adjoint one; discard rounding noise
-    ev = np.real(ev[np.abs(ev.imag) <= 1e-6 * (1 + np.abs(ev.real))])
-    ev.sort()
-    return ev[:count]
+    if count > sys.grid.N + 1:
+        raise ValueError(f"count must be <= N + 1 = {sys.grid.N + 1}")
+    return np.linalg.eigvalsh(-linear_operator(sys))[:count]
 
 
 def sigma_min(J: np.ndarray, odd_block: np.ndarray | None = None) -> float:
-    """Smallest-magnitude eigenvalue of J, with its sign.
-
-    J is similar to a self-adjoint operator in the weighted product, so
-    its spectrum is real up to rounding.  The eigenvalue is found by
-    shift-invert Arnoldi at shift zero: Arnoldi with full
-    re-orthogonalization on inv(J), started from a fixed pseudo-random
-    vector (an even vector would miss the odd modes of an even profile),
-    stops when the largest-modulus Ritz value theta has residual
-    |h_{j+1,j} y_j| <= 1e-13 |theta|; the result is 1/theta.  When the
-    Krylov dimension reaches the order of J the Ritz values are its
-    spectrum, so the loop always ends.  An exactly singular J gives 0.0.
+    """Eigenvalue nearest zero of the symmetric J, with its sign.
 
     On the even sector of an even-k branch, J is the even block and
-    ``odd_block`` the odd block of the Jacobian; the two blocks are
-    inverted separately and the same Arnoldi loop runs once on the
-    block-diagonal inverse in parity coordinates, whose start vector has
-    components in both sectors.
+    ``odd_block`` the odd block of the Jacobian, and the eigenvalue is the
+    one nearest zero among both blocks' eigenvalues.
     """
     blocks = [J] if odd_block is None else [J, odd_block]
-    blocks = [np.asarray(B, dtype=float) for B in blocks]
-    for B in blocks:
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ValueError("J must be a square matrix")
-    n = sum(B.shape[0] for B in blocks)
-    Jinv = np.zeros((n, n))
-    start = 0
-    for B in blocks:
-        stop = start + B.shape[0]
-        try:
-            Jinv[start:stop, start:stop] = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return 0.0
-        start = stop
-    return _arnoldi_sigma(Jinv)
+    ev = np.concatenate([np.linalg.eigvalsh(np.asarray(B, dtype=float)) for B in blocks])
+    return float(ev[np.argmin(np.abs(ev))])
 
 
-def _arnoldi_sigma(Jinv: np.ndarray) -> float:
-    # reciprocal of the largest-modulus eigenvalue of Jinv (see sigma_min)
-    n = Jinv.shape[0]
-    V = np.empty((n, n))
-    H = np.zeros((n + 1, n))
-    v = np.random.default_rng(0).standard_normal(n)
-    V[0] = v / np.linalg.norm(v)
-    for j in range(n):
-        w = Jinv @ V[j]
-        Q = V[: j + 1]
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            h = Q @ w
-            w -= h @ Q
-            H[: j + 1, j] += h
-        beta = np.linalg.norm(w)
-        H[j + 1, j] = beta
-        theta, Y = np.linalg.eig(H[: j + 1, : j + 1])
-        i = np.argmax(np.abs(theta))
-        if beta * abs(Y[j, i]) <= 1e-13 * abs(theta[i]) or j == n - 1:
-            return float((1.0 / theta[i]).real)
-        V[j + 1] = w / beta
+def nodal_count(sys: DiscreteSystem, c, parity: int = 0) -> int:
+    """Sign-change zeros of the expansion with coefficients c on (-1, 1).
 
-
-def nodal_count(grid: SpectralGrid, phi) -> int:
-    """Sign-change zeros of the interpolant of phi on (-1, 1).
-
-    Scans a refinement grid of 8N points and counts the sign changes
-    between consecutive samples outside the dead band
+    Scans a refinement grid of 8N - 1 interior points and counts the sign
+    changes between consecutive samples outside the dead band
     max(1e-9 * max|phi|, NEWTON_TOL) (tangential touches do not count).
     A profile with max|phi| <= NEWTON_TOL is the trivial solution u = 1 to
     the solver's tolerance and has no zeros, so a continuation step that
     falls onto it changes the nodal count.
     """
-    phi = np.asarray(phi, dtype=float)
-    scale = np.max(np.abs(phi))
+    vals = sys._fine[parity] @ np.asarray(c, dtype=float)
+    scale = np.max(np.abs(vals))
     if scale <= NEWTON_TOL:
         return 0
     tau = max(1e-9 * scale, NEWTON_TOL)
-    vals = _refinement_matrix(grid.N) @ phi
     signs = np.sign(vals[np.abs(vals) > tau])
-    changes = np.where(signs[1:] * signs[:-1] < 0)[0]
-    return int(changes.size)
+    return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
-@functools.lru_cache(maxsize=8)
-def _refinement_matrix(N: int) -> np.ndarray:
-    """Read-only interpolation from the degree-N grid onto nodal_count's
-    refinement grid of 8N - 1 equispaced interior points, built once per N."""
-    fine = np.linspace(-1.0, 1.0, 8 * N + 1)[1:-1]
-    M = interpolation_matrix(build_grid(N), fine)
-    M.setflags(write=False)
-    return M
-
-
-def solution_point(sys: DiscreteSystem, phi, lam, k=None, J=None) -> "SolutionPoint":
+def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None) -> "SolutionPoint":
     """Assemble the standard diagnostics for a converged profile.
 
-    J, when given, is the Jacobian at (phi, lam) or, on the even sector,
-    its even block.  Even k is traced in the even sector: without J the
-    even block is built, and ``sigma_min`` runs on the even and odd blocks.
+    c holds the coefficients of the sector mode k is traced in: the even
+    modes for even k, all N + 1 otherwise.  J, when given, is the Jacobian
+    of that sector at (c, lam); for even k the odd block is built as well
+    and ``sigma_min`` runs on both blocks.
     """
-    phi = np.asarray(phi, dtype=float)
-    # nodal_count's large temporaries go first, as they always have: the
-    # other order leaves the allocator holding about 0.5 MB more at N=192
-    nodes = nodal_count(sys.grid, phi)
+    parity = _parity(k)
+    c = np.asarray(c, dtype=float)
+    nodes = nodal_count(sys, c, parity)
     if J is None:
-        if _even_sector(k):
-            J = _sector_jacobian(phi, lam, sys)
-        else:
-            J = assemble_jacobian(phi, lam, sys)
-    odd = _sector_jacobian(phi, lam, sys, -1) if len(J) < phi.size else None
-    sigma = sigma_min(J, odd)
-    if k is None:
-        s = float("nan")
-    else:
-        p = sys.basis(k)
-        s = sys.inner(phi, p) / sys.inner(p, p)
+        J = assemble_jacobian(c, lam, sys, parity)
+    odd = assemble_jacobian(c, lam, sys, -1) if parity else None
+    coeffs = np.zeros(sys.grid.N + 1)
+    coeffs[_modes(parity)] = c
+    phi = sys.node_values(c, parity)
+    scale = np.max(np.abs(c))
     return SolutionPoint(
         phi=phi,
         lam=float(lam),
-        s_coord=s,
+        s_coord=float("nan") if k is None else float(coeffs[k] / sys._norms[k]),
         nodal_count=nodes,
-        sigma_min=sigma,
+        sigma_min=sigma_min(J, odd),
         u_min=float(1.0 + phi.min()),
+        coeffs=coeffs,
+        tail=float(np.max(np.abs(c[-4:])) / scale) if scale > 0 else 0.0,
     )
 
 
 @dataclass(frozen=True)
 class SolutionPoint:
-    """One discretized solution: profile, lambda, and diagnostics."""
+    """One discretized solution: profile, lambda, and diagnostics.
+
+    ``phi`` holds the profile on the Lobatto nodes and ``coeffs`` its N + 1
+    Galerkin coefficients.  ``tail`` estimates how well N resolves it: the
+    largest magnitude among the last four coefficients of its sector over
+    the largest coefficient.
+    """
 
     phi: np.ndarray
     lam: float
@@ -439,8 +371,13 @@ class SolutionPoint:
     nodal_count: int
     sigma_min: float
     u_min: float
+    coeffs: np.ndarray | None = None
+    tail: float = float("nan")
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
+        for name in ("phi", "coeffs"):
+            a = getattr(self, name)
+            if a is not None:
+                a = np.asarray(a, dtype=float)
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)

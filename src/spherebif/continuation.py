@@ -14,18 +14,19 @@ only wants the degenerate point passes trace_branch a ``stop`` predicate
 that locates each crossing as the trace records it, so the trace ends one
 point past the located crossing.
 
-Every point comes from one damped Newton corrector on F(phi, lambda) = 0
-plus one linear equation in (phi, lambda), solved as a bordered system
-and converged on the full residual to NEWTON_TOL, the tolerance that
-``collocation.nodal_count`` also takes as its trivial-profile floor.
-The linear equation holds lambda fixed (``newton_solve``), the
-projection onto P_{k,n} (``solve_at_s``) or the pseudo-arclength equation
-(``arclength_step``).  Even k is traced in the even sector: P_{k,n} is
-even in t, and so is every point of the branch, so the corrector, the
-tangent and the fold solve work on the even block of the Jacobian (about
-half the unknowns, see ``collocation``).  Every profile is mirrored from its values
-at t >= 0, so it is exactly even.  Odd k, and ``newton_solve`` without a
-mode index, solve the full system.
+Every point comes from one damped Newton corrector on the Galerkin
+residual F(c, lambda) = 0 of ``collocation`` plus one linear equation in
+(c, lambda), solved as a bordered system and converged to NEWTON_TOL, the
+tolerance that ``collocation.nodal_count`` also takes as its
+trivial-profile floor.  The linear equation holds lambda fixed
+(``newton_solve``), the projection onto P_{k,n} (``solve_at_s``) or the
+pseudo-arclength equation (``arclength_step``).  The coefficients are
+orthonormal coordinates, so inner products, norms and arclength are plain
+dot products.  Even k is traced in the even sector: P_{k,n} is even in t,
+and so is every point of the branch, so the corrector, the tangent and the
+fold solve work on the even modes and their block of the Jacobian (about
+half the unknowns), and every recorded profile is exactly even.  Odd k, and
+``newton_solve`` without a mode index, solve on all N + 1 modes.
 
 Branch traces are strictly sequential; distinct branches share only
 immutable grids and may run concurrently.
@@ -42,10 +43,9 @@ from .collocation import (
     NEWTON_TOL,
     DiscreteSystem,
     SolutionPoint,
-    _even_sector,
-    _fold,
-    _mirror,
-    _sector_jacobian,
+    _jacobian_derivatives,
+    _modes,
+    _parity,
     assemble_jacobian,
     assemble_residual,
     dresidual_dlambda,
@@ -118,7 +118,8 @@ class DegeneracyReport:
     past it), so the relation between the eigenvalue crossing and the
     minimal-lambda point stays observable.  ``endpoint_derivs`` reports
     phi'(+1), phi'(-1) of the profile; ``newton_iterations`` counts the
-    Newton steps on the extended system that located it.
+    Newton steps on the extended system that located it, and ``tail`` is
+    the located point's resolution estimate (see SolutionPoint).
     """
 
     lambda_star: float
@@ -132,65 +133,59 @@ class DegeneracyReport:
     crossing_index: int
     endpoint_derivs: tuple
     newton_iterations: int
+    tail: float
 
 
-def _jacobian(phi, lam, sys, k):
-    """The Jacobian, or its even block when mode k is traced in the even sector."""
-    if _even_sector(k):
-        return _sector_jacobian(phi, lam, sys)
-    return assemble_jacobian(phi, lam, sys)
-
-
-def _start(phi, sys, k):
-    """A writable copy of phi, mirrored from t >= 0 on the even sector."""
-    phi = np.asarray(phi, dtype=float)
-    return _mirror(phi, sys.grid.N) if _even_sector(k) else phi.copy()
-
-
-def _apply_update(phi, lam, dphi, dlam):
-    """Damped update: halve the step while positivity fails."""
+def _apply_update(sys, parity, c, lam, dc, dlam):
+    """Damped update: halve the step while u = phi + 1 is not positive at
+    the rule nodes."""
     step = 1.0
     for _ in range(MAX_BACKTRACK):
-        trial_phi = phi + step * dphi
-        if np.all(trial_phi > -1.0):
-            return trial_phi, lam + step * dlam
+        trial = c + step * dc
+        if sys.rule_values(trial, parity).min() > -1.0:
+            return trial, lam + step * dlam
         step *= 0.5
     raise ConvergenceError("iterate lost positivity and backtracking failed")
 
 
-def _correct(sys, k, phi, lam, wrow, wlam, constraint, max_iter):
-    """Newton on F = 0 and g = constraint(phi, lam) = 0, g having gradient
-    (wrow, wlam), until max(|F|_inf, |g|) < NEWTON_TOL.  Returns the
-    SolutionPoint and the Jacobian at it; raises ConvergenceError when it
-    stalls."""
+def _correct(sys, k, c, lam, wrow, wlam, constraint, max_iter):
+    """Newton on F = 0 and g = constraint(c, lam) = 0, g having gradient
+    (wrow, wlam), in the coefficients of the sector of mode k, until
+    max(|F|_inf, |g|) < NEWTON_TOL.  Returns the SolutionPoint and the
+    Jacobian at it; raises ConvergenceError when it stalls and
+    PositivityError when the converged u is not positive on the grid."""
+    parity = _parity(k)
     for _ in range(max_iter):
-        F = assemble_residual(phi, lam, sys)
-        g = constraint(phi, lam)
-        J = _jacobian(phi, lam, sys, k)
+        F = assemble_residual(c, lam, sys, parity)
+        g = constraint(c, lam)
+        J = assemble_jacobian(c, lam, sys, parity)
         if max(np.max(np.abs(F)), abs(g)) < NEWTON_TOL:
-            return solution_point(sys, phi, lam, k=k, J=J), J
-        flam = dresidual_dlambda(phi, lam, sys)
-        dphi, dlam = _bordered_solve(J, flam, wrow, wlam, -F, -g)
-        phi, lam = _apply_update(phi, lam, dphi, dlam)
+            pt = solution_point(sys, c, lam, k=k, J=J)
+            if pt.u_min <= 0:
+                raise PositivityError(f"u = phi + 1 reaches {pt.u_min} on the grid")
+            return pt, J
+        flam = dresidual_dlambda(c, lam, sys, parity)
+        dc, dlam = _bordered_solve(J, flam, wrow, wlam, -F, -g)
+        c, lam = _apply_update(sys, parity, c, lam, dc, dlam)
     raise ConvergenceError(f"no convergence after {max_iter} iterations")
 
 
 def newton_solve(
-    phi0,
+    c0,
     lam: float,
     sys: DiscreteSystem,
     max_iter: int = MAX_ITER,
     k: int | None = None,
 ) -> SolutionPoint:
-    """Newton iteration at fixed lambda from the initial profile phi0.
+    """Newton iteration at fixed lambda from the initial coefficients c0.
 
-    Returns a SolutionPoint with diagnostics populated; raises
-    ConvergenceError after max_iter iterations without bringing the
-    residual max-norm below NEWTON_TOL.  An even mode index k solves on the
-    even sector from the mirror of phi0's values at t >= 0.
+    c0 holds all N + 1 coefficients; an even mode index k solves on the even
+    sector from the even modes of c0.  Returns a SolutionPoint with
+    diagnostics populated; raises ConvergenceError after max_iter
+    iterations without bringing the residual max-norm below NEWTON_TOL.
     """
-    pt, _ = _correct(sys, k, _start(phi0, sys, k), lam, np.zeros(sys.grid.N + 1),
-                     1.0, lambda phi, lam: 0.0, max_iter)
+    c = np.asarray(c0, dtype=float)[_modes(_parity(k))]
+    pt, _ = _correct(sys, k, c, lam, np.zeros(c.size), 1.0, lambda c, lam: 0.0, max_iter)
     return pt
 
 
@@ -202,36 +197,24 @@ def branch_seed(k: int, s0: float, sys: DiscreteSystem) -> SolutionPoint:
     """
     if s0 == 0:
         raise ValueError("seed parameter s0 must be nonzero")
-    phi = s0 * sys.basis(k)
+    c = s0 * sys.basis(k)[_modes(_parity(k))]
     lam = lambda_k(k, sys.params) + s0 * dlambda_ds0(k, sys.params)
-    return solution_point(sys, phi, lam, k=k)
+    return solution_point(sys, c, lam, k=k)
 
 
 def _bordered_solve(J, flam, wrow, wlam, rtop, rbot):
-    """Solve [[J, flam], [wrow, wlam]] [x; xl] = [rtop; rbot] for (x, xl).
-
-    flam, wrow and rtop have one entry per node.  When J is the even block
-    (fewer rows than nodes), the system is folded onto the even sector: the
-    top entries of flam and rtop, wrow folded; x is mirrored back.
-    """
+    """Solve [[J, flam], [wrow, wlam]] [x; xl] = [rtop; rbot] for (x, xl)."""
     m = J.shape[0]
-    N = len(flam) - 1
-    if m <= N:
-        flam, wrow, rtop = flam[:m], _fold(wrow, 1), rtop[:m]
-    A = np.zeros((m + 1, m + 1))
+    A = np.empty((m + 1, m + 1))
     A[:m, :m] = J
     A[:m, -1] = flam
     A[-1, :m] = wrow
     A[-1, -1] = wlam
-    rhs = np.empty(m + 1)
-    rhs[:m] = rtop
-    rhs[-1] = rbot
     try:
-        z = np.linalg.solve(A, rhs)
+        z = np.linalg.solve(A, np.append(rtop, rbot))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular bordered system: {exc}") from exc
-    x = z[:m] if m > N else _mirror(z[:m], N)
-    return x, z[-1]
+    return z[:m], z[-1]
 
 
 def solve_at_s(
@@ -249,30 +232,29 @@ def solve_at_s(
     NEWTON_TOL within max_iter iterations; even k solves on the even sector
     (see the module docstring).
     """
-    p = sys.basis(k)
-    p2 = sys.inner(p, p)
-    phi = _start(s * p, sys, k)
+    p = sys.basis(k)[_modes(_parity(k))]
+    p2 = p @ p
     lam = lambda_k(k, sys.params) + s * dlambda_ds0(k, sys.params)
-    pt, _ = _correct(sys, k, phi, lam, sys.inner_gradient(p), 0.0,
-                     lambda phi, lam: sys.inner(phi, p) - s * p2, max_iter)
+    pt, _ = _correct(sys, k, s * p, lam, p, 0.0, lambda c, lam: c @ p - s * p2, max_iter)
     return pt
 
 
-def _tangent(sys, phi, lam, ref_phi, ref_lam, k=None, J=None):
-    """Unit tangent (in the weighted norm) oriented along the reference.
+def _tangent(sys, c, lam, ref, ref_lam, k=None, J=None):
+    """Unit tangent at (c, lam), in the sector's coefficients, oriented
+    along the reference (ref, ref_lam).
 
-    J, when given, is the Jacobian at (phi, lam) as ``_jacobian`` builds it.
+    J, when given, is the sector's Jacobian at (c, lam).
     """
+    parity = _parity(k)
     if J is None:
-        J = _jacobian(phi, lam, sys, k)
-    flam = dresidual_dlambda(phi, lam, sys)
-    wrow = sys.inner_gradient(ref_phi)
-    tphi, tlam = _bordered_solve(J, flam, wrow, ref_lam, np.zeros(len(phi)), 1.0)
-    nrm = np.sqrt(sys.inner(tphi, tphi) + tlam**2)
-    tphi, tlam = tphi / nrm, tlam / nrm
-    if sys.inner(tphi, ref_phi) + tlam * ref_lam < 0:
-        tphi, tlam = -tphi, -tlam
-    return tphi, tlam
+        J = assemble_jacobian(c, lam, sys, parity)
+    flam = dresidual_dlambda(c, lam, sys, parity)
+    tc, tlam = _bordered_solve(J, flam, ref, ref_lam, np.zeros(c.size), 1.0)
+    nrm = np.sqrt(tc @ tc + tlam**2)
+    tc, tlam = tc / nrm, tlam / nrm
+    if tc @ ref + tlam * ref_lam < 0:
+        tc, tlam = -tc, -tlam
+    return tc, tlam
 
 
 def arclength_step(
@@ -285,24 +267,22 @@ def arclength_step(
 ):
     """One pseudo-arclength step of length ds from a converged point.
 
-    The corrector solves F(phi, lambda) = 0 together with the affine
-    constraint <phi - phi_0, t_phi>_w + (lambda - lambda_0) t_lambda = ds
-    to NEWTON_TOL; even k solves on the even sector.  The new point is
-    accepted only if its nodal count matches the current one; otherwise
-    StepRejected carries the reason ``nodal-change``.  A corrector that
-    stalls or loses positivity (u <= 0) raises StepRejected with the reason
-    ``step-failure``, so every accepted point has u > 0.  Returns the pair
-    (point, Jacobian at the point), the Jacobian being the even block on the
-    even sector.
+    The tangent (t_c, t_lambda) holds the coefficients of the sector of mode
+    k (the even modes for even k).  The corrector solves F = 0 together with
+    the affine constraint <c - c_0, t_c> + (lambda - lambda_0) t_lambda = ds
+    to NEWTON_TOL.  The new point is accepted only if its nodal count
+    matches the current one; otherwise StepRejected carries the reason
+    ``nodal-change``.  A corrector that stalls or loses positivity (u <= 0)
+    raises StepRejected with the reason ``step-failure``, so every accepted
+    point has u > 0.  Returns the pair (point, Jacobian of the sector at the
+    point).
     """
-    tphi, tlam = tangent
-    phi0, lam0 = current.phi, current.lam
-    phi = _start(phi0 + ds * tphi, sys, k)
-    lam = lam0 + ds * tlam
+    tc, tlam = tangent
+    c0, lam0 = current.coeffs[_modes(_parity(k))], current.lam
     try:
         pt, J = _correct(
-            sys, k, phi, lam, sys.inner_gradient(tphi), tlam,
-            lambda phi, lam: sys.inner(phi - phi0, tphi) + (lam - lam0) * tlam - ds,
+            sys, k, c0 + ds * tc, lam0 + ds * tlam, tc, tlam,
+            lambda c, lam: (c - c0) @ tc + (lam - lam0) * tlam - ds,
             max_iter,
         )
     except (ConvergenceError, PositivityError) as exc:
@@ -346,14 +326,15 @@ def trace_branch(
     branch.points.append(first)
 
     # reference direction: the secant back to the bifurcation point
-    tphi, tlam = _tangent(sys, first.phi, first.lam, first.phi,
-                          first.lam - lam_k, k=k)
+    modes = _modes(_parity(k))
+    c = first.coeffs[modes]
+    tc, tlam = _tangent(sys, c, first.lam, c, first.lam - lam_k, k=k)
     ds = DS_INIT
     prev_dlam = first.lam - lam_k
     while len(branch.points) < max_points:
         current = branch.points[-1]
         try:
-            nxt, J = arclength_step(current, (tphi, tlam), ds, sys, k=k)
+            nxt, J = arclength_step(current, (tc, tlam), ds, sys, k=k)
         except StepRejected as exc:
             idx = len(branch.points) - 1
             if exc.reason == "nodal-change":
@@ -376,7 +357,7 @@ def trace_branch(
         if nxt.lam < lambda_floor:
             branch.events.append((idx, "lambda-floor"))
             break
-        tphi, tlam = _tangent(sys, nxt.phi, nxt.lam, tphi, tlam, J=J)
+        tc, tlam = _tangent(sys, nxt.coeffs[modes], nxt.lam, tc, tlam, k=k, J=J)
         ds = min(ds * 1.3, DS_MAX)
     return branch
 
@@ -417,92 +398,81 @@ def locate_degenerate(
     return None
 
 
-def _chord(sys, a, b):
-    """Unit chord from point a to point b and its length, or None if they coincide."""
-    dphi = b.phi - a.phi
+def _chord(a, b):
+    """Unit chord from point a to point b in (coefficients, lambda) and its
+    length, or None if they coincide."""
+    dc = b.coeffs - a.coeffs
     dlam = b.lam - a.lam
-    gap = np.sqrt(sys.inner(dphi, dphi) + dlam**2)
+    gap = np.sqrt(dc @ dc + dlam**2)
     if gap == 0:
         return None
-    return dphi / gap, dlam / gap, gap
+    return dc / gap, dlam / gap, gap
 
 
-def _fold_system(sys, k, phi, lam, v, ell):
-    """Residual and Newton matrix of the extended system F(phi, lambda) = 0,
-    J v = 0, <ell, v> = 1 in the unknowns (phi, lambda, v).
+def _fold_system(sys, k, c, lam, v, ell):
+    """Residual and Newton matrix of the extended system F(c, lambda) = 0,
+    J v = 0, <ell, v> = 1 in the unknowns (c, lambda, v).
 
-    phi is a node vector (exactly even on the even sector); v and ell have
-    one entry per sector unknown, m of them.  Returns (G, A, J, err): G has
-    the blocks (F, J v, <ell, v> - 1) on the sector, A is the (2m+1)-square
-    matrix [[J, F_lambda, 0], [F_phiphi v, J_lambda v, J], [0, 0, ell]] with
-    F_phiphi v = diag(mu (q-1)(q-2) u^(q-3) v), J the Jacobian (its even block
-    on the even sector) and err = max(|F|_inf, |J v|_inf, |<ell, v> - 1|)
-    over the full residual.
+    c, v and ell hold the m coefficients of the sector of mode k.  Returns
+    (G, A, J, err): G has the blocks (F, J v, <ell, v> - 1), A is the
+    (2m+1)-square matrix [[J, F_lambda, 0], [(J v)_c, (J v)_lambda, J],
+    [0, 0, ell]], J the sector's Jacobian and err = max|G|.
     """
-    F = assemble_residual(phi, lam, sys)
-    J = _jacobian(phi, lam, sys, k)
+    parity = _parity(k)
+    F = assemble_residual(c, lam, sys, parity)
+    J = assemble_jacobian(c, lam, sys, parity)
     m = len(J)
-    q = sys.params.q
-    u = 1.0 + phi[:m]
-    Jv = J @ v
-    G = np.empty(2 * m + 1)
-    G[:m] = F[:m]
-    G[m:-1] = Jv
-    G[-1] = ell @ v - 1.0
+    G = np.concatenate([F, J @ v, [ell @ v - 1.0]])
     A = np.zeros((2 * m + 1, 2 * m + 1))
     A[:m, :m] = J
-    A[:m, m] = dresidual_dlambda(phi, lam, sys)[:m]
-    rows = np.arange(m)
-    A[m + rows, rows] = reduction_factor(lam, sys.params) * (q - 1) * (q - 2) * u ** (q - 3) * v
-    A[m:-1, m] = ((q - 1) * u ** (q - 2) - 1.0) * v / (1 + 1 / sys.params.delta)
+    A[:m, m] = dresidual_dlambda(c, lam, sys, parity)
+    A[m:-1, :m], A[m:-1, m] = _jacobian_derivatives(c, lam, v, sys, parity)
     A[m:-1, m + 1:] = J
     A[-1, m + 1:] = ell
-    err = max(np.max(np.abs(F)), np.max(np.abs(Jv)), abs(G[-1]))
-    return G, A, J, err
+    return G, A, J, np.max(np.abs(G))
 
 
 def _solve_fold(branch, i, sigma_tol, sys, lam_min):
     """Newton on the extended system for the candidate pair (a, b) = points
     (i, i + 1), or None (see locate_degenerate for when).
 
-    It starts at a, with v the phi part of the unit tangent at a oriented
-    along the chord to b, and ell = v / (v . v).
+    It starts at a, with v the coefficient part of the unit tangent at a
+    oriented along the chord to b, and ell = v / (v . v).
     """
     k = branch.k
+    parity = _parity(k)
+    modes = _modes(parity)
     a, b = branch.points[i], branch.points[i + 1]
-    chord = _chord(sys, a, b)
+    chord = _chord(a, b)
     if chord is None:
         return None
-    ref_phi, ref_lam, gap = chord
-    N = sys.grid.N
-    J = _jacobian(a.phi, a.lam, sys, k)
-    m = len(J)
+    ref_c, ref_lam, gap = chord
+    c, lam = a.coeffs[modes], a.lam
+    m = c.size
     try:
-        tphi, _ = _tangent(sys, a.phi, a.lam, ref_phi, ref_lam, k=k, J=J)
-        phi, lam = a.phi, a.lam
-        v = tphi[:m]
+        v, _ = _tangent(sys, c, lam, ref_c[modes], ref_lam, k=k)
         ell = v / (v @ v)
         for iterations in range(MAX_ITER):
-            G, A, J, err = _fold_system(sys, k, phi, lam, v, ell)
+            G, A, J, err = _fold_system(sys, k, c, lam, v, ell)
             if err < NEWTON_TOL:
                 break
             z = np.linalg.solve(A, -G)
-            phi = phi + (z[:m] if m > N else _mirror(z[:m], N))
+            c = c + z[:m]
             lam += z[m]
             v = v + z[m + 1:]
         else:
             return None
+        star = solution_point(sys, c, lam, k=k, J=J)
     except (ConvergenceError, PositivityError, np.linalg.LinAlgError):
         return None
-    star = solution_point(sys, phi, lam, k=k, J=J)
     for end in (a, b):
-        dist = _chord(sys, end, star)
+        dist = _chord(end, star)
         if dist is not None and dist[2] > gap:
             return None
-    if abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count:
+    if (abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count
+            or star.u_min <= 0):
         return None
-    F = assemble_residual(star.phi, star.lam, sys)
-    dphi_star = sys.grid.d1 @ star.phi
+    F = assemble_residual(c, star.lam, sys, parity)
     return DegeneracyReport(
         lambda_star=star.lam,
         phi_star=star.phi,
@@ -513,8 +483,9 @@ def _solve_fold(branch, i, sigma_tol, sys, lam_min):
         residual_norm=float(np.max(np.abs(F))),
         branch_lambda_min=min(lam_min, star.lam),
         crossing_index=i,
-        endpoint_derivs=(float(dphi_star[0]), float(dphi_star[-1])),
+        endpoint_derivs=sys.endpoint_derivatives(star.coeffs),
         newton_iterations=iterations,
+        tail=star.tail,
     )
 
 
@@ -528,5 +499,5 @@ def psi_smallness_check(k: int, s_list, sys: DiscreteSystem) -> list:
     out = []
     for s in s_list:
         pt = solve_at_s(k, s, sys)
-        out.append(sys.norm(pt.phi - s * p) / abs(s))
+        out.append(np.linalg.norm(pt.coeffs - s * p) / abs(s))
     return out

@@ -111,13 +111,23 @@ def _check_mode(k: int, n: int):
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
 
 
-def gegenbauer_eval(k: int, n: int, t):
+def gegenbauer_eval(k: int, n: int, t, table: bool = False):
     """Evaluate P_{k,n}(t), normalized so P_{k,n}(1) = 1.
 
-    Accepts scalar or array t with |t| <= 1.
+    Accepts scalar or array t with |t| <= 1.  With ``table=True`` it returns
+    every degree 0..k from one run of the recurrence, as the last axis of an
+    array of shape t.shape + (k + 1,).
     """
     _check_mode(k, n)
     t = _check_t(t)
+    if table:
+        rows = np.empty((k + 1,) + t.shape)
+        rows[0] = 1.0
+        if k:
+            rows[1] = t
+        for j in range(1, k):
+            rows[j + 1] = ((2 * j + n - 1) * t * rows[j] - j * rows[j - 1]) / (j + n - 1)
+        return np.moveaxis(rows, 0, -1)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     p = np.ones_like(t) if k == 0 else _eval_and_deriv(k, n, t)[0]

@@ -15,6 +15,7 @@ from spherebif.collocation import (
     DiscreteSystem,
     assemble_jacobian,
     build_grid,
+    interpolate,
     linear_operator,
     linear_spectrum,
     sigma_min,
@@ -130,15 +131,29 @@ def test_criterion_3_discrete_spectrum():
     )
 
 
-def test_criterion_4_self_adjointness(system48):
+def test_criterion_4_self_adjointness(system48, params):
+    # <Lu, v>_w by exact quadrature of the pointwise operator, against
+    # <u, Lv>_w and against the Galerkin form v^T L u of the coefficients
     rng = np.random.default_rng(101)
     L = linear_operator(system48)
-    x = system48.grid.nodes
+    rule = gauss_jacobi_rule(20, params.n)
+    t = rule.nodes
+
+    def weighted(a, b, apply_a):
+        fa = npoly.polyval(t, a)
+        if apply_a:
+            fa = ((1 - t**2) * npoly.polyval(t, npoly.polyder(a, 2))
+                  - params.n * t * npoly.polyval(t, npoly.polyder(a)))
+        return np.dot(rule.weights, fa * npoly.polyval(t, b))
+
     worst = 0.0
     for _ in range(50):
-        u = npoly.polyval(x, rng.uniform(-1, 1, 13))
-        v = npoly.polyval(x, rng.uniform(-1, 1, 13))
-        gap = abs(system48.inner(L @ u, v) - system48.inner(u, L @ v))
+        a, b = rng.uniform(-1, 1, 13), rng.uniform(-1, 1, 13)
+        ca = system48.coefficients(lambda x: npoly.polyval(x, a))
+        cb = system48.coefficients(lambda x: npoly.polyval(x, b))
+        lu_v = weighted(a, b, True)
+        gap = max(abs(lu_v - weighted(b, a, True)), abs(lu_v - cb @ L @ ca),
+                  abs(ca @ L @ cb - cb @ L @ ca))
         worst = max(worst, gap)
         assert gap < 1e-10
     _report(
@@ -200,8 +215,10 @@ def test_criterion_7_degenerate_construction(degenerate_runs, params, system96):
         assert report.residual_norm < 1e-10
         assert report.newton_iterations <= 10
         assert all(pt.nodal_count == k for pt in run["branch"].points)
-        # independent dense eigendecomposition at the reported point
-        J = assemble_jacobian(report.phi_star, report.lambda_star, system96)
+        # independent dense eigendecomposition at the reported point, from
+        # the coefficients of the interpolant of its node values
+        c = system96.coefficients(lambda t: interpolate(system96.grid, report.phi_star, t))
+        J = assemble_jacobian(c, report.lambda_star, system96)
         assert np.min(np.abs(np.linalg.eigvals(J))) < 1e-6
         # the CLI report agrees
         payload = run["payload"]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
-from scipy.linalg import eig
 
-from spherebif.gegenbauer import gegenbauer_eval, weighted_inner
+from spherebif.gegenbauer import gauss_jacobi_rule, gegenbauer_eval, weighted_inner
 from spherebif.collocation import (
     NEWTON_TOL,
     DiscreteSystem,
@@ -21,7 +20,6 @@ from spherebif.collocation import (
     sigma_min,
     solution_point,
 )
-from spherebif.collocation import _fold, _mirror, _sector_jacobian
 from spherebif.continuation import trace_branch
 from spherebif.model import (
     ModelParams,
@@ -33,6 +31,11 @@ from spherebif.model import (
 )
 
 
+def _poly_coeffs(system, coeffs):
+    """Galerkin coefficients of the polynomial with monomial coefficients coeffs."""
+    return system.coefficients(lambda t: npoly.polyval(t, coeffs))
+
+
 class TestGrid:
     def test_small_grid_nodes(self):
         grid = build_grid(2)
@@ -42,24 +45,28 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(1)
 
-    def test_constants_annihilated(self):
-        grid = build_grid(30)
-        ones = np.ones(31)
-        assert np.max(np.abs(grid.d1 @ ones)) < 1e-12
-        # second-derivative entries grow like N^4; zero here means zero
-        # relative to that scale
-        assert np.max(np.abs(grid.d2 @ ones)) < 1e-12 * np.max(np.abs(grid.d2))
+    def test_constants_annihilated(self, params):
+        # the operator maps the constant mode to zero exactly, so a constant
+        # profile's residual is its nonlinearity, projected onto mode 0 alone
+        system = DiscreteSystem(build_grid(30), params)
+        assert not np.any(linear_operator(system) @ system.basis(0))
+        c = 0.4 * system.basis(0)
+        res = assemble_residual(c, 5.0, system)
+        mu = 5.0 / 2
+        assert res[0] == pytest.approx(mu * (1.4**2 - 1.4) * system.basis(0)[0], rel=1e-13)
+        assert np.max(np.abs(res[1:])) < 1e-13 * abs(res[0])
 
-    def test_polynomial_exactness(self):
-        grid = build_grid(24)
-        x = grid.nodes
-        assert np.max(np.abs(grid.d1 @ x**2 - 2 * x)) < 1e-13
+    def test_polynomial_exactness(self, params):
+        # the projection of a degree-4 polynomial is exact: its values on
+        # the grid and its endpoint derivatives come back to rounding
+        system = DiscreteSystem(build_grid(24), params)
+        x = system.grid.nodes
         coeffs = np.array([0.3, -1.2, 0.5, 2.0, -0.7])
-        vals = npoly.polyval(x, coeffs)
-        assert_allclose(grid.d1 @ vals, npoly.polyval(x, npoly.polyder(coeffs)), atol=1e-11)
-        assert_allclose(
-            grid.d2 @ vals, npoly.polyval(x, npoly.polyder(coeffs, 2)), atol=1e-10
-        )
+        c = _poly_coeffs(system, coeffs)
+        assert np.max(np.abs(c[5:])) < 1e-14
+        assert_allclose(system.node_values(c), npoly.polyval(x, coeffs), atol=1e-13)
+        slope = npoly.polyval(np.array([1.0, -1.0]), npoly.polyder(coeffs))
+        assert_allclose(system.endpoint_derivatives(c), slope, atol=1e-12)
 
     def test_immutable(self):
         grid = build_grid(8)
@@ -99,35 +106,36 @@ class TestResidual:
             assert np.max(np.abs(assemble_residual(np.zeros(49), lam, system48))) == 0.0
 
     def test_eigenfunction_of_linearization(self, params):
-        # Linear rows applied to P_{k,n} at lambda_k vanish: the discrete
-        # operator reproduces the zonal eigenfunctions exactly.
+        # the Jacobian at the trivial profile annihilates P_{k,n} at lambda_k:
+        # the discrete operator reproduces the zonal eigenfunctions exactly
         system = DiscreteSystem(build_grid(64), params)
-        c = derived_constants(params).c_factor
         for k in (1, 2, 3, 5):
-            p = system.basis(k)
-            lam = lambda_k(k, params)
-            lin = linear_operator(system) @ p + c * lam * p
-            assert np.max(np.abs(lin)) < 1e-9
+            J = assemble_jacobian(np.zeros(65), lambda_k(k, params), system)
+            assert np.max(np.abs(J @ system.basis(k))) < 1e-9
 
     def test_matches_pointwise_model(self, system48, params):
-        grid = system48.grid
+        # the Galerkin residual is the weighted projection of the pointwise
+        # residual of the model onto each mode, here by an independent rule
         rng = np.random.default_rng(3)
         coeffs = 0.1 * rng.standard_normal(7)
-        phi = npoly.polyval(grid.nodes, coeffs)
-        res = assemble_residual(phi, 5.0, system48)
-        dphi = grid.d1 @ phi
-        d2phi = grid.d2 @ phi
-        for i in range(1, grid.N):
-            pt = ProfilePoint(
-                t=grid.nodes[i], phi=phi[i], dphi=dphi[i], d2phi=d2phi[i]
-            )
-            assert res[i] == pytest.approx(ode_residual(pt, 5.0, params), abs=1e-12)
+        res = assemble_residual(_poly_coeffs(system48, coeffs), 5.0, system48)
+        rule = gauss_jacobi_rule(40, params.n)
+        pointwise = np.array([
+            ode_residual(ProfilePoint(t=t, phi=npoly.polyval(t, coeffs),
+                                      dphi=npoly.polyval(t, npoly.polyder(coeffs)),
+                                      d2phi=npoly.polyval(t, npoly.polyder(coeffs, 2))),
+                         5.0, params)
+            for t in rule.nodes
+        ])
+        for j in (0, 1, 2, 5, 12, 30):
+            p = gegenbauer_eval(j, params.n, rule.nodes)
+            proj = np.dot(rule.weights, pointwise * p) / np.sqrt(np.dot(rule.weights, p * p))
+            assert res[j] == pytest.approx(proj, abs=1e-12)
 
     def test_positivity_error_names_node(self, system48):
-        phi = np.zeros(49)
-        phi[20] = -1.5
-        with pytest.raises(PositivityError, match="node 20"):
-            assemble_residual(phi, 1.0, system48)
+        # u = 1 - 1.2 P_2 is negative near t = +/-1 only
+        with pytest.raises(PositivityError, match="rule node"):
+            assemble_residual(-1.2 * system48.basis(2), 1.0, system48)
 
     def test_shape_validation(self, system48):
         with pytest.raises(ValueError):
@@ -155,10 +163,8 @@ class TestJacobian:
         rng = np.random.default_rng(11)
         for n, delta, q in [(2, 1.0, 3.0), (3, 0.5, 4.0), (4, 2.0, 2.5)]:
             system = DiscreteSystem(build_grid(32), ModelParams(n, delta, q))
-            x = system.grid.nodes
             for _ in range(3):
-                coeffs = 0.05 * rng.standard_normal(6)
-                phi = npoly.polyval(x, coeffs)
+                phi = _poly_coeffs(system, 0.05 * rng.standard_normal(6))
                 lam = 2.0 + 3 * rng.random()
                 J = assemble_jacobian(phi, lam, system)
                 eps = 1e-6
@@ -174,7 +180,7 @@ class TestJacobian:
 
     def test_lambda_derivative(self, system48):
         rng = np.random.default_rng(5)
-        phi = 0.1 * np.cos(2 * system48.grid.nodes) * rng.random()
+        phi = system48.coefficients(lambda t: 0.1 * np.cos(2 * t) * rng.random())
         lam, eps = 6.0, 1e-6
         fd = (
             assemble_residual(phi, lam + eps, system48)
@@ -193,17 +199,17 @@ class TestSpectrum:
 
     def test_count_validation(self, system48):
         with pytest.raises(ValueError):
-            linear_spectrum(system48, 48)
+            linear_spectrum(system48, 50)
 
     def test_eigenvector_matches_zonal_polynomial(self, system96, params):
+        # the kernel of the trivial-profile Jacobian at lambda_3, on the grid
         k = 3
-        target = k * (k + params.n - 1)
-        vals, vecs = eig(-linear_operator(system96))
-        idx = np.argmin(np.abs(vals - target))
-        v = np.real(vecs[:, idx])
+        J = assemble_jacobian(np.zeros(97), lambda_k(k, params), system96)
+        vals, vecs = np.linalg.eigh(J)
+        v = system96.node_values(vecs[:, np.argmin(np.abs(vals))])
         v = v / v[0]  # normalize at t = 1 where P_{k,n} = 1
-        p = system96.basis(k)
-        assert system96.norm(v - p) / system96.norm(p) < 1e-8
+        p = gegenbauer_eval(k, params.n, system96.grid.nodes)
+        assert np.max(np.abs(v - p)) < 1e-8
 
 
 class TestSigmaMin:
@@ -247,7 +253,7 @@ class TestSigmaMin:
         system = DiscreteSystem(build_grid(48), ModelParams(2, 1.0, q))
         branch = trace_branch(k, direction, system)
         for pt in branch.points:
-            J = assemble_jacobian(pt.phi, pt.lam, system)
+            J = assemble_jacobian(pt.coeffs, pt.lam, system)
             ev = np.linalg.eigvals(J)
             ref = ev[np.argmin(np.abs(ev))].real
             for got in (sigma_min(J), pt.sigma_min):
@@ -255,12 +261,11 @@ class TestSigmaMin:
                 assert got == pytest.approx(ref, rel=1e-8)
 
     def test_odd_mode_of_an_even_operator(self, system96, params):
-        # the trivial-branch Jacobian commutes with the node flip t -> -t
-        # (to rounding), and its mode nearest zero just above lambda_1 is
-        # the odd P_1, not the even constant mode
+        # the trivial-branch Jacobian is symmetric, and its mode nearest
+        # zero just above lambda_1 is the odd P_1, not the even constant mode
         lam = 1.001 * lambda_k(1, params)
         J = assemble_jacobian(np.zeros(97), lam, system96)
-        assert_allclose(J[::-1, ::-1], J, atol=1e-9 * np.abs(J).max())
+        assert_allclose(J, J.T, atol=1e-13 * np.abs(J).max())
         expected = derived_constants(params).c_factor * lam - params.n
         assert sigma_min(J) == pytest.approx(expected, rel=1e-8)
 
@@ -292,57 +297,62 @@ class TestSigmaMin:
 
 class TestParitySectors:
     @pytest.mark.parametrize("N", [48, 33])
-    def test_fold_and_mirror(self, N):
+    def test_fold_and_mirror(self, N, params):
+        # the even sector integrates on the rule folded onto t >= 0 and
+        # mirrors its profile on the grid; both agree with all N + 1 modes
+        system = DiscreteSystem(build_grid(N), params)
         rng = np.random.default_rng(5)
-        M = rng.standard_normal((7, N + 1))
-        a = rng.standard_normal(N // 2 + 1)
-        v = _mirror(a, N)
-        assert np.array_equal(v, v[::-1])
-        assert np.array_equal(v[: a.size], a)
-        assert_allclose(M @ v, _fold(M, 1) @ a, atol=1e-12)
-        b = rng.standard_normal((N + 1) // 2)
-        w = np.zeros(N + 1)
-        w[: b.size] = b
-        w[N + 1 - b.size :] = -b[::-1]
-        assert_allclose(M @ w, _fold(M, -1) @ b, atol=1e-12)
-        # a single row folds like a matrix
-        assert_allclose(_fold(M[0], 1), _fold(M, 1)[0], atol=0)
+        full = np.zeros(N + 1)
+        full[::2] = 0.1 * rng.standard_normal(N // 2 + 1) / (1 + np.arange(N // 2 + 1)) ** 2
+        even = full[::2]
+        phi = system.node_values(even, 1)
+        assert np.array_equal(phi, phi[::-1])
+        assert_allclose(phi, system.node_values(full), atol=1e-14)
+        res = assemble_residual(full, 9.0, system)
+        assert_allclose(assemble_residual(even, 9.0, system, 1), res[::2], atol=1e-12)
+        assert np.max(np.abs(res[1::2])) < 1e-12
+        assert_allclose(dresidual_dlambda(even, 9.0, system, 1),
+                        dresidual_dlambda(full, 9.0, system)[::2], atol=1e-13)
+        assert nodal_count(system, even, 1) == nodal_count(system, full)
 
     @pytest.mark.parametrize("N", [48, 33])
     def test_blocks_split_the_spectrum(self, N, params):
         system = DiscreteSystem(build_grid(N), params)
-        phi = _mirror(0.3 * system.basis(2), N)
-        even = _sector_jacobian(phi, 9.0, system, 1)
-        odd = _sector_jacobian(phi, 9.0, system, -1)
+        full = 0.3 * system.basis(2)
+        even = assemble_jacobian(full[::2], 9.0, system, 1)
+        odd = assemble_jacobian(full[::2], 9.0, system, -1)
         assert even.shape == (N // 2 + 1,) * 2
         assert odd.shape == ((N + 1) // 2,) * 2
+        J = assemble_jacobian(full, 9.0, system)
+        assert_allclose(even, J[::2, ::2], atol=1e-12)
+        assert_allclose(odd, J[1::2, 1::2], atol=1e-12)
+        assert np.max(np.abs(J[::2, 1::2])) < 1e-12
 
         def nearest_zero(*blocks):
-            ev = np.concatenate([np.linalg.eigvals(B).real for B in blocks])
+            ev = np.concatenate([np.linalg.eigvalsh(B) for B in blocks])
             return np.sort(ev[np.argsort(np.abs(ev))[:8]])
 
-        full = assemble_jacobian(phi, 9.0, system)
-        assert_allclose(nearest_zero(even, odd), nearest_zero(full), rtol=1e-8)
+        assert_allclose(nearest_zero(even, odd), nearest_zero(J), rtol=1e-8)
 
     def test_stored_blocks_are_read_only(self, system48):
-        for L in (system48._linop_even, system48._linop_odd):
-            with pytest.raises(ValueError):
-                L[0, 0] = 1.0
-        J = _sector_jacobian(np.zeros(49), 5.0, system48)
+        for parity in (0, 1, -1):
+            for table in system48._sectors[parity]:
+                with pytest.raises(ValueError):
+                    table[0] = 1.0
+        J = assemble_jacobian(np.zeros(25), 5.0, system48, 1)
         J[0, 0] = 1.0  # a fresh copy
-        assert system48._linop_even[0, 0] != 1.0
+        assert assemble_jacobian(np.zeros(25), 5.0, system48, 1)[0, 0] != 1.0
 
     def test_block_sigma_finds_the_odd_mode(self, system96, params):
         # just above lambda_1 the mode nearest zero is the odd P_1, which
         # lives in the odd block only
         lam = 1.001 * lambda_k(1, params)
-        phi = np.zeros(97)
-        even = _sector_jacobian(phi, lam, system96, 1)
-        odd = _sector_jacobian(phi, lam, system96, -1)
+        even = assemble_jacobian(np.zeros(49), lam, system96, 1)
+        odd = assemble_jacobian(np.zeros(49), lam, system96, -1)
         expected = derived_constants(params).c_factor * lam - params.n
         assert sigma_min(even, odd) == pytest.approx(expected, rel=1e-8)
         assert sigma_min(even, odd) == pytest.approx(
-            sigma_min(assemble_jacobian(phi, lam, system96)), rel=1e-10
+            sigma_min(assemble_jacobian(np.zeros(97), lam, system96)), rel=1e-10
         )
 
     def test_block_sigma_validation(self):
@@ -352,45 +362,40 @@ class TestParitySectors:
             sigma_min(np.eye(3), np.zeros((2, 3)))
 
     def test_solution_point_uses_the_blocks_for_even_k(self, system48):
-        phi = _mirror(0.2 * system48.basis(2), 48)
-        J = assemble_jacobian(phi, 10.0, system48)
+        c = 0.2 * system48.basis(2)
+        J = assemble_jacobian(c, 10.0, system48)
         ev = np.linalg.eigvals(J)
         ref = ev[np.argmin(np.abs(ev))].real
-        pt = solution_point(system48, phi, 10.0, k=2)
+        pt = solution_point(system48, c[::2], 10.0, k=2)
         assert pt.sigma_min == pytest.approx(ref, rel=1e-9)
-        assert solution_point(system48, phi, 10.0).sigma_min == sigma_min(J)
-        # a full Jacobian handed in for even k is used as it is
-        assert solution_point(system48, phi, 10.0, k=2, J=J).sigma_min == sigma_min(J)
+        assert solution_point(system48, c, 10.0).sigma_min == sigma_min(J)
+        assert np.array_equal(pt.coeffs, solution_point(system48, c, 10.0).coeffs)
 
 
 class TestNodalCount:
     def test_zonal_profiles(self, system96):
-        grid = system96.grid
-        assert nodal_count(grid, system96.basis(2)) == 2
-        assert nodal_count(grid, gegenbauer_eval(7, 2, grid.nodes)) == 7
+        assert nodal_count(system96, system96.basis(2)) == 2
+        assert nodal_count(system96, system96.basis(7)) == 7
+        assert nodal_count(system96, system96.basis(2)[::2], 1) == 2
 
     def test_constants(self, system48):
-        grid = system48.grid
-        assert nodal_count(grid, np.full(49, 0.4)) == 0
-        assert nodal_count(grid, np.zeros(49)) == 0
+        assert nodal_count(system48, 0.4 * system48.basis(0)) == 0
+        assert nodal_count(system48, np.zeros(49)) == 0
 
     def test_rounding_level_profile_has_no_zeros(self, system48):
-        grid = system48.grid
-        p6 = gegenbauer_eval(6, 2, grid.nodes)
-        assert nodal_count(grid, 6e-16 * p6) == 0
-        assert nodal_count(grid, 0.5 * NEWTON_TOL * p6) == 0
+        p6 = system48.basis(6)
+        assert nodal_count(system48, 6e-16 * p6) == 0
+        assert nodal_count(system48, 0.5 * NEWTON_TOL * p6) == 0
         # small but above the tolerance, the zeros are counted
-        assert nodal_count(grid, 1e-6 * p6) == 6
+        assert nodal_count(system48, 1e-6 * p6) == 6
 
     def test_tangency_not_counted(self, system48):
         # (t^2 - 1/4)^2 touches zero twice without changing sign
-        grid = system48.grid
-        phi = (grid.nodes**2 - 0.25) ** 2
-        assert nodal_count(grid, phi) == 0
+        c = system48.coefficients(lambda t: (t**2 - 0.25) ** 2)
+        assert nodal_count(system48, c) == 0
 
     def test_robust_under_perturbation(self, system96):
-        grid = system96.grid
-        base = gegenbauer_eval(5, 2, grid.nodes)
+        base = system96.basis(5)
         # smallest lobe magnitude of P_{5,2} between consecutive zeros
         fine = np.linspace(-1, 1, 2001)
         vals = gegenbauer_eval(5, 2, fine)
@@ -403,15 +408,15 @@ class TestNodalCount:
         rng = np.random.default_rng(17)
         for _ in range(20):
             coeffs = rng.standard_normal(13)
-            pert = sum(
-                c * gegenbauer_eval(j, 2, grid.nodes) for j, c in enumerate(coeffs)
-            )
-            pert *= bound / system96.norm(pert)
-            assert nodal_count(grid, base + pert) == 5
+            pert = sum(c * system96.basis(j) for j, c in enumerate(coeffs))
+            pert *= bound / np.linalg.norm(pert)
+            assert nodal_count(system96, base + pert) == 5
 
 
 class TestWeightedStructure:
     def test_inner_matches_quadrature(self, system48, params):
+        # coefficients are orthonormal coordinates: their dot product is the
+        # weighted inner product
         n = params.n
         u = system48.basis(2)
         v = system48.basis(4)
@@ -421,40 +426,58 @@ class TestWeightedStructure:
             n,
             10,
         )
-        assert system48.inner(u, v) == pytest.approx(direct, abs=1e-13)
+        assert u @ v == pytest.approx(direct, abs=1e-13)
         norm = weighted_inner(
             lambda t: gegenbauer_eval(2, n, t),
             lambda t: gegenbauer_eval(2, n, t),
             n,
             10,
         )
-        assert system48.inner(u, u) == pytest.approx(norm, rel=1e-13)
+        assert u @ u == pytest.approx(norm, rel=1e-13)
+        rng = np.random.default_rng(8)
+        a, b = rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9)
+        ca, cb = _poly_coeffs(system48, a), _poly_coeffs(system48, b)
+        direct = weighted_inner(lambda t: npoly.polyval(t, a), lambda t: npoly.polyval(t, b), n, 12)
+        assert ca @ cb == pytest.approx(direct, rel=1e-12)
 
-    def test_discrete_self_adjointness(self, system48):
-        # <Lu, v>_w = <u, Lv>_w for polynomial samples and exact quadrature
+    def test_discrete_self_adjointness(self, system48, params):
+        # <Lu, v>_w = <u, Lv>_w, with L u evaluated pointwise on degree-12
+        # polynomials, equals the Galerkin form v^T L u of their coefficients
         rng = np.random.default_rng(23)
         L = linear_operator(system48)
-        x = system48.grid.nodes
-        for _ in range(10):
-            u = npoly.polyval(x, rng.uniform(-1, 1, 13))
-            v = npoly.polyval(x, rng.uniform(-1, 1, 13))
-            lhs = system48.inner(L @ u, v)
-            rhs = system48.inner(u, L @ v)
-            assert abs(lhs - rhs) < 1e-10
+        rule = gauss_jacobi_rule(20, params.n)
+        t = rule.nodes
 
-    def test_inner_gradient(self, system48):
-        rng = np.random.default_rng(2)
-        u = rng.standard_normal(49)
-        v = rng.standard_normal(49)
-        assert np.dot(system48.inner_gradient(v), u) == pytest.approx(
-            system48.inner(u, v), rel=1e-12
-        )
+        def apply_L(a):
+            return ((1 - t**2) * npoly.polyval(t, npoly.polyder(a, 2))
+                    - params.n * t * npoly.polyval(t, npoly.polyder(a)))
+
+        for _ in range(10):
+            a, b = rng.uniform(-1, 1, 13), rng.uniform(-1, 1, 13)
+            lhs = np.dot(rule.weights, apply_L(a) * npoly.polyval(t, b))
+            rhs = np.dot(rule.weights, npoly.polyval(t, a) * apply_L(b))
+            assert abs(lhs - rhs) < 1e-10
+            ca, cb = _poly_coeffs(system48, a), _poly_coeffs(system48, b)
+            assert cb @ L @ ca == pytest.approx(lhs, abs=1e-10)
 
 
 def test_solution_point_diagnostics(system48, params):
-    phi = 0.01 * system48.basis(2)
-    pt = solution_point(system48, phi, 5.0, k=2)
+    c = 0.01 * system48.basis(2)
+    pt = solution_point(system48, c[::2], 5.0, k=2)
     assert pt.nodal_count == 2
-    assert pt.u_min == pytest.approx(1 + phi.min())
+    assert pt.u_min == pytest.approx(1 + pt.phi.min())
+    assert pt.u_min == pytest.approx(1 - 0.01 * 0.5, rel=1e-12)
     assert pt.s_coord == pytest.approx(0.01, rel=1e-10)
     assert np.isfinite(pt.sigma_min)
+    assert pt.tail == 0.0  # one mode, far from the last four
+    with pytest.raises(ValueError):
+        pt.coeffs[0] = 1.0
+
+
+def test_tail_is_the_relative_size_of_the_last_modes(system48):
+    c = system48.basis(0) + 1e-3 * system48.basis(44) - 1e-2 * system48.basis(47)
+    pt = solution_point(system48, c, 5.0)
+    assert pt.tail == pytest.approx(1e-2 * system48.basis(47)[47] / system48.basis(0)[0])
+    # on the even sector the last four modes are the last four even ones
+    even = solution_point(system48, c[::2], 5.0, k=2)
+    assert even.tail == pytest.approx(1e-3 * system48.basis(44)[44] / system48.basis(0)[0])

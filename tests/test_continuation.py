@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import spherebif.collocation as collocation
 import spherebif.continuation as continuation
 from spherebif import DiscreteSystem, ModelParams, build_grid
-from spherebif.collocation import assemble_jacobian, assemble_residual, sigma_min
+from spherebif.collocation import assemble_jacobian, assemble_residual, interpolate, sigma_min
 from spherebif.continuation import (
     ConvergenceError,
     StepRejected,
@@ -19,7 +19,8 @@ from spherebif.continuation import (
     solve_at_s,
     trace_branch,
 )
-from spherebif.model import PositivityError, dlambda_ds0, lambda_k
+from spherebif.gegenbauer import gegenbauer_eval
+from spherebif.model import PositivityError, dlambda_ds0, endpoint_residual, lambda_k
 
 
 class TestNewton:
@@ -57,13 +58,14 @@ class TestNewton:
         lam = lambda_k(2, params) - 0.1
         pt = newton_solve(0.05 * system48.basis(2), lam, system48, k=k)
         assert pt.lam == lam
-        assert np.max(np.abs(assemble_residual(pt.phi, pt.lam, system48))) < 1e-10
+        assert np.max(np.abs(assemble_residual(pt.coeffs, pt.lam, system48))) < 1e-10
 
 
 class TestSeeding:
     def test_predictor_values(self, system48, params):
         seed = branch_seed(2, 0.01, system48)
-        assert_allclose(seed.phi, 0.01 * system48.basis(2), atol=1e-15)
+        assert_allclose(seed.coeffs, 0.01 * system48.basis(2), atol=1e-15)
+        assert_allclose(seed.phi, 0.01 * gegenbauer_eval(2, 2, system48.grid.nodes), atol=1e-15)
         assert seed.lam == pytest.approx(12 - 0.01 * 24 / 7, rel=1e-12)
 
     def test_odd_mode_flat_predictor(self, system48, params):
@@ -85,7 +87,7 @@ class TestSolveAtS:
         pt = solve_at_s(2, 0.05, system48)
         assert pt.s_coord == pytest.approx(0.05, abs=1e-10)
         assert pt.nodal_count == 2
-        assert np.max(np.abs(assemble_residual(pt.phi, pt.lam, system48))) < 1e-10
+        assert np.max(np.abs(assemble_residual(pt.coeffs, pt.lam, system48))) < 1e-10
 
     def test_even_profile_symmetric(self, system48):
         # grid nodes are symmetric, so reversal realizes t -> -t
@@ -112,7 +114,7 @@ class TestArclengthStep:
 
     def test_stalled_corrector_is_a_step_failure(self, system48):
         triv = newton_solve(np.zeros(49), 5.0, system48)
-        tangent = (system48.basis(2) / system48.norm(system48.basis(2)), 0.0)
+        tangent = (system48.basis(2) / np.linalg.norm(system48.basis(2)), 0.0)
         with pytest.raises(StepRejected) as info:
             arclength_step(triv, tangent, 0.3, system48, max_iter=1)
         assert info.value.reason == "step-failure"
@@ -185,10 +187,21 @@ class TestDegeneracy:
         assert report.residual_norm < 1e-10
 
     def test_independent_eigendecomposition(self, fold_report, system48):
+        # the full Jacobian at the reported profile, rebuilt from its node values
         _, report = fold_report
-        J = assemble_jacobian(report.phi_star, report.lambda_star, system48)
+        c = system48.coefficients(lambda t: interpolate(system48.grid, report.phi_star, t))
+        J = assemble_jacobian(c, report.lambda_star, system48)
         ev = np.linalg.eigvals(J)
         assert np.min(np.abs(ev)) < 1e-6
+
+    def test_endpoint_conditions_hold(self, fold_report, params):
+        # no boundary rows: the regular limits at t = +/-1 of the model hold
+        # for the Galerkin solution to its spectral accuracy
+        _, report = fold_report
+        ends = zip((1, -1), report.phi_star[[0, -1]], report.endpoint_derivs)
+        for side, phi_end, dphi_end in ends:
+            res = endpoint_residual(side, phi_end, dphi_end, report.lambda_star, params)
+            assert abs(res) < 1e-9 * report.lambda_star
 
     def test_crossing_near_lambda_minimum(self, fold_report):
         # the eigenvalue crossing sits at the fold, the branch lambda-min
@@ -272,34 +285,37 @@ class TestDegeneracy:
 @pytest.mark.parametrize("q", [3.0, 4.0])
 @pytest.mark.parametrize("k", [2, 3])
 def test_extended_system_derivatives(k, q):
-    # central differences of the J v block in phi (sector unknowns) and lambda
+    # central differences of the J v block in the sector's coefficients and lambda
     system = DiscreteSystem(build_grid(48), ModelParams(2, 1.0, q))
     pt = solve_at_s(k, 0.2, system)
-    m = 25 if k == 2 else 49
+    c0 = pt.coeffs[::2] if k == 2 else pt.coeffs
+    m = c0.size
+    assert m == (25 if k == 2 else 49)
     v = np.random.default_rng(1).standard_normal(m)
     ell = v / (v @ v)
-    _, A, _, _ = continuation._fold_system(system, k, pt.phi, pt.lam, v, ell)
+    _, A, _, _ = continuation._fold_system(system, k, c0, pt.lam, v, ell)
 
-    def jv(phi_top, lam):
-        phi = collocation._mirror(phi_top, 48) if k == 2 else phi_top
-        G = continuation._fold_system(system, k, phi, lam, v, ell)[0]
-        return G[m:-1]
+    def jv(c, lam):
+        return continuation._fold_system(system, k, c, lam, v, ell)[0][m:-1]
 
     h = 1e-4
-    top = pt.phi[:m].copy()
     dphi = np.empty((m, m))
     for j in range(m):
         e = np.zeros(m)
         e[j] = h
-        dphi[:, j] = (jv(top + e, pt.lam) - jv(top - e, pt.lam)) / (2 * h)
-    dlam = (jv(top, pt.lam + h) - jv(top, pt.lam - h)) / (2 * h)
+        dphi[:, j] = (jv(c0 + e, pt.lam) - jv(c0 - e, pt.lam)) / (2 * h)
+    dlam = (jv(c0, pt.lam + h) - jv(c0, pt.lam - h)) / (2 * h)
     block, column = A[m:-1, :m], A[m:-1, m]
     assert np.linalg.norm(dphi - block) <= 1e-6 * np.linalg.norm(block)
     assert np.linalg.norm(dlam - column) <= 1e-6 * np.linalg.norm(column)
 
 
-def _forbidden(*args, **kwargs):
-    raise AssertionError("called on the wrong sector path")
+def _recording(calls):
+    """assemble_jacobian recording the parity of every call in calls."""
+    def wrapper(c, lam, sys, parity=0):
+        calls.append(parity)
+        return assemble_jacobian(c, lam, sys, parity)
+    return wrapper
 
 
 class TestEvenSector:
@@ -307,11 +323,12 @@ class TestEvenSector:
         for k, direction in ((2, 1), (2, -1), (4, 1)):
             branch = trace_branch(k, direction, system48, max_points=30)
             assert all(np.array_equal(pt.phi, pt.phi[::-1]) for pt in branch.points)
+            assert all(not pt.coeffs[1::2].any() for pt in branch.points)
         _, report = fold_report
         assert np.array_equal(report.phi_star, report.phi_star[::-1])
-        # a start that is not even is mirrored from its values at t >= 0
-        phi0 = 0.05 * system48.basis(2) + 1e-9 * system48.grid.nodes
-        pt = newton_solve(phi0, lambda_k(2, params) - 0.1, system48, k=2)
+        # a start with odd modes keeps only its even ones
+        c0 = 0.05 * system48.basis(2) + 1e-9 * system48.basis(1)
+        pt = newton_solve(c0, lambda_k(2, params) - 0.1, system48, k=2)
         assert np.array_equal(pt.phi, pt.phi[::-1])
         pt = solve_at_s(4, 0.1, system48)
         assert np.array_equal(pt.phi, pt.phi[::-1])
@@ -328,18 +345,44 @@ class TestEvenSector:
         assert report.lambda_star == pytest.approx(11.223525580301466, rel=1e-10)
 
     def test_odd_k_solves_the_full_system(self, system48, monkeypatch):
-        monkeypatch.setattr(continuation, "_sector_jacobian", _forbidden)
-        monkeypatch.setattr(collocation, "_sector_jacobian", _forbidden)
+        calls = []
+        monkeypatch.setattr(continuation, "assemble_jacobian", _recording(calls))
+        monkeypatch.setattr(collocation, "assemble_jacobian", _recording(calls))
         branch = trace_branch(3, 1, system48, max_points=20)
         assert len(branch.points) == 20
         assert all(pt.nodal_count == 3 for pt in branch.points)
+        assert calls and set(calls) == {0}
 
     def test_even_k_assembles_no_full_jacobian(self, system48, monkeypatch):
-        monkeypatch.setattr(continuation, "assemble_jacobian", _forbidden)
-        monkeypatch.setattr(collocation, "assemble_jacobian", _forbidden)
+        calls = []
+        monkeypatch.setattr(continuation, "assemble_jacobian", _recording(calls))
+        monkeypatch.setattr(collocation, "assemble_jacobian", _recording(calls))
         branch = trace_branch(2, 1, system48, max_points=20)
         assert len(branch.points) == 20
         assert locate_degenerate(branch, 1e-6, system48) is not None
+        # the even block for the solves, the odd block for sigma_min only
+        assert set(calls) == {1, -1}
+        assert calls.count(-1) == len(branch.points) + 1
+
+    def test_every_step_builds_its_jacobians_in_continuation(self, params, monkeypatch):
+        # every Jacobian of the corrector is looked up in continuation's
+        # namespace, where a tracer wrapping it sees the Newton work
+        system = DiscreteSystem(build_grid(32), params)
+        calls = []
+        steps = []
+        original_step = continuation.arclength_step
+
+        def step(*args, **kwargs):
+            before = len(calls)
+            result = original_step(*args, **kwargs)
+            steps.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(continuation, "assemble_jacobian", _recording(calls))
+        monkeypatch.setattr(continuation, "arclength_step", step)
+        branch = trace_branch(2, 1, system, max_points=40)
+        assert len(steps) == len(branch.points) - 1
+        assert min(steps) >= 1
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_step_returns_the_jacobian_at_the_new_point(self, system48, k):
@@ -347,10 +390,12 @@ class TestEvenSector:
         # be exactly the one the tangent would assemble
         branch = trace_branch(k, 1, system48, max_points=4)
         a, b = branch.points[-2], branch.points[-1]
-        tangent = continuation._tangent(system48, a.phi, a.lam, b.phi - a.phi,
-                                        b.lam - a.lam, k=k)
+        sector = slice(None, None, 2) if k == 2 else slice(None)
+        parity = 1 if k == 2 else 0
+        tangent = continuation._tangent(system48, a.coeffs[sector], a.lam,
+                                        (b.coeffs - a.coeffs)[sector], b.lam - a.lam, k=k)
         pt, J = arclength_step(a, tangent, 0.05, system48, k=k)
-        assert np.array_equal(J, continuation._jacobian(pt.phi, pt.lam, system48, k))
+        assert np.array_equal(J, assemble_jacobian(pt.coeffs[sector], pt.lam, system48, parity))
         assert J.shape[0] == (25 if k == 2 else 49)
         again, _ = arclength_step(a, tangent, 0.05, system48, k=k)
         assert np.array_equal(again.phi, pt.phi) and again.lam == pt.lam
@@ -370,6 +415,22 @@ def test_no_jump_onto_the_trivial_solution(N):
             report = locate_degenerate(branch, 1e-6, system)
             # the N=96 value, 20.364737861326915
             assert report.lambda_star == pytest.approx(20.364737861326915, rel=1e-5)
+
+
+def test_tail_flags_the_under_resolved_plus_branch():
+    # n=3 q=4.9 k=2: the fold is resolved at N=96, but past it u_min -> 0
+    # and the N=48 profiles lose their resolution
+    params = ModelParams(3, 1.0, 4.9)
+    fine = DiscreteSystem(build_grid(96), params)
+    branch = trace_branch(2, 1, fine, max_points=40)
+    report = locate_degenerate(branch, 1e-6, fine)
+    assert report.lambda_star == pytest.approx(3.805826448682, rel=1e-10)
+    pair = branch.points[report.crossing_index : report.crossing_index + 2]
+    nearest = min(pair, key=lambda pt: abs(pt.lam - report.lambda_star))
+    assert nearest.tail < 1e-12
+    assert report.tail < 1e-12
+    coarse = DiscreteSystem(build_grid(48), params)
+    assert max(pt.tail for pt in trace_branch(2, 1, coarse).points) > 1e-4
 
 
 class TestPsiSmallness:
