@@ -10,8 +10,10 @@ w = u - 1 on [-1, 1].  This package provides:
   expansions.
 * ``model`` -- problem parameters, the reduced ODE and its endpoint
   conditions, the eigenvalue ladder, and the closed-form branch slope.
-* ``collocation`` -- Chebyshev-Lobatto discretization: residual,
-  Jacobian, linear spectrum, interpolation, nodal counting.
+* ``collocation`` -- zonal Galerkin discretization in the orthonormal
+  P_{j,n}: residual, symmetric Jacobian and its eigenvalue nearest zero,
+  linear spectrum, nodal counting, and interpolation of profiles reported
+  on Chebyshev-Lobatto nodes.
 * ``continuation`` -- Newton solves, branch seeding, pseudo-arclength
   tracing, and location of degenerate solutions.
 * ``manifold`` -- independent verification on S^n x S^n by finite

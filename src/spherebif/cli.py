@@ -19,7 +19,7 @@ success, 2 solver non-convergence, 3 configuration error.  Output files
 are byte-identical across runs for a fixed config and seed on one
 platform; floats are written with 17 significant digits so values
 round-trip exactly.  ``main`` sets numpy's OpenBLAS to one thread, except
-for traces of 161 or more unknowns (``blas_threads``), and raises glibc's
+for traces of 321 or more unknowns (``blas_threads``), and raises glibc's
 malloc thresholds (``_hold_freed_memory``), for the whole calling process
 and after it returns; importing the package changes neither.
 """
@@ -438,12 +438,13 @@ def numpy_openblas():
 def blas_threads(command: str, cfg: RunConfig, threads: int) -> int:
     """BLAS threads for one command, given the count OpenBLAS started with.
 
-    A trace factors dense systems of N + 1 unknowns for odd k and N/2 + 1
-    for even k.  From 161 on a second thread shortens it (4% at 161, 7% at
-    193, on 2 vCPUs); below, it gains 2% at most for twice the CPU time.
+    A trace factors and eigendecomposes dense systems of N + 1 unknowns for
+    odd k and N/2 + 1 for even k.  From 321 on a second thread shortens it
+    (4% at 321, 7% at 385, on 2 vCPUs); below, it gains 1% at most (at 257)
+    and loses up to 11% (at 129), for twice the CPU time.
     """
     size = cfg.N + 1 if cfg.k % 2 else cfg.N // 2 + 1
-    return threads if command in ("branch", "degenerate") and size >= 161 else 1
+    return threads if command in ("branch", "degenerate") and size >= 321 else 1
 
 
 def _hold_freed_memory():

@@ -450,8 +450,9 @@ assert maps(16 << 20) == 0
 
 
 @pytest.mark.parametrize("command, k, N, threads", [
-    ("branch", 3, 192, 4), ("degenerate", 3, 160, 4), ("branch", 3, 158, 1),
-    ("branch", 2, 192, 1), ("degenerate", 2, 320, 4), ("verify", 3, 192, 1), ("eigen", 3, 192, 1),
+    ("branch", 3, 192, 1), ("degenerate", 3, 320, 4), ("branch", 3, 318, 1),
+    ("branch", 3, 158, 1), ("branch", 2, 192, 1), ("degenerate", 2, 640, 4),
+    ("verify", 3, 192, 1), ("eigen", 3, 192, 1),
 ])
 def test_blas_threads_follow_the_traced_system_size(command, k, N, threads):
     cfg = parse_config(None, [f"k={k}", f"N={N}"])

@@ -5,7 +5,12 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
-from spherebif.gegenbauer import gauss_jacobi_rule, gegenbauer_eval, weighted_inner
+from spherebif.gegenbauer import (
+    gauss_jacobi_rule,
+    gegenbauer_eval,
+    gegenbauer_norm2,
+    weighted_inner,
+)
 from spherebif.collocation import (
     NEWTON_TOL,
     DiscreteSystem,
@@ -439,6 +444,23 @@ class TestWeightedStructure:
         ca, cb = _poly_coeffs(system48, a), _poly_coeffs(system48, b)
         direct = weighted_inner(lambda t: npoly.polyval(t, a), lambda t: npoly.polyval(t, b), n, 12)
         assert ca @ cb == pytest.approx(direct, rel=1e-12)
+
+    def test_inner_gradient(self, system48, params):
+        # the weighted inner product of two expansions, by an independent
+        # quadrature, has the gradient c_v in the coefficients c_u
+        rng = np.random.default_rng(2)
+        cu, cv = rng.standard_normal(49), rng.standard_normal(49)
+        rule = gauss_jacobi_rule(60, params.n)
+        P = np.array([gegenbauer_eval(j, params.n, rule.nodes) / np.sqrt(gegenbauer_norm2(j, params.n))
+                      for j in range(49)])
+
+        def inner(a, b):
+            return np.dot(rule.weights, (a @ P) * (b @ P))
+
+        h = 1e-6
+        grad = [(inner(cu + h * e, cv) - inner(cu - h * e, cv)) / (2 * h) for e in np.eye(49)]
+        assert_allclose(grad, cv, atol=1e-7)
+        assert inner(cu, cv) == pytest.approx(cu @ cv, rel=1e-12)
 
     def test_discrete_self_adjointness(self, system48, params):
         # <Lu, v>_w = <u, Lv>_w, with L u evaluated pointwise on degree-12
