@@ -51,7 +51,7 @@ from .collocation import (
     dresidual_dlambda,
     solution_point,
 )
-from .model import PositivityError, dlambda_ds0, lambda_k, reduction_factor
+from .model import PositivityError, dlambda_ds0, lambda_k
 
 __all__ = [
     "ConvergenceError",
@@ -373,17 +373,17 @@ def locate_degenerate(
     Candidates are the point pairs (i, i + 1) with i >= ``first`` that end
     at a ``fold`` or ``sigma-zero`` event of the trace.  Each is solved for
     by Newton on the extended system F = 0, J v = 0, <ell, v> = 1 in
-    (phi, lambda, v), started from point i and converged to NEWTON_TOL
+    (c, lambda, v), started from point i and converged to NEWTON_TOL
     within MAX_ITER steps, with one ``solution_point`` for the diagnostics
     at the end.  A candidate is skipped when the solve stalls or loses
-    positivity, when its point lies farther from either end of the pair
-    than the pair's chord length, when |sigma_min| there is not below
-    sigma_tol (an absolute target, stricter than any operator rescaling
-    since the spectral scale exceeds one), or when its nodal count differs
-    from the branch's; a min-magnitude eigenvalue swap, not a crossing, is
-    skipped this way.  A caller locating each crossing as the trace
-    records it passes the newest pair's index as ``first``, so no earlier
-    candidate is solved twice.
+    positivity (at the rule nodes or on the grid), when its point lies
+    farther from either end of the pair than the pair's chord length, when
+    |sigma_min| there is not below sigma_tol (an absolute target, stricter
+    than any operator rescaling since the spectral scale exceeds one), or
+    when its nodal count differs from the branch's; a min-magnitude
+    eigenvalue swap, not a crossing, is skipped this way.  A caller
+    locating each crossing as the trace records it passes the newest pair's
+    index as ``first``, so no earlier candidate is solved twice.
     """
     pts = branch.points
     lam_min = min(p.lam for p in pts)

@@ -451,8 +451,8 @@ class TestWeightedStructure:
         rng = np.random.default_rng(2)
         cu, cv = rng.standard_normal(49), rng.standard_normal(49)
         rule = gauss_jacobi_rule(60, params.n)
-        P = np.array([gegenbauer_eval(j, params.n, rule.nodes) / np.sqrt(gegenbauer_norm2(j, params.n))
-                      for j in range(49)])
+        P = np.array([gegenbauer_eval(j, params.n, rule.nodes)
+                      / np.sqrt(gegenbauer_norm2(j, params.n)) for j in range(49)])
 
         def inner(a, b):
             return np.dot(rule.weights, (a @ P) * (b @ P))
