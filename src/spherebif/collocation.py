@@ -162,11 +162,13 @@ class DiscreteSystem:
         M = rule.nodes.size
         # nodal_count's refinement grid: 8N - 1 equispaced interior points
         fine = np.linspace(-1.0, 1.0, 8 * N + 1)[1:-1]
+        # P[j] holds P_{j,n} at the rule nodes, the Lobatto nodes and the
+        # refinement points, normalized in place
         P = gegenbauer_eval(N, n, np.concatenate([rule.nodes, self.grid.nodes, fine]),
-                            table=True)
-        norms = np.sqrt(rule.weights @ P[:M] ** 2)
-        P = P / norms
-        V = P[:M]
+                            table=True).T
+        norms = np.sqrt(P[:, :M] ** 2 @ rule.weights)
+        P /= norms[:, None]
+        V = P[:, :M].T
         # the rule is symmetric; even integrands need only its nodes t >= 0
         half = M // 2
         folded = 2.0 * rule.weights[half:]
@@ -177,15 +179,18 @@ class DiscreteSystem:
         for parity in (1, -1):
             m = _modes(parity)
             sectors[parity] = (_frozen(V[half:, m]), _frozen(folded), _frozen(eig[m]))
-        B = P[M : M + N + 1]
+        B = P[:, M : M + N + 1].T
         output = {0: _frozen(B), 1: _frozen(B[: N // 2 + 1, ::2])}
-        F = P[M + N + 1 :]
+        # transposed, as views: nodal_count multiplies them from the left
+        refinement = {0: P[:, M + N + 1 :], 1: P[::2, M + N + 1 :]}
+        for table in refinement.values():
+            table.setflags(write=False)
         object.__setattr__(self, "_rule", rule)
         object.__setattr__(self, "_norms", _frozen(norms))
         object.__setattr__(self, "_eig", sectors[0][2])
         object.__setattr__(self, "_sectors", sectors)
         object.__setattr__(self, "_output", output)
-        object.__setattr__(self, "_fine", {0: _frozen(F), 1: _frozen(F[:, ::2])})
+        object.__setattr__(self, "_fine", refinement)
 
     def basis(self, k: int) -> np.ndarray:
         """Coefficients of P_{k,n}, over all N + 1 modes."""
@@ -316,7 +321,7 @@ def nodal_count(sys: DiscreteSystem, c, parity: int = 0) -> int:
     the solver's tolerance and has no zeros, so a continuation step that
     falls onto it changes the nodal count.
     """
-    vals = sys._fine[parity] @ np.asarray(c, dtype=float)
+    vals = np.asarray(c, dtype=float) @ sys._fine[parity]
     scale = np.max(np.abs(vals))
     if scale <= NEWTON_TOL:
         return 0

@@ -126,7 +126,10 @@ def gegenbauer_eval(k: int, n: int, t, table: bool = False):
         if k:
             rows[1] = t
         for j in range(1, k):
-            rows[j + 1] = ((2 * j + n - 1) * t * rows[j] - j * rows[j - 1]) / (j + n - 1)
+            # the operations of the scalar recurrence, in place
+            np.multiply((2 * j + n - 1) * t, rows[j], out=rows[j + 1])
+            rows[j + 1] -= j * rows[j - 1]
+            rows[j + 1] /= j + n - 1
         return np.moveaxis(rows, 0, -1)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
