@@ -31,11 +31,14 @@ of ``build_grid``, which determine the degree-N expansion exactly;
 
 Grids and systems are immutable after construction and safe to share
 across threads; all assembly routines are pure functions of their inputs.
+q and delta do not enter the basis tables, so the systems of one (N, n)
+share a single read-only set of them, built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,6 +138,40 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=4)
+def _tables(N: int, n: int) -> tuple:
+    """The read-only tables of every DiscreteSystem of degree N and
+    dimension n (see there), built once per (N, n)."""
+    rule = gauss_jacobi_rule(-(-3 * (N + 1) // 2) + 1, n)
+    M = rule.nodes.size
+    # nodal_count's refinement grid: 8N - 1 equispaced interior points
+    fine = np.linspace(-1.0, 1.0, 8 * N + 1)[1:-1]
+    # P[j] holds P_{j,n} at the rule nodes, the Lobatto nodes and the
+    # refinement points, normalized in place
+    P = gegenbauer_eval(N, n, np.concatenate([rule.nodes, build_grid(N).nodes, fine]),
+                        table=True).T
+    norms = np.sqrt(P[:, :M] ** 2 @ rule.weights)
+    P /= norms[:, None]
+    V = P[:, :M].T
+    # the rule is symmetric; even integrands need only its nodes t >= 0
+    half = M // 2
+    folded = 2.0 * rule.weights[half:]
+    if M % 2:
+        folded[0] = rule.weights[half]
+    eig = np.arange(N + 1) * (np.arange(N + 1) + n - 1.0)
+    sectors = {0: (_frozen(V), rule.weights, _frozen(eig))}
+    for parity in (1, -1):
+        m = _modes(parity)
+        sectors[parity] = (_frozen(V[half:, m]), _frozen(folded), _frozen(eig[m]))
+    B = P[:, M : M + N + 1].T
+    output = {0: _frozen(B), 1: _frozen(B[: N // 2 + 1, ::2])}
+    # transposed, as views: nodal_count multiplies them from the left
+    refinement = {0: P[:, M + N + 1 :], 1: P[::2, M + N + 1 :]}
+    for table in refinement.values():
+        table.setflags(write=False)
+    return rule, _frozen(norms), sectors[0][2], sectors, output, refinement
+
+
 @dataclass(frozen=True)
 class DiscreteSystem:
     """Grid plus parameters, with the basis tables of every sector (read-only).
@@ -144,7 +181,8 @@ class DiscreteSystem:
     matching weights and the eigenvalues j(j + n - 1) of the sector's modes;
     the basis at the Lobatto nodes; and the basis at nodal_count's
     refinement points.  All of them come from one Gegenbauer recurrence
-    over all degrees.
+    over all degrees.  They depend on (N, n) only, so systems of the same
+    N and n share one set of them, whatever their q and delta.
     """
 
     grid: SpectralGrid
@@ -157,40 +195,9 @@ class DiscreteSystem:
     _fine: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        N, n = self.grid.N, self.params.n
-        rule = gauss_jacobi_rule(-(-3 * (N + 1) // 2) + 1, n)
-        M = rule.nodes.size
-        # nodal_count's refinement grid: 8N - 1 equispaced interior points
-        fine = np.linspace(-1.0, 1.0, 8 * N + 1)[1:-1]
-        # P[j] holds P_{j,n} at the rule nodes, the Lobatto nodes and the
-        # refinement points, normalized in place
-        P = gegenbauer_eval(N, n, np.concatenate([rule.nodes, self.grid.nodes, fine]),
-                            table=True).T
-        norms = np.sqrt(P[:, :M] ** 2 @ rule.weights)
-        P /= norms[:, None]
-        V = P[:, :M].T
-        # the rule is symmetric; even integrands need only its nodes t >= 0
-        half = M // 2
-        folded = 2.0 * rule.weights[half:]
-        if M % 2:
-            folded[0] = rule.weights[half]
-        eig = np.arange(N + 1) * (np.arange(N + 1) + n - 1.0)
-        sectors = {0: (_frozen(V), rule.weights, _frozen(eig))}
-        for parity in (1, -1):
-            m = _modes(parity)
-            sectors[parity] = (_frozen(V[half:, m]), _frozen(folded), _frozen(eig[m]))
-        B = P[:, M : M + N + 1].T
-        output = {0: _frozen(B), 1: _frozen(B[: N // 2 + 1, ::2])}
-        # transposed, as views: nodal_count multiplies them from the left
-        refinement = {0: P[:, M + N + 1 :], 1: P[::2, M + N + 1 :]}
-        for table in refinement.values():
-            table.setflags(write=False)
-        object.__setattr__(self, "_rule", rule)
-        object.__setattr__(self, "_norms", _frozen(norms))
-        object.__setattr__(self, "_eig", sectors[0][2])
-        object.__setattr__(self, "_sectors", sectors)
-        object.__setattr__(self, "_output", output)
-        object.__setattr__(self, "_fine", refinement)
+        names = ("_rule", "_norms", "_eig", "_sectors", "_output", "_fine")
+        for name, table in zip(names, _tables(self.grid.N, self.params.n)):
+            object.__setattr__(self, name, table)
 
     def basis(self, k: int) -> np.ndarray:
         """Coefficients of P_{k,n}, over all N + 1 modes."""

@@ -152,14 +152,21 @@ def _correct(sys, k, c, lam, wrow, wlam, constraint, max_iter):
     """Newton on F = 0 and g = constraint(c, lam) = 0, g having gradient
     (wrow, wlam), in the coefficients of the sector of mode k, until
     max(|F|_inf, |g|) < NEWTON_TOL.  Returns the SolutionPoint and the
-    Jacobian at it; raises ConvergenceError when it stalls and
-    PositivityError when the converged u is not positive on the grid."""
+    Jacobian at it; raises PositivityError when the converged u is not
+    positive on the grid, and ConvergenceError when it stalls: when that
+    residual fails to fall from the third iteration (iteration 2) on, or
+    max_iter iterations, only a cap, do not reach NEWTON_TOL."""
     parity = _parity(k)
-    for _ in range(max_iter):
+    prev = np.inf
+    for it in range(max_iter):
         F = assemble_residual(c, lam, sys, parity)
         g = constraint(c, lam)
+        err = max(np.max(np.abs(F)), abs(g))
+        if it >= 2 and err >= prev:
+            raise ConvergenceError(f"residual rose from {prev:.1e} to {err:.1e} at iteration {it}")
+        prev = err
         J = assemble_jacobian(c, lam, sys, parity)
-        if max(np.max(np.abs(F)), abs(g)) < NEWTON_TOL:
+        if err < NEWTON_TOL:
             pt = solution_point(sys, c, lam, k=k, J=J)
             if pt.u_min <= 0:
                 raise PositivityError(f"u = phi + 1 reaches {pt.u_min} on the grid")
@@ -181,8 +188,9 @@ def newton_solve(
 
     c0 holds all N + 1 coefficients; an even mode index k solves on the even
     sector from the even modes of c0.  Returns a SolutionPoint with
-    diagnostics populated; raises ConvergenceError after max_iter
-    iterations without bringing the residual max-norm below NEWTON_TOL.
+    diagnostics populated; raises ConvergenceError when the corrector
+    stalls (its residual max-norm stops falling or stays above NEWTON_TOL
+    after max_iter iterations).
     """
     c = np.asarray(c0, dtype=float)[_modes(_parity(k))]
     pt, _ = _correct(sys, k, c, lam, np.zeros(c.size), 1.0, lambda c, lam: 0.0, max_iter)
@@ -272,8 +280,10 @@ def arclength_step(
     the affine constraint <c - c_0, t_c> + (lambda - lambda_0) t_lambda = ds
     to NEWTON_TOL.  The new point is accepted only if its nodal count
     matches the current one; otherwise StepRejected carries the reason
-    ``nodal-change``.  A corrector that stalls or loses positivity (u <= 0)
-    raises StepRejected with the reason ``step-failure``, so every accepted
+    ``nodal-change``.  A corrector that stalls (its residual max-norm
+    fails to fall from the third iteration on, or max_iter iterations do
+    not converge) or loses positivity (u <= 0) raises StepRejected with the
+    reason ``step-failure`` and the corrector's message, so every accepted
     point has u > 0.  Returns the pair (point, Jacobian of the sector at the
     point).
     """
@@ -375,8 +385,10 @@ def locate_degenerate(
     by Newton on the extended system F = 0, J v = 0, <ell, v> = 1 in
     (c, lambda, v), started from point i and converged to NEWTON_TOL
     within MAX_ITER steps, with one ``solution_point`` for the diagnostics
-    at the end.  A candidate is skipped when the solve stalls or loses
-    positivity (at the rule nodes or on the grid), when its point lies
+    at the end.  A candidate is skipped when the solve stalls (it has no
+    residual-rise test, unlike the corrector of trace_branch, and stalls
+    only when MAX_ITER steps do not converge or a system is singular) or
+    loses positivity (at the rule nodes or on the grid), when its point lies
     farther from either end of the pair than the pair's chord length, when
     |sigma_min| there is not below sigma_tol (an absolute target, stricter
     than any operator rescaling since the spectral scale exceeds one), or

@@ -290,13 +290,15 @@ class TestDegenerateAndVerify:
     ])
     def test_located_lambda_star_is_pinned(self, tmp_path, q, k, lambda_star):
         # the answers of the fold hunt at N=96; a change of discretization
-        # must reproduce them
+        # must reproduce them, and a change of step rule the traced pair
+        # (crossing_index) whose crossing they come from
         cfg = parse_config(
             None, [f"output_dir={tmp_path}", "n=2", "delta=1", f"q={q}", f"k={k}", "N=96"]
         )
         assert dispatch("degenerate", cfg) == 0
         rep = json.loads((tmp_path / f"degenerate_k{k}.json").read_text())
         assert rep["lambda_star"] == pytest.approx(lambda_star, rel=1e-10, abs=0)
+        assert rep["crossing_index"] == {(3.0, 2): 13, (3.0, 4): 17, (6.0, 6): 13, (4.0, 4): 12}[q, k]
 
     @pytest.mark.parametrize("N", [32, 48])
     def test_q6_k6_located_at_low_resolution(self, tmp_path, N):

@@ -348,6 +348,22 @@ class TestParitySectors:
         J[0, 0] = 1.0  # a fresh copy
         assert assemble_jacobian(np.zeros(25), 5.0, system48, 1)[0, 0] != 1.0
 
+    def test_systems_of_one_N_and_n_share_their_tables(self, params):
+        # q and delta do not enter the basis tables, so they are built once
+        # per (N, n); another N or n gets its own, also read-only
+        system48 = DiscreteSystem(build_grid(48), params)
+        other = DiscreteSystem(build_grid(48), ModelParams(2, 0.25, 6.0))
+        for name in ("_rule", "_norms", "_eig", "_sectors", "_output", "_fine"):
+            assert getattr(other, name) is getattr(system48, name), name
+        for grid, n in ((build_grid(32), 2), (build_grid(48), 3)):
+            fresh = DiscreteSystem(grid, ModelParams(n, 1.0, 3.0))
+            for parity in (0, 1, -1):
+                for mine, theirs in zip(fresh._sectors[parity], system48._sectors[parity]):
+                    assert mine is not theirs
+                    assert not mine.flags.writeable
+            tables = [fresh._norms, fresh._eig, *fresh._output.values(), *fresh._fine.values()]
+            assert not any(table.flags.writeable for table in tables)
+
     def test_block_sigma_finds_the_odd_mode(self, system96, params):
         # just above lambda_1 the mode nearest zero is the odd P_1, which
         # lives in the odd block only

@@ -1,5 +1,8 @@
 """Tests for branch tracing and degeneracy location."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -118,6 +121,23 @@ class TestArclengthStep:
         with pytest.raises(StepRejected) as info:
             arclength_step(triv, tangent, 0.3, system48, max_iter=1)
         assert info.value.reason == "step-failure"
+
+    def test_rising_residual_is_a_step_failure(self, system48):
+        # the corrector gives up at the first rise of its residual, not
+        # after MAX_ITER iterations, and the rejection says why
+        triv = newton_solve(np.zeros(49), 5.0, system48)
+        tangent = (system48.basis(6) / np.linalg.norm(system48.basis(6)), 0.0)
+        with pytest.raises(StepRejected) as info:
+            arclength_step(triv, tangent, 0.3, system48)
+        assert info.value.reason == "step-failure"
+        assert re.fullmatch(r"residual rose from \S+ to \S+ at iteration \d+", str(info.value))
+
+    def test_landing_on_another_nodal_count_is_a_nodal_change(self, system48):
+        triv = newton_solve(np.zeros(49), 5.0, system48)
+        claimed = dataclasses.replace(triv, nodal_count=2)
+        with pytest.raises(StepRejected) as info:
+            arclength_step(claimed, (np.zeros(49), 1.0), 0.25, system48)
+        assert info.value.reason == "nodal-change"
 
     def test_nonpositive_predictor_is_a_step_failure(self, system48):
         triv = newton_solve(np.zeros(49), 5.0, system48)
@@ -384,6 +404,30 @@ class TestEvenSector:
         assert len(steps) == len(branch.points) - 1
         assert min(steps) >= 1
 
+    def test_rejected_steps_stop_at_the_first_rise(self, monkeypatch):
+        # the q=6 k=6 plus branch at N=32 rejects its steps of ds = 0.1,
+        # 0.065 and 0.0325 near point 12; each corrector used to run all
+        # MAX_ITER = 30 iterations (or 23 onto the trivial profile)
+        system = DiscreteSystem(build_grid(32), ModelParams(2, 1.0, 6.0))
+        calls = []
+        rejected = []
+        original_step = continuation.arclength_step
+
+        def step(*args, **kwargs):
+            before = len(calls)
+            try:
+                return original_step(*args, **kwargs)
+            except StepRejected:
+                rejected.append(len(calls) - before)
+                raise
+
+        monkeypatch.setattr(continuation, "assemble_jacobian", _recording(calls))
+        monkeypatch.setattr(continuation, "arclength_step", step)
+        branch = trace_branch(6, 1, system, max_points=20)
+        assert len(branch.points) == 20
+        assert len(rejected) >= 2
+        assert max(rejected) <= 8
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_step_returns_the_jacobian_at_the_new_point(self, system48, k):
         # trace_branch builds the next tangent from this Jacobian, so it must
@@ -405,7 +449,9 @@ class TestEvenSector:
 def test_no_jump_onto_the_trivial_solution(N):
     # at N <= 48 a step of the q=6 k=6 plus branch used to land on u = 1 and
     # keep tracing the trivial family; nodal_count now reads 0 zeros there,
-    # so the nodal-change guard halves the step instead
+    # so the nodal-change guard would halve the step.  At N=32 its corrector
+    # now stalls on the way (its residual rises at iteration 4), and the step
+    # is halved as a step failure before it lands
     system = DiscreteSystem(build_grid(N), ModelParams(2, 1.0, 6.0))
     for direction in (1, -1):
         branch = trace_branch(6, direction, system)
