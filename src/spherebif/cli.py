@@ -22,6 +22,12 @@ round-trip exactly.  ``main`` sets numpy's OpenBLAS to one thread, except
 for traces of 321 or more unknowns (``blas_threads``), and raises glibc's
 malloc thresholds (``_hold_freed_memory``), for the whole calling process
 and after it returns; importing the package changes neither.
+
+On two or more CPUs (Linux) ``branch`` traces D_k^+ in the calling process
+while one forked child traces D_k^- and writes its files; the child returns
+only its exit code and log line, is joined before the command returns, and
+each process gets one BLAS thread.  On one CPU, or without
+``os.sched_getaffinity``, the two traces run one after the other.
 """
 
 from __future__ import annotations
@@ -255,18 +261,79 @@ def _cmd_poly(cfg: RunConfig) -> int:
     return 0
 
 
+def _branch_forks() -> bool:
+    """Whether ``branch`` traces its two directions in two processes: on >= 2 CPUs."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _trace_direction(cfg: RunConfig, system: DiscreteSystem, direction: int, tag: str) -> tuple:
+    """Trace one branch and write its files; returns (exit code, log line)."""
+    try:
+        branch = continuation.trace_branch(cfg.k, direction, system)
+    except ConvergenceError as exc:
+        return 2, f"branch k={cfg.k} {tag}: {exc}"
+    jsonl, csv = _write_branch(branch, cfg, tag)
+    return 0, f"branch k={cfg.k} {tag}: {len(branch.points)} points -> {jsonl}, {csv}"
+
+
+def _send_minus(conn, cfg: RunConfig, system: DiscreteSystem):
+    """A forked child's work: trace D_k^-, send back (code, line) or the exception."""
+    try:
+        result = _trace_direction(cfg, system, -1, "minus")
+    except Exception as exc:  # raised again in the parent
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _trace_both_forked(cfg: RunConfig, system: DiscreteSystem) -> list:
+    """D_k^+ here and D_k^- in one forked child, which writes its own files.
+
+    The child shares the system copy-on-write and sends back only its
+    (code, line) tuple, or the exception to raise here.  It is joined on
+    every path: when the trace here raises it is terminated first, and when
+    it dies without a result an error names its exit code.
+    """
+    import multiprocessing  # only a forking branch pays for the import
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_minus, args=(send, cfg, system))
+    child.start()
+    send.close()  # so that a child dying without a result reads as EOF
+    try:
+        plus = _trace_direction(cfg, system, 1, "plus")
+        try:
+            minus = recv.recv()
+        except EOFError:
+            minus = None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        recv.close()
+    if minus is None:
+        raise RuntimeError(
+            f"branch k={cfg.k} minus: the tracing process exited with code "
+            f"{child.exitcode} without a result"
+        )
+    if isinstance(minus, BaseException):
+        raise minus
+    return [plus, minus]
+
+
 def _cmd_branch(cfg: RunConfig) -> int:
     system = cfg.system()
+    if _branch_forks():
+        results = _trace_both_forked(cfg, system)
+    else:  # lazily, so that each line is logged as its trace ends
+        results = (_trace_direction(cfg, system, direction, tag)
+                   for direction, tag in ((1, "plus"), (-1, "minus")))
     code = 0
-    for direction, tag in ((1, "plus"), (-1, "minus")):
-        try:
-            branch = continuation.trace_branch(cfg.k, direction, system)
-        except ConvergenceError as exc:
-            _log(f"branch k={cfg.k} {tag}: {exc}", err=True)
-            code = 2
-            continue
-        jsonl, csv = _write_branch(branch, cfg, tag)
-        _log(f"branch k={cfg.k} {tag}: {len(branch.points)} points -> {jsonl}, {csv}")
+    for status, line in results:
+        _log(line, err=status != 0)
+        code = max(code, status)
     return code
 
 
@@ -441,8 +508,12 @@ def blas_threads(command: str, cfg: RunConfig, threads: int) -> int:
     A trace factors and eigendecomposes dense systems of N + 1 unknowns for
     odd k and N/2 + 1 for even k.  From 321 on a second thread shortens it
     (4% at 321, 7% at 385, on 2 vCPUs); below, it gains 1% at most (at 257)
-    and loses up to 11% (at 129), for twice the CPU time.
+    and loses up to 11% (at 129), for twice the CPU time.  A ``branch`` that
+    traces its two directions in two processes (``_branch_forks``) gets one
+    thread per process, so that the two never share a CPU.
     """
+    if command == "branch" and _branch_forks():
+        return 1
     size = cfg.N + 1 if cfg.k % 2 else cfg.N // 2 + 1
     return threads if command in ("branch", "degenerate") and size >= 321 else 1
 

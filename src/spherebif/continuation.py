@@ -28,8 +28,10 @@ fold solve work on the even modes and their block of the Jacobian (about
 half the unknowns), and every recorded profile is exactly even.  Odd k, and
 ``newton_solve`` without a mode index, solve on all N + 1 modes.
 
-Branch traces are strictly sequential; distinct branches share only
-immutable grids and may run concurrently.
+Each trace is strictly sequential, one point after the other; distinct
+branches share only immutable grids and basis tables and may run
+concurrently, as the ``branch`` command's two directions do in two
+processes on two or more CPUs.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from spherebif.cli import (
     read_branch_records,
 )
 from spherebif.collocation import SolutionPoint
-from spherebif.continuation import locate_degenerate, trace_branch
+from spherebif.continuation import ConvergenceError, locate_degenerate, trace_branch
 
 
 class TestConfig:
@@ -334,6 +335,102 @@ class TestDegenerateAndVerify:
         assert rep["found"] is False
 
 
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _failing_trace(monkeypatch, failing_direction, fail):
+    """Patch the CLI's trace_branch so that one direction calls ``fail`` instead."""
+    import spherebif.cli as cli_mod
+
+    original = cli_mod.continuation.trace_branch
+
+    def trace(k, direction, *args, **kwargs):
+        if direction == failing_direction:
+            fail()
+        return original(k, direction, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.continuation, "trace_branch", trace)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedBranch:
+    """On two CPUs the minus branch is traced in a forked child."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_same_files_and_log_as_one_cpu(self, tmp_path, monkeypatch, capsys, k):
+        runs = {}
+        for name, cpus in (("two", _two_cpus), ("one", _one_cpu)):
+            cpus(monkeypatch)
+            out = tmp_path / name
+            cfg = parse_config(None, [f"output_dir={out}", f"k={k}", "N=32"])
+            assert dispatch("branch", cfg) == 0
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            runs[name] = files, capsys.readouterr().err.replace(str(out), "OUT").splitlines()
+        assert runs["two"] == runs["one"]
+        files, err = runs["two"]
+        assert sorted(files) == [f"branch_k{k}_{tag}.{ext}" for tag in ("minus", "plus")
+                                 for ext in ("csv", "jsonl")]
+        assert [line.split(":")[0] for line in err] == [f"branch k={k} {tag}"
+                                                        for tag in ("plus", "minus")]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [_two_cpus, _one_cpu], ids=["two_cpus", "one_cpu"])
+    def test_minus_convergence_error_exits_two(self, tmp_path, monkeypatch, capsys, cpus):
+        cpus(monkeypatch)
+
+        def fail():
+            raise ConvergenceError("corrector stalled")
+
+        _failing_trace(monkeypatch, -1, fail)
+        assert dispatch("branch", parse_config(None, [f"output_dir={tmp_path}", "N=32"])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("branch k=2 plus: 400 points")
+        assert err[1] == "branch k=2 minus: corrector stalled"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["branch_k2_plus.csv",
+                                                              "branch_k2_plus.jsonl"]
+        _assert_no_child_left()
+
+    def test_other_child_errors_are_raised_again(self, tmp_path, monkeypatch):
+        _two_cpus(monkeypatch)
+
+        def fail():
+            raise ValueError("bad minus")
+
+        _failing_trace(monkeypatch, -1, fail)
+        with pytest.raises(ValueError, match="bad minus"):
+            dispatch("branch", parse_config(None, [f"output_dir={tmp_path}", "N=32"]))
+        _assert_no_child_left()
+
+    def test_a_failed_parent_trace_stops_the_child(self, tmp_path, monkeypatch):
+        _two_cpus(monkeypatch)
+
+        def fail():
+            raise ValueError("bad plus")
+
+        _failing_trace(monkeypatch, 1, fail)
+        with pytest.raises(ValueError, match="bad plus"):
+            dispatch("branch", parse_config(None, [f"output_dir={tmp_path}", "N=32"]))
+        _assert_no_child_left()
+
+    def test_a_child_killed_without_a_result_is_an_error(self, tmp_path, monkeypatch):
+        _two_cpus(monkeypatch)
+        _failing_trace(monkeypatch, -1, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        killed = f"exited with code -{int(signal.SIGKILL)} without a result"
+        with pytest.raises(RuntimeError, match=killed):
+            dispatch("branch", parse_config(None, [f"output_dir={tmp_path}", "N=32"]))
+        assert (tmp_path / "branch_k2_plus.jsonl").exists()
+        _assert_no_child_left()
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
         import spherebif.cli as cli_mod
@@ -454,8 +551,20 @@ assert maps(16 << 20) == 0
 @pytest.mark.parametrize("command, k, N, threads", [
     ("branch", 3, 192, 1), ("degenerate", 3, 320, 4), ("branch", 3, 318, 1),
     ("branch", 3, 158, 1), ("branch", 2, 192, 1), ("degenerate", 2, 640, 4),
-    ("verify", 3, 192, 1), ("eigen", 3, 192, 1),
+    ("verify", 3, 192, 1), ("eigen", 3, 192, 1), ("branch", 3, 320, 1),
 ])
-def test_blas_threads_follow_the_traced_system_size(command, k, N, threads):
+def test_blas_threads_follow_the_traced_system_size(monkeypatch, command, k, N, threads):
+    # on two CPUs; a forking branch gets one thread per process at any size
+    _two_cpus(monkeypatch)
     cfg = parse_config(None, [f"k={k}", f"N={N}"])
     assert blas_threads(command, cfg, 4) == threads
+
+
+@pytest.mark.parametrize("cpus", [
+    _one_cpu, lambda monkeypatch: monkeypatch.delattr(os, "sched_getaffinity", raising=False),
+], ids=["one_cpu", "no_affinity"])
+def test_a_sequential_branch_keeps_the_size_rule(monkeypatch, cpus):
+    # on one CPU, or off Linux, branch traces one direction after the other
+    cpus(monkeypatch)
+    assert blas_threads("branch", parse_config(None, ["k=3", "N=320"]), 4) == 4
+    assert blas_threads("branch", parse_config(None, ["k=3", "N=318"]), 4) == 1
