@@ -23,6 +23,14 @@ for traces of 321 or more unknowns (``blas_threads``), and raises glibc's
 malloc thresholds (``_hold_freed_memory``), for the whole calling process
 and after it returns; importing the package changes neither.
 
+``degenerate`` traces and locates the fold at the coarse resolution
+max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that is below N, and solves
+for it again at N (``continuation.refine_degenerate``); the report, the
+profile and the JSON schema are at N, and the stderr line adds the coarse
+N and the change in lambda* as an error estimate.  If the coarse trace
+locates nothing or the refined fold fails a check, the command traces at N
+and writes exactly what it writes without the coarse trace.
+
 On two or more CPUs (Linux) ``branch`` traces D_k^+ in the calling process
 while one forked child traces D_k^- and writes its files; the child returns
 only its exit code and log line, is joined before the command returns, and
@@ -70,6 +78,10 @@ __all__ = [
 COMMANDS = ("eigen", "poly", "branch", "degenerate", "verify")
 # finite-difference step of verify's stencils, written to verify.json as "h"
 _H = 1e-3
+# degenerate traces at max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that is
+# below N, and solves for the located fold again at N
+COARSE_N_MIN = 32
+COARSE_N_DIVISOR = 3
 
 
 class ConfigError(ValueError):
@@ -337,8 +349,9 @@ def _cmd_branch(cfg: RunConfig) -> int:
     return code
 
 
-def _cmd_degenerate(cfg: RunConfig) -> int:
-    system = cfg.system()
+def _locate_fold(cfg: RunConfig, system: DiscreteSystem) -> tuple:
+    """Trace D_k^+ on ``system`` until a crossing is located; returns the
+    branch and the report, or None for the report."""
     report = None
 
     def located(branch) -> bool:
@@ -352,11 +365,40 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
         report = continuation.locate_degenerate(branch, cfg.sigma_tol, system, first=newest - 1)
         return report is not None
 
+    branch = continuation.trace_branch(cfg.k, 1, system, stop=located)
+    return branch, report
+
+
+def _coarse_fold(cfg: RunConfig, system: DiscreteSystem, coarse_N: int):
+    """Locate the fold on a trace at coarse_N and solve for it again on
+    ``system``; returns (report, coarse report), or None when the coarse
+    trace finds none or the refined point fails a check."""
+    coarse = DiscreteSystem(build_grid(coarse_N), cfg.params())
     try:
-        continuation.trace_branch(cfg.k, 1, system, stop=located)
-    except ConvergenceError as exc:
-        _log(f"degenerate k={cfg.k}: {exc}", err=True)
-        return 2
+        branch, located = _locate_fold(cfg, coarse)
+    except ConvergenceError:
+        return None
+    if located is None:
+        return None
+    report = continuation.refine_degenerate(branch, located, cfg.sigma_tol, system)
+    return None if report is None else (report, located)
+
+
+def _cmd_degenerate(cfg: RunConfig) -> int:
+    system = cfg.system()
+    coarse_N = max(COARSE_N_MIN, cfg.N // COARSE_N_DIVISOR)
+    found = _coarse_fold(cfg, system, coarse_N) if coarse_N < cfg.N else None
+    if found is not None:
+        report, coarse = found
+        estimate = (f", N_c = {coarse_N}, |lambda*(N) - lambda*(N_c)| = "
+                    f"{abs(report.lambda_star - coarse.lambda_star):.1e}")
+    else:
+        estimate = ""
+        try:
+            _, report = _locate_fold(cfg, system)
+        except ConvergenceError as exc:
+            _log(f"degenerate k={cfg.k}: {exc}", err=True)
+            return 2
     path = os.path.join(cfg.output_dir, f"degenerate_k{cfg.k}.json")
     payload = {
         "found": report is not None,
@@ -397,7 +439,7 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
     _log(
         f"degenerate k={cfg.k}: lambda* = {report.lambda_star:.9g}, "
         f"sigma = {report.sigma_at_star:.3e}, tail = {report.tail:.1e}, "
-        f"newton_iterations = {report.newton_iterations} -> {path}"
+        f"newton_iterations = {report.newton_iterations}{estimate} -> {path}"
     )
     return 0
 
@@ -424,12 +466,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
     if os.path.exists(report_path):
         with open(report_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        # a report of another problem or resolution is not lifted
+        other = next((key for key in ("N", "n", "delta", "q")
+                      if payload.get(key) != getattr(cfg, key)), None)
         if not payload.get("found"):
             _log(f"verify: {report_path} has found: false; lifting the trivial profile")
-        elif payload.get("N") != cfg.N:
+        elif other is not None:
             _log(
-                f"verify: {report_path} holds N={payload.get('N')}, not N={cfg.N}; "
-                "lifting the trivial profile"
+                f"verify: {report_path} holds {other}={payload.get(other)}, "
+                f"not {other}={getattr(cfg, other)}; lifting the trivial profile"
             )
         else:
             phi = np.array(payload["phi"], dtype=float)

@@ -12,7 +12,11 @@ directly by Newton on the minimally extended system of Moore and Spence
 <ell, v> = 1, started from the traced point just before it.  A caller that
 only wants the degenerate point passes trace_branch a ``stop`` predicate
 that locates each crossing as the trace records it, so the trace ends one
-point past the located crossing.
+point past the located crossing.  Such a trace can run on a coarser system
+than the answer needs: in the orthonormal basis prolongation is
+zero-padding, so ``refine_degenerate`` pads the located point's
+coefficients and kernel with zeros and solves the extended system again on
+the finer system, in a few Newton steps, with the checks of a candidate.
 
 Every point comes from one damped Newton corrector on the Galerkin
 residual F(c, lambda) = 0 of ``collocation`` plus one linear equation in
@@ -66,6 +70,7 @@ __all__ = [
     "arclength_step",
     "trace_branch",
     "locate_degenerate",
+    "refine_degenerate",
     "psi_smallness_check",
 ]
 
@@ -121,7 +126,9 @@ class DegeneracyReport:
     minimal-lambda point stays observable.  ``endpoint_derivs`` reports
     phi'(+1), phi'(-1) of the profile; ``newton_iterations`` counts the
     Newton steps on the extended system that located it, and ``tail`` is
-    the located point's resolution estimate (see SolutionPoint).
+    the located point's resolution estimate (see SolutionPoint).  ``coeffs``
+    holds the N + 1 coefficients of phi* and ``kernel`` the kernel v of J
+    there, in the coefficients of the traced sector, with <ell, v> = 1.
     """
 
     lambda_star: float
@@ -136,6 +143,8 @@ class DegeneracyReport:
     endpoint_derivs: tuple
     newton_iterations: int
     tail: float
+    coeffs: np.ndarray
+    kernel: np.ndarray
 
 
 def _apply_update(sys, parity, c, lam, dc, dlam):
@@ -321,9 +330,10 @@ def trace_branch(
     up to DS_MAX and halve on rejection.  Stops on the lambda floor
     1e-3 * lambda_1, the point budget, a step shorter than DS_MIN, or when
     ``stop(branch)`` returns True; every recorded point carries the full
-    diagnostics and the branch keeps a constant nodal count.  ``stop`` is called once after each accepted point, after
-    that point's fold and sigma-zero events are recorded, so it sees every
-    crossing event exactly once.
+    diagnostics and the branch keeps a constant nodal count.  ``stop`` is
+    called once after each accepted point, after that point's fold and
+    sigma-zero events are recorded, so it sees every crossing event exactly
+    once.
     """
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
@@ -399,14 +409,12 @@ def locate_degenerate(
     locating each crossing as the trace records it passes the newest pair's
     index as ``first``, so no earlier candidate is solved twice.
     """
-    pts = branch.points
-    lam_min = min(p.lam for p in pts)
     candidates = sorted(
         {idx - 1 for idx, kind in branch.events
          if kind in CROSSING_EVENTS and idx - 1 >= first}
     )
     for i in candidates:
-        report = _solve_fold(branch, i, sigma_tol, sys, lam_min)
+        report = _solve_fold(branch, i, sigma_tol, sys)
         if report is not None:
             return report
     return None
@@ -446,47 +454,43 @@ def _fold_system(sys, k, c, lam, v, ell):
     return G, A, J, np.max(np.abs(G))
 
 
-def _solve_fold(branch, i, sigma_tol, sys, lam_min):
-    """Newton on the extended system for the candidate pair (a, b) = points
-    (i, i + 1), or None (see locate_degenerate for when).
+def _fold_newton(sys, k, c, lam, v):
+    """Newton on the extended system from (c, lam, v), with ell = v / (v . v),
+    to NEWTON_TOL within MAX_ITER steps.
 
-    It starts at a, with v the coefficient part of the unit tangent at a
-    oriented along the chord to b, and ell = v / (v . v).
+    c and v hold the coefficients of the sector of mode k.  Returns the
+    located SolutionPoint, its kernel v and the number of Newton steps, or
+    None when the steps do not converge, an iterate loses positivity or a
+    system is singular.
     """
-    k = branch.k
-    parity = _parity(k)
-    modes = _modes(parity)
-    a, b = branch.points[i], branch.points[i + 1]
-    chord = _chord(a, b)
-    if chord is None:
-        return None
-    ref_c, ref_lam, gap = chord
-    c, lam = a.coeffs[modes], a.lam
     m = c.size
+    ell = v / (v @ v)
     try:
-        v, _ = _tangent(sys, c, lam, ref_c[modes], ref_lam, k=k)
-        ell = v / (v @ v)
         for iterations in range(MAX_ITER):
             G, A, J, err = _fold_system(sys, k, c, lam, v, ell)
             if err < NEWTON_TOL:
-                break
+                return solution_point(sys, c, lam, k=k, J=J), v, iterations
             z = np.linalg.solve(A, -G)
             c = c + z[:m]
             lam += z[m]
             v = v + z[m + 1:]
-        else:
-            return None
-        star = solution_point(sys, c, lam, k=k, J=J)
     except (ConvergenceError, PositivityError, np.linalg.LinAlgError):
-        return None
-    for end in (a, b):
-        dist = _chord(end, star)
-        if dist is not None and dist[2] > gap:
-            return None
+        pass
+    return None
+
+
+def _fold_report(branch, i, solved, sigma_tol, sys, earlier_steps):
+    """The report of the fold solve ``solved`` = (star, v, steps) for the
+    traced pair (i, i + 1), or None when |sigma_min| there is not below
+    sigma_tol, its nodal count differs from the pair's or u is not positive;
+    earlier_steps is added to its Newton steps."""
+    star, v, steps = solved
+    a, b = branch.points[i], branch.points[i + 1]
     if (abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count
             or star.u_min <= 0):
         return None
-    F = assemble_residual(c, star.lam, sys, parity)
+    parity = _parity(branch.k)
+    F = assemble_residual(star.coeffs[_modes(parity)], star.lam, sys, parity)
     return DegeneracyReport(
         lambda_star=star.lam,
         phi_star=star.phi,
@@ -495,12 +499,79 @@ def _solve_fold(branch, i, sigma_tol, sys, lam_min):
         u_min=star.u_min,
         s_bracket=(a.s_coord, b.s_coord),
         residual_norm=float(np.max(np.abs(F))),
-        branch_lambda_min=min(lam_min, star.lam),
+        branch_lambda_min=min([p.lam for p in branch.points] + [star.lam]),
         crossing_index=i,
         endpoint_derivs=sys.endpoint_derivatives(star.coeffs),
-        newton_iterations=iterations,
+        newton_iterations=earlier_steps + steps,
         tail=star.tail,
+        coeffs=star.coeffs,
+        kernel=v,
     )
+
+
+def _solve_fold(branch, i, sigma_tol, sys):
+    """Newton on the extended system for the candidate pair (a, b) = points
+    (i, i + 1), or None (see locate_degenerate for when).
+
+    It starts at a, with v the coefficient part of the unit tangent at a
+    oriented along the chord to b.
+    """
+    k = branch.k
+    modes = _modes(_parity(k))
+    a, b = branch.points[i], branch.points[i + 1]
+    chord = _chord(a, b)
+    if chord is None:
+        return None
+    ref_c, ref_lam, gap = chord
+    c = a.coeffs[modes]
+    try:
+        v, _ = _tangent(sys, c, a.lam, ref_c[modes], ref_lam, k=k)
+    except (ConvergenceError, PositivityError):
+        return None
+    solved = _fold_newton(sys, k, c, a.lam, v)
+    if solved is None:
+        return None
+    for end in (a, b):
+        dist = _chord(end, solved[0])
+        if dist is not None and dist[2] > gap:
+            return None
+    return _fold_report(branch, i, solved, sigma_tol, sys, 0)
+
+
+def refine_degenerate(
+    branch: Branch,
+    report: DegeneracyReport,
+    sigma_tol: float,
+    sys: DiscreteSystem,
+) -> DegeneracyReport | None:
+    """Solve again on the finer system ``sys`` for the degenerate point that
+    locate_degenerate reported on ``branch``, traced on a coarser system of
+    the same problem; or None.
+
+    Newton on the extended system starts from the report's coefficients and
+    kernel v, padded with zeros to the sector of ``sys``, with
+    ell = v / (v . v).  The result must pass the checks of a candidate in
+    locate_degenerate, with the padded point in place of the traced pair's
+    ends.  ``crossing_index``, ``s_bracket`` and ``branch_lambda_min`` come
+    from the coarse trace, and ``newton_iterations`` counts both solves.
+    """
+    k = branch.k
+    modes = _modes(_parity(k))
+    i = report.crossing_index
+    a, b = branch.points[i], branch.points[i + 1]
+    coarse = np.zeros(sys.grid.N + 1)
+    coarse[: report.coeffs.size] = report.coeffs
+    c = coarse[modes]
+    v = np.zeros(c.size)
+    v[: report.kernel.size] = report.kernel
+    solved = _fold_newton(sys, k, c, report.lambda_star, v)
+    if solved is None:
+        return None
+    star = solved[0]
+    dc = star.coeffs - coarse
+    if np.sqrt(dc @ dc + (star.lam - report.lambda_star) ** 2) > _chord(a, b)[2]:
+        return None
+    return _fold_report(branch, i, solved, sigma_tol, sys, report.newton_iterations)
 
 
 def psi_smallness_check(k: int, s_list, sys: DiscreteSystem) -> list:

@@ -230,7 +230,14 @@ class TestDegenerateAndVerify:
 
     @pytest.mark.parametrize(
         "report, reason",
-        [({"found": False}, "has found: false"), ({"found": True, "N": 24}, "holds N=24, not N=16")],
+        [
+            ({"found": False}, "has found: false"),
+            ({"found": True, "N": 24}, "holds N=24, not N=16"),
+            # written for another problem at the same N
+            ({"found": True, "N": 16, "n": 3, "delta": 1.0, "q": 3.0}, "holds n=3, not n=2"),
+            ({"found": True, "N": 16, "n": 2, "delta": 0.5, "q": 3.0}, "holds delta=0.5, not delta=1.0"),
+            ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 4.0}, "holds q=4.0, not q=3.0"),
+        ],
     )
     def test_verify_names_why_a_report_is_not_lifted(self, tmp_path, capsys, report, reason):
         overrides = [f"output_dir={tmp_path}", "N=16", "sample_count=20"]
@@ -261,14 +268,17 @@ class TestDegenerateAndVerify:
         assert dispatch("degenerate", cfg) == 0
         rep = json.loads((tmp_path / "degenerate_k2.json").read_text())
         assert len(traced[0].points) == rep["crossing_index"] + 2
+        assert traced[0].points[0].coeffs.size == 33  # traced at N_c = 32
 
-        # the same answer as locating after a full-budget trace
+        # the same answer as locating after a full-budget trace at N; the
+        # trace above ran at N_c = 32 and the fold was solved for again at
+        # N = 48, so lambda* and phi agree to rounding, not bit for bit
         full = trace_branch(2, 1, system48)
         assert len(full.points) == 400
         ref = locate_degenerate(full, 1e-6, system48)
         assert rep["crossing_index"] == ref.crossing_index
-        assert rep["lambda_star"] == ref.lambda_star
-        assert rep["phi"] == [float(v) for v in ref.phi_star]
+        assert rep["lambda_star"] == pytest.approx(ref.lambda_star, rel=1e-12, abs=0)
+        np.testing.assert_allclose(rep["phi"], ref.phi_star, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("q,k", [(6.0, 6), (4.0, 4)])
     def test_hard_folds_are_located(self, tmp_path, q, k):
@@ -333,6 +343,105 @@ class TestDegenerateAndVerify:
         assert code == 2
         rep = json.loads((tmp_path / "degenerate_k1.json").read_text())
         assert rep["found"] is False
+
+
+def _degenerate_outputs(tmp_path, capsys, overrides) -> tuple:
+    """Run ``degenerate`` in a new directory under tmp_path; returns its
+    exit code, its files' bytes by name and its stderr."""
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    capsys.readouterr()
+    code = dispatch("degenerate", parse_config(None, [f"output_dir={out}", *overrides]))
+    err = capsys.readouterr().err.replace(str(out), "OUT")
+    return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}, err
+
+
+def _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides) -> tuple:
+    """The outputs of ``degenerate`` when it traces at N itself."""
+    import spherebif.cli as cli_mod
+
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "COARSE_N_MIN", 10**9)
+        return _degenerate_outputs(tmp_path, capsys, overrides)
+
+
+class TestCoarseFold:
+    """``degenerate`` locates the fold on a trace at N_c = max(32, N // 3)
+    and solves for it again at N."""
+
+    @pytest.mark.parametrize("n,q,k,crossing_index", [
+        (2, 3.0, 2, 13), (2, 3.0, 4, 17), (2, 6.0, 6, 13), (2, 4.0, 4, 12), (3, 4.9, 2, 23),
+    ])
+    def test_lambda_star_matches_a_trace_at_N(self, tmp_path, n, q, k, crossing_index):
+        from spherebif import DiscreteSystem, ModelParams, build_grid
+
+        cfg = parse_config(None, [f"output_dir={tmp_path}", f"n={n}", f"q={q}", f"k={k}", "N=96"])
+        assert dispatch("degenerate", cfg) == 0
+        rep = json.loads((tmp_path / f"degenerate_k{k}.json").read_text())
+        assert rep["crossing_index"] == crossing_index
+
+        system = DiscreteSystem(build_grid(96), ModelParams(n=n, delta=1.0, q=q))
+        branch = trace_branch(k, 1, system, max_points=crossing_index + 2)
+        ref = locate_degenerate(branch, 1e-6, system)
+        assert ref.crossing_index == crossing_index
+        assert rep["lambda_star"] == pytest.approx(ref.lambda_star, rel=1e-10, abs=0)
+        assert rep["residual_norm"] < 1e-10
+        assert abs(rep["sigma_at_star"]) < cfg.sigma_tol
+        assert rep["nodal_count"] == k and rep["u_min"] > 0
+        assert len(rep["phi"]) == 97
+
+    def test_small_N_traces_at_N(self, tmp_path, capsys, monkeypatch):
+        # N_c = 32 is not below N = 32: the command runs as it always has
+        import spherebif.cli as cli_mod
+
+        def unexpected(*args):
+            pytest.fail("refine_degenerate called at N = 32")
+
+        monkeypatch.setattr(cli_mod.continuation, "refine_degenerate", unexpected)
+        overrides = ["k=2", "N=32"]
+        code, files, err = _degenerate_outputs(tmp_path, capsys, overrides)
+        assert code == 0 and "N_c" not in err
+        assert (code, files, err) == _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides)
+
+    @pytest.mark.parametrize("failure", ["refinement", "no crossing", "convergence"])
+    def test_a_failed_coarse_fold_falls_back_to_a_trace_at_N(
+        self, tmp_path, capsys, monkeypatch, failure
+    ):
+        import spherebif.cli as cli_mod
+
+        overrides = ["k=2", "N=48"]
+        expected = _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides)
+        trace, locate = cli_mod.continuation.trace_branch, cli_mod.continuation.locate_degenerate
+
+        def coarse_trace(k, direction, sys, **kwargs):
+            if sys.grid.N == 32:
+                raise ConvergenceError("stalled")
+            return trace(k, direction, sys, **kwargs)
+
+        def coarse_locate(branch, sigma_tol, sys, **kwargs):
+            return None if sys.grid.N == 32 else locate(branch, sigma_tol, sys, **kwargs)
+
+        patch = {
+            "refinement": ("refine_degenerate", lambda *args: None),
+            "no crossing": ("locate_degenerate", coarse_locate),
+            "convergence": ("trace_branch", coarse_trace),
+        }[failure]
+        monkeypatch.setattr(cli_mod.continuation, *patch)
+        code, files, err = _degenerate_outputs(tmp_path, capsys, overrides)
+        assert code == 0 and "N_c" not in err
+        assert (code, files, err) == expected
+
+    def test_the_log_line_gives_N_c_and_the_change_in_lambda_star(self, tmp_path, capsys):
+        # (6,6) is the fold-hunt case that N = 32 resolves least well
+        problem = ["q=6", "k=6"]
+        _, coarse, _ = _degenerate_outputs(tmp_path, capsys, [*problem, "N=32"])
+        code, fine, err = _degenerate_outputs(tmp_path, capsys, [*problem, "N=96"])
+        assert code == 0
+        lam_c = json.loads(coarse["degenerate_k6.json"])["lambda_star"]
+        lam = json.loads(fine["degenerate_k6.json"])["lambda_star"]
+        change = f"{abs(lam - lam_c):.1e}"
+        assert f", N_c = 32, |lambda*(N) - lambda*(N_c)| = {change} -> OUT" in err
+        assert float(change) >= 1e-9
+        assert lam == pytest.approx(20.364737861326915, rel=1e-12, abs=0)
 
 
 def _one_cpu(monkeypatch):

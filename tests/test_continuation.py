@@ -19,6 +19,7 @@ from spherebif.continuation import (
     locate_degenerate,
     newton_solve,
     psi_smallness_check,
+    refine_degenerate,
     solve_at_s,
     trace_branch,
 )
@@ -477,6 +478,41 @@ def test_tail_flags_the_under_resolved_plus_branch():
     assert report.tail < 1e-12
     coarse = DiscreteSystem(build_grid(48), params)
     assert max(pt.tail for pt in trace_branch(2, 1, coarse).points) > 1e-4
+
+
+class TestRefineDegenerate:
+    """A fold located at N = 32, solved for again at N = 48."""
+
+    @pytest.fixture(scope="class")
+    def coarse_fold(self, params):
+        coarse = DiscreteSystem(build_grid(32), params)
+        branch = trace_branch(2, 1, coarse, max_points=20)
+        return branch, locate_degenerate(branch, 1e-6, coarse)
+
+    def test_matches_the_fold_located_at_N(self, coarse_fold, fold_report, system48):
+        branch, coarse = coarse_fold
+        _, ref = fold_report
+        assert coarse.coeffs.shape == (33,) and coarse.kernel.shape == (17,)
+        report = refine_degenerate(branch, coarse, 1e-6, system48)
+        assert report.lambda_star == pytest.approx(ref.lambda_star, rel=1e-12, abs=0)
+        assert_allclose(report.phi_star, ref.phi_star, rtol=0, atol=1e-12)
+        assert report.crossing_index == coarse.crossing_index == ref.crossing_index
+        assert report.s_bracket == coarse.s_bracket
+        assert report.branch_lambda_min == report.lambda_star
+        assert coarse.newton_iterations <= report.newton_iterations <= coarse.newton_iterations + 2
+        assert abs(report.sigma_at_star) < 1e-6 and report.residual_norm < 1e-10
+        # the kernel of the refined point, in the even sector of N = 48
+        J = assemble_jacobian(report.coeffs[::2], report.lambda_star, system48, 1)
+        assert report.kernel.shape == (25,)
+        assert np.max(np.abs(J @ report.kernel)) < 1e-10
+
+    def test_a_point_that_fails_a_check_is_not_reported(self, coarse_fold, system48):
+        branch, coarse = coarse_fold
+        assert refine_degenerate(branch, coarse, 1e-30, system48) is None
+        # a start this far from the fold converges onto it, farther from the
+        # start than the traced pair's chord
+        moved = dataclasses.replace(coarse, lambda_star=coarse.lambda_star + 1.0)
+        assert refine_degenerate(branch, moved, 1e-6, system48) is None
 
 
 class TestPsiSmallness:
