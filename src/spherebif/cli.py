@@ -14,17 +14,19 @@ The config file is a flat key = value document ('#' comments allowed);
 command-line overrides take precedence.  The keys are the problem data
 (n, delta, q, k), the resolution N, the degeneracy target sigma_tol, the
 verify sample count and seed, and output_dir; the solver's tolerances and
-step sizes are constants of the modules that use them.  Exit codes: 0
-success, 2 solver non-convergence, 3 configuration error.  Output files
-are byte-identical across runs for a fixed config and seed on one
-platform; floats are written with 17 significant digits so values
-round-trip exactly.  ``main`` sets numpy's OpenBLAS to one thread, except
-for traces of 321 or more unknowns (``blas_threads``), and raises glibc's
-malloc thresholds (``_hold_freed_memory``), for the whole calling process
-and after it returns; importing the package changes neither.
+step sizes are constants of the modules that use them; ``branch`` and
+``degenerate`` also need k <= N.  Exit codes: 0 success, 2 solver
+non-convergence, 3 configuration error.  Output files are byte-identical
+across runs for a fixed config and seed on one platform, and for a fixed
+CPU count once a trace has 321 unknowns; floats are written with 17
+significant digits so values round-trip exactly.  ``main`` sets numpy's
+OpenBLAS to one thread, except for traces of 321 or more unknowns
+(``blas_threads``), and raises glibc's malloc thresholds
+(``_hold_freed_memory``), for the whole calling process and after it
+returns; importing the package changes neither.
 
 ``degenerate`` traces and locates the fold at the coarse resolution
-max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that is below N, and solves
+max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies in k..N-1, and solves
 for it again at N (``continuation.refine_degenerate``); the report, the
 profile and the JSON schema are at N, and the stderr line adds the coarse
 N and the change in lambda* as an error estimate.  If the coarse trace
@@ -78,8 +80,8 @@ __all__ = [
 COMMANDS = ("eigen", "poly", "branch", "degenerate", "verify")
 # finite-difference step of verify's stencils, written to verify.json as "h"
 _H = 1e-3
-# degenerate traces at max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that is
-# below N, and solves for the located fold again at N
+# degenerate traces at max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies
+# in k..N-1, and solves for the located fold again at N
 COARSE_N_MIN = 32
 COARSE_N_DIVISOR = 3
 
@@ -167,8 +169,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"mode index k must be >= 1, got {cfg.k}")
     if cfg.N < 2:
         raise ConfigError(f"N must be >= 2, got {cfg.N}")
-    if cfg.sigma_tol <= 0:
-        raise ConfigError("sigma_tol must be positive")
+    if not 0 < cfg.sigma_tol < np.inf:
+        raise ConfigError(f"sigma_tol must be finite and positive, got {cfg.sigma_tol}")
     if cfg.sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
     if cfg.seed < 0:
@@ -358,11 +360,8 @@ def _locate_fold(cfg: RunConfig, system: DiscreteSystem) -> tuple:
         # solve for each crossing once, as the trace records it; a failed
         # candidate lets the trace go on to the next one
         nonlocal report
-        newest = len(branch.points) - 1
-        if not any(idx == newest and kind in continuation.CROSSING_EVENTS
-                   for idx, kind in branch.events):
-            return False
-        report = continuation.locate_degenerate(branch, cfg.sigma_tol, system, first=newest - 1)
+        first = len(branch.points) - 2
+        report = continuation.locate_degenerate(branch, cfg.sigma_tol, system, first=first)
         return report is not None
 
     branch = continuation.trace_branch(cfg.k, 1, system, stop=located)
@@ -387,7 +386,7 @@ def _coarse_fold(cfg: RunConfig, system: DiscreteSystem, coarse_N: int):
 def _cmd_degenerate(cfg: RunConfig) -> int:
     system = cfg.system()
     coarse_N = max(COARSE_N_MIN, cfg.N // COARSE_N_DIVISOR)
-    found = _coarse_fold(cfg, system, coarse_N) if coarse_N < cfg.N else None
+    found = _coarse_fold(cfg, system, coarse_N) if cfg.k <= coarse_N < cfg.N else None
     if found is not None:
         report, coarse = found
         estimate = (f", N_c = {coarse_N}, |lambda*(N) - lambda*(N_c)| = "
@@ -520,6 +519,8 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     """Run one command; returns the process exit code."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
+    if command in ("branch", "degenerate") and cfg.k > cfg.N:
+        raise ConfigError(f"mode index k={cfg.k} exceeds the resolution N={cfg.N}")
     os.makedirs(cfg.output_dir, exist_ok=True)
     return _HANDLERS[command](cfg)
 
@@ -568,7 +569,8 @@ def _hold_freed_memory():
 
     Each traced point allocates and frees arrays of 0.1-1 MB.  Above the
     default 128 kB mmap threshold each one is a fresh mapping whose pages
-    fault in on first use: 100,000 faults in one odd-k trace at N=192.
+    fault in on first use: ``verify`` makes 7,620 faults without these
+    values and 465 with them.
     glibc raises the threshold only after freeing a larger mapping, so
     the cost came and went with unrelated edits.  These are the values
     its dynamic rule reaches after freeing a 32 MiB block.

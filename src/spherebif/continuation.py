@@ -18,13 +18,18 @@ zero-padding, so ``refine_degenerate`` pads the located point's
 coefficients and kernel with zeros and solves the extended system again on
 the finer system, in a few Newton steps, with the checks of a candidate.
 
-Every point comes from one damped Newton corrector on the Galerkin
-residual F(c, lambda) = 0 of ``collocation`` plus one linear equation in
-(c, lambda), solved as a bordered system and converged to NEWTON_TOL, the
-tolerance that ``collocation.nodal_count`` also takes as its
-trivial-profile floor.  The linear equation holds lambda fixed
+Every Newton solve runs one damped loop, ``_newton``, converged to
+NEWTON_TOL, the tolerance that ``collocation.nodal_count`` also takes as its
+trivial-profile floor.  It stops when its residual max-norm fails to fall
+from the third iteration on, after MAX_ITER iterations, on a singular
+system, or when halving the step MAX_BACKTRACK times keeps u = phi + 1
+nonpositive at the rule nodes.  Its callers supply the residual and the
+Newton matrix.  Every point comes from the Galerkin residual
+F(c, lambda) = 0 of ``collocation`` plus one linear equation in
+(c, lambda), solved as a bordered system: the equation holds lambda fixed
 (``newton_solve``), the projection onto P_{k,n} (``solve_at_s``) or the
-pseudo-arclength equation (``arclength_step``).  The coefficients are
+pseudo-arclength equation (``arclength_step``).  A fold is solved for on
+the extended system in (c, lambda, v).  The coefficients are
 orthonormal coordinates, so inner products, norms and arclength are plain
 dot products.  Even k is traced in the even sector: P_{k,n} is even in t,
 and so is every point of the branch, so the corrector, the tangent and the
@@ -147,64 +152,93 @@ class DegeneracyReport:
     kernel: np.ndarray
 
 
-def _apply_update(sys, parity, c, lam, dc, dlam):
-    """Damped update: halve the step while u = phi + 1 is not positive at
-    the rule nodes."""
-    step = 1.0
-    for _ in range(MAX_BACKTRACK):
-        trial = c + step * dc
-        if sys.rule_values(trial, parity).min() > -1.0:
-            return trial, lam + step * dlam
-        step *= 0.5
-    raise ConvergenceError("iterate lost positivity and backtracking failed")
+def _solve(A, b):
+    """np.linalg.solve(A, b), a singular A raising ConvergenceError."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular Newton system: {exc}") from exc
 
 
-def _correct(sys, k, c, lam, wrow, wlam, constraint, max_iter):
-    """Newton on F = 0 and g = constraint(c, lam) = 0, g having gradient
-    (wrow, wlam), in the coefficients of the sector of mode k, until
-    max(|F|_inf, |g|) < NEWTON_TOL.  Returns the SolutionPoint and the
-    Jacobian at it; raises PositivityError when the converged u is not
-    positive on the grid, and ConvergenceError when it stalls: when that
-    residual fails to fall from the third iteration (iteration 2) on, or
-    max_iter iterations, only a cap, do not reach NEWTON_TOL."""
+def _bordered(J, flam, wrow, wlam):
+    """The bordered matrix [[J, flam], [wrow, wlam]]."""
+    m = J.shape[0]
+    A = np.empty((m + 1, m + 1))
+    A[:m, :m] = J
+    A[:m, -1] = flam
+    A[-1, :m] = wrow
+    A[-1, -1] = wlam
+    return A
+
+
+def _newton(sys, k, c, lam, v, residual, matrix):
+    """Damped Newton on G = residual(c, lam, v, J) = 0 from (c, lam, v), J
+    being the Jacobian of the sector of mode k at (c, lam); v holds unknowns
+    after lambda, or is None.  Each step solves matrix(c, lam, v, J) z = -G
+    and is halved while u = phi + 1 is not positive at the rule nodes.
+
+    Returns (point, J, v, steps) once max|G| < NEWTON_TOL; raises
+    PositivityError when the converged u is not positive on the grid, and
+    ConvergenceError when max|G| fails to fall from iteration 2 on, after
+    MAX_ITER iterations, on a singular matrix or when backtracking fails.
+    """
     parity = _parity(k)
+    m = c.size
     prev = np.inf
-    for it in range(max_iter):
-        F = assemble_residual(c, lam, sys, parity)
-        g = constraint(c, lam)
-        err = max(np.max(np.abs(F)), abs(g))
+    for it in range(MAX_ITER):
+        J = assemble_jacobian(c, lam, sys, parity)
+        G = residual(c, lam, v, J)
+        err = np.max(np.abs(G))
         if it >= 2 and err >= prev:
             raise ConvergenceError(f"residual rose from {prev:.1e} to {err:.1e} at iteration {it}")
         prev = err
-        J = assemble_jacobian(c, lam, sys, parity)
         if err < NEWTON_TOL:
             pt = solution_point(sys, c, lam, k=k, J=J)
             if pt.u_min <= 0:
                 raise PositivityError(f"u = phi + 1 reaches {pt.u_min} on the grid")
-            return pt, J
-        flam = dresidual_dlambda(c, lam, sys, parity)
-        dc, dlam = _bordered_solve(J, flam, wrow, wlam, -F, -g)
-        c, lam = _apply_update(sys, parity, c, lam, dc, dlam)
-    raise ConvergenceError(f"no convergence after {max_iter} iterations")
+            return pt, J, v, it
+        z = _solve(matrix(c, lam, v, J), -G)
+        step = 1.0
+        for _ in range(MAX_BACKTRACK):
+            trial = c + step * z[:m]
+            if sys.rule_values(trial, parity).min() > -1.0:
+                break
+            step *= 0.5
+        else:
+            raise ConvergenceError("iterate lost positivity and backtracking failed")
+        c, lam = trial, lam + step * z[m]
+        if v is not None:
+            v = v + step * z[m + 1:]
+    raise ConvergenceError(f"no convergence after {MAX_ITER} iterations")
+
+
+def _correct(sys, k, c, lam, wrow, wlam, constraint):
+    """Newton on F = 0 and g = constraint(c, lam) = 0, g having gradient
+    (wrow, wlam), in the coefficients of the sector of mode k.  Returns the
+    SolutionPoint and the Jacobian at it."""
+    parity = _parity(k)
+    pt, J, _, _ = _newton(
+        sys, k, c, lam, None,
+        lambda c, lam, v, J: np.append(assemble_residual(c, lam, sys, parity), constraint(c, lam)),
+        lambda c, lam, v, J: _bordered(J, dresidual_dlambda(c, lam, sys, parity), wrow, wlam),
+    )
+    return pt, J
 
 
 def newton_solve(
     c0,
     lam: float,
     sys: DiscreteSystem,
-    max_iter: int = MAX_ITER,
     k: int | None = None,
 ) -> SolutionPoint:
     """Newton iteration at fixed lambda from the initial coefficients c0.
 
     c0 holds all N + 1 coefficients; an even mode index k solves on the even
     sector from the even modes of c0.  Returns a SolutionPoint with
-    diagnostics populated; raises ConvergenceError when the corrector
-    stalls (its residual max-norm stops falling or stays above NEWTON_TOL
-    after max_iter iterations).
+    diagnostics populated; raises ConvergenceError when the corrector stalls.
     """
     c = np.asarray(c0, dtype=float)[_modes(_parity(k))]
-    pt, _ = _correct(sys, k, c, lam, np.zeros(c.size), 1.0, lambda c, lam: 0.0, max_iter)
+    pt, _ = _correct(sys, k, c, lam, np.zeros(c.size), 1.0, lambda c, lam: 0.0)
     return pt
 
 
@@ -221,40 +255,23 @@ def branch_seed(k: int, s0: float, sys: DiscreteSystem) -> SolutionPoint:
     return solution_point(sys, c, lam, k=k)
 
 
-def _bordered_solve(J, flam, wrow, wlam, rtop, rbot):
-    """Solve [[J, flam], [wrow, wlam]] [x; xl] = [rtop; rbot] for (x, xl)."""
-    m = J.shape[0]
-    A = np.empty((m + 1, m + 1))
-    A[:m, :m] = J
-    A[:m, -1] = flam
-    A[-1, :m] = wrow
-    A[-1, -1] = wlam
-    try:
-        z = np.linalg.solve(A, np.append(rtop, rbot))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular bordered system: {exc}") from exc
-    return z[:m], z[-1]
-
-
 def solve_at_s(
     k: int,
     s: float,
     sys: DiscreteSystem,
-    max_iter: int = MAX_ITER,
 ) -> SolutionPoint:
     """Solve on the branch at projection coordinate s.
 
     Unknowns are (phi, lambda); the extra equation is the normalization
     <phi, P_{k,n}>_w = s <P_{k,n}, P_{k,n}>_w, which pins the on-branch
     parametrization w(s) = s P_{k,n} + (remainder orthogonal to P_{k,n}).
-    The corrector starts from the tangent predictor at s and converges to
-    NEWTON_TOL within max_iter iterations; even k solves on the even sector
-    (see the module docstring).
+    The corrector starts from the tangent predictor at s; even k solves on
+    the even sector (see the module docstring).
     """
     p = sys.basis(k)[_modes(_parity(k))]
     p2 = p @ p
     lam = lambda_k(k, sys.params) + s * dlambda_ds0(k, sys.params)
-    pt, _ = _correct(sys, k, s * p, lam, p, 0.0, lambda c, lam: c @ p - s * p2, max_iter)
+    pt, _ = _correct(sys, k, s * p, lam, p, 0.0, lambda c, lam: c @ p - s * p2)
     return pt
 
 
@@ -268,7 +285,8 @@ def _tangent(sys, c, lam, ref, ref_lam, k=None, J=None):
     if J is None:
         J = assemble_jacobian(c, lam, sys, parity)
     flam = dresidual_dlambda(c, lam, sys, parity)
-    tc, tlam = _bordered_solve(J, flam, ref, ref_lam, np.zeros(c.size), 1.0)
+    z = _solve(_bordered(J, flam, ref, ref_lam), np.append(np.zeros(c.size), 1.0))
+    tc, tlam = z[:-1], z[-1]
     nrm = np.sqrt(tc @ tc + tlam**2)
     tc, tlam = tc / nrm, tlam / nrm
     if tc @ ref + tlam * ref_lam < 0:
@@ -282,7 +300,6 @@ def arclength_step(
     ds: float,
     sys: DiscreteSystem,
     k: int | None = None,
-    max_iter: int = MAX_ITER,
 ):
     """One pseudo-arclength step of length ds from a converged point.
 
@@ -291,12 +308,10 @@ def arclength_step(
     the affine constraint <c - c_0, t_c> + (lambda - lambda_0) t_lambda = ds
     to NEWTON_TOL.  The new point is accepted only if its nodal count
     matches the current one; otherwise StepRejected carries the reason
-    ``nodal-change``.  A corrector that stalls (its residual max-norm
-    fails to fall from the third iteration on, or max_iter iterations do
-    not converge) or loses positivity (u <= 0) raises StepRejected with the
-    reason ``step-failure`` and the corrector's message, so every accepted
-    point has u > 0.  Returns the pair (point, Jacobian of the sector at the
-    point).
+    ``nodal-change``.  A corrector that stalls or loses positivity (u <= 0)
+    raises StepRejected with the reason ``step-failure`` and the corrector's
+    message, so every accepted point has u > 0.  Returns the pair (point,
+    Jacobian of the sector at the point).
     """
     tc, tlam = tangent
     c0, lam0 = current.coeffs[_modes(_parity(k))], current.lam
@@ -304,7 +319,6 @@ def arclength_step(
         pt, J = _correct(
             sys, k, c0 + ds * tc, lam0 + ds * tlam, tc, tlam,
             lambda c, lam: (c - c0) @ tc + (lam - lam0) * tlam - ds,
-            max_iter,
         )
     except (ConvergenceError, PositivityError) as exc:
         raise StepRejected("step-failure", str(exc)) from exc
@@ -395,19 +409,16 @@ def locate_degenerate(
     Candidates are the point pairs (i, i + 1) with i >= ``first`` that end
     at a ``fold`` or ``sigma-zero`` event of the trace.  Each is solved for
     by Newton on the extended system F = 0, J v = 0, <ell, v> = 1 in
-    (c, lambda, v), started from point i and converged to NEWTON_TOL
-    within MAX_ITER steps, with one ``solution_point`` for the diagnostics
-    at the end.  A candidate is skipped when the solve stalls (it has no
-    residual-rise test, unlike the corrector of trace_branch, and stalls
-    only when MAX_ITER steps do not converge or a system is singular) or
-    loses positivity (at the rule nodes or on the grid), when its point lies
-    farther from either end of the pair than the pair's chord length, when
-    |sigma_min| there is not below sigma_tol (an absolute target, stricter
-    than any operator rescaling since the spectral scale exceeds one), or
-    when its nodal count differs from the branch's; a min-magnitude
-    eigenvalue swap, not a crossing, is skipped this way.  A caller
-    locating each crossing as the trace records it passes the newest pair's
-    index as ``first``, so no earlier candidate is solved twice.
+    (c, lambda, v), started from point i, with one ``solution_point`` for
+    the diagnostics at the end.  A candidate is skipped when the solve
+    stalls or loses positivity, when its point lies farther from either end
+    of the pair than the pair's chord length, when |sigma_min| there is not
+    below sigma_tol (an absolute target, stricter than any operator
+    rescaling since the spectral scale exceeds one), or when its nodal
+    count differs from the branch's; a min-magnitude eigenvalue swap, not a
+    crossing, is skipped this way.  A caller locating each crossing as the
+    trace records it passes the newest pair's index as ``first``, so no
+    earlier candidate is solved twice.
     """
     candidates = sorted(
         {idx - 1 for idx, kind in branch.events
@@ -431,61 +442,61 @@ def _chord(a, b):
     return dc / gap, dlam / gap, gap
 
 
-def _fold_system(sys, k, c, lam, v, ell):
-    """Residual and Newton matrix of the extended system F(c, lambda) = 0,
-    J v = 0, <ell, v> = 1 in the unknowns (c, lambda, v).
-
-    c, v and ell hold the m coefficients of the sector of mode k.  Returns
-    (G, A, J, err): G has the blocks (F, J v, <ell, v> - 1), A is the
-    (2m+1)-square matrix [[J, F_lambda, 0], [(J v)_c, (J v)_lambda, J],
-    [0, 0, ell]], J the sector's Jacobian and err = max|G|.
-    """
-    parity = _parity(k)
+def _fold_residual(sys, parity, c, lam, v, J, ell):
+    """The residual (F, J v, <ell, v> - 1) of the extended system in the
+    unknowns (c, lambda, v), J being the Jacobian at (c, lambda)."""
     F = assemble_residual(c, lam, sys, parity)
-    J = assemble_jacobian(c, lam, sys, parity)
+    return np.concatenate([F, J @ v, [ell @ v - 1.0]])
+
+
+def _fold_matrix(sys, parity, c, lam, v, J, ell):
+    """The (2m+1)-square Newton matrix [[J, F_lambda, 0],
+    [(J v)_c, (J v)_lambda, J], [0, 0, ell]] of the extended system."""
     m = len(J)
-    G = np.concatenate([F, J @ v, [ell @ v - 1.0]])
     A = np.zeros((2 * m + 1, 2 * m + 1))
     A[:m, :m] = J
     A[:m, m] = dresidual_dlambda(c, lam, sys, parity)
     A[m:-1, :m], A[m:-1, m] = _jacobian_derivatives(c, lam, v, sys, parity)
     A[m:-1, m + 1:] = J
     A[-1, m + 1:] = ell
-    return G, A, J, np.max(np.abs(G))
+    return A
 
 
 def _fold_newton(sys, k, c, lam, v):
     """Newton on the extended system from (c, lam, v), with ell = v / (v . v),
-    to NEWTON_TOL within MAX_ITER steps.
-
-    c and v hold the coefficients of the sector of mode k.  Returns the
-    located SolutionPoint, its kernel v and the number of Newton steps, or
-    None when the steps do not converge, an iterate loses positivity or a
-    system is singular.
-    """
-    m = c.size
+    in the coefficients of the sector of mode k.  Returns the located
+    SolutionPoint, its kernel v and the number of Newton steps, or None when
+    the solve stalls or loses positivity."""
+    parity = _parity(k)
     ell = v / (v @ v)
     try:
-        for iterations in range(MAX_ITER):
-            G, A, J, err = _fold_system(sys, k, c, lam, v, ell)
-            if err < NEWTON_TOL:
-                return solution_point(sys, c, lam, k=k, J=J), v, iterations
-            z = np.linalg.solve(A, -G)
-            c = c + z[:m]
-            lam += z[m]
-            v = v + z[m + 1:]
-    except (ConvergenceError, PositivityError, np.linalg.LinAlgError):
-        pass
-    return None
+        pt, _, v, steps = _newton(
+            sys, k, c, lam, v,
+            lambda c, lam, v, J: _fold_residual(sys, parity, c, lam, v, J, ell),
+            lambda c, lam, v, J: _fold_matrix(sys, parity, c, lam, v, J, ell),
+        )
+    except (ConvergenceError, PositivityError):
+        return None
+    return pt, v, steps
 
 
-def _fold_report(branch, i, solved, sigma_tol, sys, earlier_steps):
-    """The report of the fold solve ``solved`` = (star, v, steps) for the
-    traced pair (i, i + 1), or None when |sigma_min| there is not below
-    sigma_tol, its nodal count differs from the pair's or u is not positive;
+def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
+    """Solve the extended system from start = (c, lam, v) and report the
+    fold for the traced pair (i, i + 1), or None: when the solve fails, its
+    point lies farther from a reference (coefficients, lambda) in refs than
+    the pair's chord length, |sigma_min| there is not below sigma_tol, its
+    nodal count differs from the pair's or u is not positive.
     earlier_steps is added to its Newton steps."""
+    solved = _fold_newton(sys, branch.k, *start)
+    if solved is None:
+        return None
     star, v, steps = solved
     a, b = branch.points[i], branch.points[i + 1]
+    gap = _chord(a, b)[2]
+    for rc, rl in refs:
+        dc = star.coeffs - rc
+        if np.sqrt(dc @ dc + (star.lam - rl) ** 2) > gap:
+            return None
     if (abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count
             or star.u_min <= 0):
         return None
@@ -522,20 +533,13 @@ def _solve_fold(branch, i, sigma_tol, sys):
     chord = _chord(a, b)
     if chord is None:
         return None
-    ref_c, ref_lam, gap = chord
     c = a.coeffs[modes]
     try:
-        v, _ = _tangent(sys, c, a.lam, ref_c[modes], ref_lam, k=k)
+        v, _ = _tangent(sys, c, a.lam, chord[0][modes], chord[1], k=k)
     except (ConvergenceError, PositivityError):
         return None
-    solved = _fold_newton(sys, k, c, a.lam, v)
-    if solved is None:
-        return None
-    for end in (a, b):
-        dist = _chord(end, solved[0])
-        if dist is not None and dist[2] > gap:
-            return None
-    return _fold_report(branch, i, solved, sigma_tol, sys, 0)
+    refs = [(a.coeffs, a.lam), (b.coeffs, b.lam)]
+    return _fold_report(branch, i, (c, a.lam, v), refs, sigma_tol, sys)
 
 
 def refine_degenerate(
@@ -555,23 +559,14 @@ def refine_degenerate(
     ends.  ``crossing_index``, ``s_bracket`` and ``branch_lambda_min`` come
     from the coarse trace, and ``newton_iterations`` counts both solves.
     """
-    k = branch.k
-    modes = _modes(_parity(k))
-    i = report.crossing_index
-    a, b = branch.points[i], branch.points[i + 1]
+    modes = _modes(_parity(branch.k))
     coarse = np.zeros(sys.grid.N + 1)
     coarse[: report.coeffs.size] = report.coeffs
     c = coarse[modes]
     v = np.zeros(c.size)
     v[: report.kernel.size] = report.kernel
-    solved = _fold_newton(sys, k, c, report.lambda_star, v)
-    if solved is None:
-        return None
-    star = solved[0]
-    dc = star.coeffs - coarse
-    if np.sqrt(dc @ dc + (star.lam - report.lambda_star) ** 2) > _chord(a, b)[2]:
-        return None
-    return _fold_report(branch, i, solved, sigma_tol, sys, report.newton_iterations)
+    return _fold_report(branch, report.crossing_index, (c, report.lambda_star, v),
+                        [(coarse, report.lambda_star)], sigma_tol, sys, report.newton_iterations)
 
 
 def psi_smallness_check(k: int, s_list, sys: DiscreteSystem) -> list:

@@ -86,8 +86,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("/no/such/file.cfg")
 
-    def test_exit_code_for_config_error(self, capsys):
+    def test_exit_code_for_config_error(self, tmp_path, capsys):
         assert main(["eigen", "n=3", "q=6"]) == 3
+        # branch and degenerate discretize P_{k,n}, which needs k <= N; a
+        # sigma_tol of nan would switch off the |sigma_min| test of a fold
+        for argv in (["branch", "k=40", "N=32"], ["degenerate", "k=40", "N=32"],
+                     ["degenerate", "sigma_tol=nan", "N=32"],
+                     ["degenerate", "sigma_tol=inf", "N=32"]):
+            assert main([*argv, f"output_dir={tmp_path}"]) == 3
+        assert not any(tmp_path.iterdir())
+        assert capsys.readouterr().err.count("configuration error") == 5
+
+    def test_eigen_and_poly_take_any_k(self, tmp_path):
+        # they do not discretize, so k > N is no error for them
+        assert main(["eigen", "k=200", "N=8", f"output_dir={tmp_path}"]) == 0
+        assert main(["poly", "k=9", "N=8", f"output_dir={tmp_path}"]) == 0
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         argv = ["verify", "seed=-1", "N=16", "sample_count=5", f"output_dir={tmp_path}"]
@@ -401,6 +414,23 @@ class TestCoarseFold:
         code, files, err = _degenerate_outputs(tmp_path, capsys, overrides)
         assert code == 0 and "N_c" not in err
         assert (code, files, err) == _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides)
+
+    def test_k_above_N_c_traces_at_N(self, tmp_path, monkeypatch):
+        # N_c = 32 has no mode 33: the command traces at N = 48 itself
+        import spherebif.cli as cli_mod
+        from spherebif import build_grid
+
+        built = []
+
+        def recording_grid(N):
+            built.append(N)
+            return build_grid(N)
+
+        monkeypatch.setattr(cli_mod, "build_grid", recording_grid)
+        cfg = parse_config(None, [f"output_dir={tmp_path}", "k=33", "N=48"])
+        assert dispatch("degenerate", cfg) == 2
+        assert json.loads((tmp_path / "degenerate_k33.json").read_text())["found"] is False
+        assert built == [48]
 
     @pytest.mark.parametrize("failure", ["refinement", "no crossing", "convergence"])
     def test_a_failed_coarse_fold_falls_back_to_a_trace_at_N(

@@ -46,9 +46,10 @@ class TestNewton:
         assert pt.u_min > 0
         assert pt.s_coord == pytest.approx(0.0303, rel=0.05)
 
-    def test_no_convergence_error(self, system48):
+    def test_no_convergence_error(self, system48, monkeypatch):
+        monkeypatch.setattr(continuation, "MAX_ITER", 3)
         with pytest.raises(ConvergenceError):
-            newton_solve(0.5 * system48.basis(2), 8.0, system48, max_iter=3)
+            newton_solve(0.5 * system48.basis(2), 8.0, system48)
 
     def test_rejects_nonpositive_start(self, system48):
         phi0 = np.full(49, -1.5)
@@ -98,9 +99,10 @@ class TestSolveAtS:
         pt = solve_at_s(2, 0.2, system48)
         assert np.max(np.abs(pt.phi - pt.phi[::-1])) < 1e-12
 
-    def test_no_convergence_error(self, system48):
+    def test_no_convergence_error(self, system48, monkeypatch):
+        monkeypatch.setattr(continuation, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            solve_at_s(2, 0.5, system48, max_iter=1)
+            solve_at_s(2, 0.5, system48)
 
     def test_odd_branch_reflection(self, system48):
         plus = solve_at_s(1, 0.15, system48)
@@ -116,11 +118,12 @@ class TestArclengthStep:
         assert nxt.lam == pytest.approx(5.25, rel=1e-12)
         assert np.max(np.abs(nxt.phi)) < 1e-12
 
-    def test_stalled_corrector_is_a_step_failure(self, system48):
+    def test_stalled_corrector_is_a_step_failure(self, system48, monkeypatch):
         triv = newton_solve(np.zeros(49), 5.0, system48)
         tangent = (system48.basis(2) / np.linalg.norm(system48.basis(2)), 0.0)
+        monkeypatch.setattr(continuation, "MAX_ITER", 1)
         with pytest.raises(StepRejected) as info:
-            arclength_step(triv, tangent, 0.3, system48, max_iter=1)
+            arclength_step(triv, tangent, 0.3, system48)
         assert info.value.reason == "step-failure"
 
     def test_rising_residual_is_a_step_failure(self, system48):
@@ -289,6 +292,21 @@ class TestDegeneracy:
         assert branch.events == [(index, "sigma-zero")]
         assert locate_degenerate(branch, 1e-6, system48) is None
 
+    def test_swap_candidate_stops_at_the_first_rise(self, system48, monkeypatch):
+        # the extended system's residual rises on the way to the bifurcation
+        # point, so the solve stops there instead of converging onto it
+        branch = trace_branch(3, 1, system48, max_points=70)
+        calls = []
+        original = continuation._fold_residual
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(continuation, "_fold_residual", counting)
+        assert locate_degenerate(branch, 1e-6, system48) is None
+        assert 1 <= len(calls) <= 3
+
     def test_not_found_on_short_branch(self, system48):
         branch = trace_branch(2, 1, system48, max_points=5)
         assert locate_degenerate(branch, 1e-6, system48) is None
@@ -314,10 +332,13 @@ def test_extended_system_derivatives(k, q):
     assert m == (25 if k == 2 else 49)
     v = np.random.default_rng(1).standard_normal(m)
     ell = v / (v @ v)
-    _, A, _, _ = continuation._fold_system(system, k, c0, pt.lam, v, ell)
+    parity = 1 if k == 2 else 0
+    J0 = assemble_jacobian(c0, pt.lam, system, parity)
+    A = continuation._fold_matrix(system, parity, c0, pt.lam, v, J0, ell)
 
     def jv(c, lam):
-        return continuation._fold_system(system, k, c, lam, v, ell)[0][m:-1]
+        J = assemble_jacobian(c, lam, system, parity)
+        return continuation._fold_residual(system, parity, c, lam, v, J, ell)[m:-1]
 
     h = 1e-4
     dphi = np.empty((m, m))
