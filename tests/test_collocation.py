@@ -104,6 +104,15 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate(grid, np.zeros(9), 1.01)
 
+    def test_many_targets_round_as_scalar_calls(self):
+        grid = build_grid(20)
+        phi = np.exp(grid.nodes) * np.cos(4 * grid.nodes)
+        ts = np.random.default_rng(2).uniform(-1, 1, 3 * 256 + 5)
+        ts[[0, 300, -1]] = grid.nodes[[0, 7, 20]]  # node hits among the targets
+        got = interpolate(grid, phi, ts)
+        assert got.shape == ts.shape
+        assert got.tolist() == [interpolate(grid, phi, t) for t in ts]
+
 
 class TestResidual:
     def test_trivial_is_zero(self, system48):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spherebif import manifold
 from spherebif.collocation import build_grid
 from spherebif.continuation import solve_at_s
 from spherebif.manifold import (
@@ -17,7 +18,7 @@ from spherebif.manifold import (
     sample_pair,
     tangent_frame,
 )
-from spherebif.model import PositivityError
+from spherebif.model import ModelParams, PositivityError
 
 
 def pair_with_f(n, fval):
@@ -266,3 +267,25 @@ class TestLiftedResidual:
         assert first >= 64
         with pytest.raises(PositivityError, match=f"at sample {first}$"):
             lifted_residual(grid, phi, 4.0, params, 200, 1e-3, 4)
+
+
+class TestBlockSizes:
+    """The sample blocks bound temporaries only: no float depends on them."""
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_every_float_is_the_same_for_any_block_size(self, monkeypatch, n):
+        grid = build_grid(24)
+        phi = 0.3 * np.sin(3 * grid.nodes)
+        params = ModelParams(n=n, delta=0.7, q=3.5)
+
+        def run():
+            return [
+                (lifted_residual(grid, phi, 4.0, params, 45, 1e-3, seed),
+                 identity_residuals(n, 0.7, 1e-3, 45, seed))
+                for seed in (0, 3)
+            ]
+
+        expected = run()
+        for block in (1, 7, manifold._BLOCK_SAMPLES):
+            monkeypatch.setattr(manifold, "_BLOCK_SAMPLES", block)
+            assert run() == expected
