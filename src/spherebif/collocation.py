@@ -110,15 +110,29 @@ def interpolation_matrix(grid: SpectralGrid, targets) -> np.ndarray:
     return M
 
 
+# targets per interpolation_matrix in interpolate; bounds its
+# (rows x (N + 1)) temporaries whatever the number of targets
+_INTERPOLATE_ROWS = 256
+
+
 def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
     """Barycentric interpolant of node values phi at t (scalar or 1-D array).
 
-    Each value is one row-by-phi dot product, so it rounds the same whether
-    its target comes alone or among others.
+    phi holds the N + 1 node values of ``grid``.  The targets are taken
+    ``_INTERPOLATE_ROWS`` at a time, so the matrix stays small for any
+    number of them.  Each value is one row-by-phi dot product, so it rounds
+    the same whether its target comes alone or among others.
     """
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (grid.N + 1,):
+        raise ValueError(f"phi must hold the {grid.N + 1} node values of the grid, "
+                         f"got shape {phi.shape}")
     scalar = np.ndim(t) == 0
-    M = interpolation_matrix(grid, t)
-    vals = (M[:, None, :] @ np.asarray(phi, dtype=float)[:, None])[:, 0, 0]
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    vals = np.empty(t.shape)
+    for start in range(0, t.size, _INTERPOLATE_ROWS):
+        M = interpolation_matrix(grid, t[start : start + _INTERPOLATE_ROWS])
+        vals[start : start + len(M)] = (M[:, None, :] @ phi[:, None])[:, 0, 0]
     return float(vals[0]) if scalar else vals
 
 

@@ -12,8 +12,10 @@ profiles by lifting them back to the manifold through u = phi(<p, q>) + 1.
 The stencils work on blocks: a ``SpherePair`` may stack sample pairs along
 leading axes, and the field is called once on all stencil points of the
 block.  ``lifted_residual`` and ``identity_residuals`` take their samples
-in ``_BLOCK_SAMPLES`` pairs at a time, so the lift makes one interpolation
-call per block and its temporaries stay small whatever the sample count.
+in ``_BLOCK_SAMPLES`` pairs at a time, so a few large blocks share the
+fixed cost of the frames, stencils and reductions; the lift makes one
+``interpolate`` call per block, which bounds its own temporaries by taking
+the targets in chunks.  No value depends on either size.
 
 All sampling is deterministic given the seed.  Both residual functions
 draw every pair from one ``standard_normal((count, 2, n+1))`` call, which
@@ -181,9 +183,9 @@ def gradient_sq_fd(x: SpherePair, h: float, delta: float):
     return _float_if_single(total)
 
 
-# sample pairs per stencil evaluation; larger blocks buy little speed and
-# grow the (block * (1 + 4n)) x (N + 1) interpolation temporaries
-_BLOCK_SAMPLES = 32
+# sample pairs per stencil evaluation; each block costs a fixed ~0.6 ms of
+# small-array work, and interpolate bounds its own temporaries
+_BLOCK_SAMPLES = 1024
 
 
 def _sample_blocks(n: int, sample_count: int, seed: int):

@@ -250,6 +250,11 @@ class TestDegenerateAndVerify:
             ({"found": True, "N": 16, "n": 3, "delta": 1.0, "q": 3.0}, "holds n=3, not n=2"),
             ({"found": True, "N": 16, "n": 2, "delta": 0.5, "q": 3.0}, "holds delta=0.5, not delta=1.0"),
             ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 4.0}, "holds q=4.0, not q=3.0"),
+            # a profile of another length would not fit the grid of N
+            ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0, "phi": [0.0] * 10,
+              "lambda_star": 4.0}, "holds phi of shape (10,), not the N + 1 = 17 node values"),
+            ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0, "lambda_star": 4.0},
+             "holds phi of shape (), not the N + 1 = 17 node values"),
         ],
     )
     def test_verify_names_why_a_report_is_not_lifted(self, tmp_path, capsys, report, reason):
@@ -265,6 +270,17 @@ class TestDegenerateAndVerify:
         assert "degenerate_k2.json" in err[0] and reason in err[0]
         assert err[0].endswith("lifting the trivial profile")
         assert (tmp_path / "verify.json").read_bytes() == expected
+
+    def test_verify_exits_2_when_the_lift_is_not_positive(self, tmp_path, capsys):
+        report = {"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0,
+                  "phi": [-1.5] * 17, "lambda_star": 4.0}
+        (tmp_path / "degenerate_k2.json").write_text(json.dumps(report))
+        argv = ["verify", "N=16", "sample_count=20", f"output_dir={tmp_path}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "degenerate_k2.json: lifted u is not positive at sample 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "verify.json").exists()
 
     def test_trace_stops_at_the_located_crossing(self, tmp_path, monkeypatch, system48):
         import spherebif.cli as cli_mod

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
+from spherebif import collocation
 from spherebif.gegenbauer import (
     gauss_jacobi_rule,
     gegenbauer_eval,
@@ -104,11 +105,19 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate(grid, np.zeros(9), 1.01)
 
-    def test_many_targets_round_as_scalar_calls(self):
+    def test_phi_must_hold_the_node_values(self):
+        grid = build_grid(8)
+        for phi in (np.zeros(5), np.zeros(10), np.zeros((9, 1)), 0.0):
+            with pytest.raises(ValueError, match="phi must hold the 9 node values"):
+                interpolate(grid, phi, [0.1, 0.2])
+
+    @pytest.mark.parametrize("rows", (1, 5, collocation._INTERPOLATE_ROWS))
+    def test_many_targets_round_as_scalar_calls(self, monkeypatch, rows):
+        monkeypatch.setattr(collocation, "_INTERPOLATE_ROWS", rows)
         grid = build_grid(20)
         phi = np.exp(grid.nodes) * np.cos(4 * grid.nodes)
-        ts = np.random.default_rng(2).uniform(-1, 1, 3 * 256 + 5)
-        ts[[0, 300, -1]] = grid.nodes[[0, 7, 20]]  # node hits among the targets
+        ts = np.random.default_rng(2).uniform(-1, 1, 3 * rows + 5)
+        ts[[0, 2, -1]] = grid.nodes[[0, 7, 20]]  # node hits among the targets
         got = interpolate(grid, phi, ts)
         assert got.shape == ts.shape
         assert got.tolist() == [interpolate(grid, phi, t) for t in ts]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spherebif import manifold
+from spherebif import collocation, manifold
 from spherebif.collocation import build_grid
 from spherebif.continuation import solve_at_s
 from spherebif.manifold import (
@@ -251,10 +251,12 @@ class TestLiftedResidual:
         with pytest.raises(PositivityError):
             lifted_residual(grid, phi - 0.001, 4.0, params, 20, 1e-3, 5)
 
-    def test_positivity_error_names_the_first_bad_sample(self, params):
+    def test_positivity_error_names_the_first_bad_sample(self, monkeypatch, params):
         # u = phi(t) + 1 with phi(t) = -1.01 (1 - t) / 2 is positive only for
         # t > 1 - 2 / 1.01; the message names the first sample of the stream
-        # at or below it, which lies past the first blocks
+        # at or below it, which lies past the first blocks of 32, so the
+        # index adds the block's start to the position within the block
+        monkeypatch.setattr(manifold, "_BLOCK_SAMPLES", 32)
         grid = build_grid(8)
         phi = -1.01 * (1 - grid.nodes) / 2
         rng = np.random.default_rng(4)
@@ -270,10 +272,11 @@ class TestLiftedResidual:
 
 
 class TestBlockSizes:
-    """The sample blocks bound temporaries only: no float depends on them."""
+    """Sample blocks and interpolation chunks bound work and temporaries
+    only: no float depends on them."""
 
     @pytest.mark.parametrize("n", (2, 3))
-    def test_every_float_is_the_same_for_any_block_size(self, monkeypatch, n):
+    def test_every_float_is_the_same_for_any_block_and_chunk(self, monkeypatch, n):
         grid = build_grid(24)
         phi = 0.3 * np.sin(3 * grid.nodes)
         params = ModelParams(n=n, delta=0.7, q=3.5)
@@ -287,5 +290,7 @@ class TestBlockSizes:
 
         expected = run()
         for block in (1, 7, manifold._BLOCK_SAMPLES):
-            monkeypatch.setattr(manifold, "_BLOCK_SAMPLES", block)
-            assert run() == expected
+            for rows in (1, 5, collocation._INTERPOLATE_ROWS):
+                monkeypatch.setattr(manifold, "_BLOCK_SAMPLES", block)
+                monkeypatch.setattr(collocation, "_INTERPOLATE_ROWS", rows)
+                assert run() == expected
