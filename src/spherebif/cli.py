@@ -17,12 +17,12 @@ verify sample count and seed, and output_dir; the solver's tolerances and
 step sizes are constants of the modules that use them; ``branch`` and
 ``degenerate`` also need k <= N.  Exit codes: 0 success, 2 solver
 non-convergence or a stored profile whose lift is not positive (``verify``,
-which then writes nothing), 3 configuration error.  Output files are byte-identical
-across runs for a fixed config and seed on one platform, and for a fixed
-CPU count once a trace has 321 unknowns; floats are written with 17
-significant digits so values round-trip exactly.  ``main`` sets numpy's
-OpenBLAS to one thread, except for traces of 321 or more unknowns
-(``blas_threads``), and raises glibc's malloc thresholds
+which then writes nothing), 3 configuration error.  Output files are
+byte-identical across runs for a fixed config and seed on one platform,
+and for a fixed CPU count once a trace has 321 unknowns; floats are
+written with 17 significant digits so values round-trip exactly.  ``main``
+sets numpy's OpenBLAS to one thread, except for traces of 321 or more
+unknowns (``blas_threads``), and raises glibc's malloc thresholds
 (``_hold_freed_memory``), for the whole calling process and after it
 returns; importing the package changes neither.
 
@@ -476,7 +476,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 f"verify: {report_path} holds {other}={payload.get(other)}, "
                 f"not {other}={getattr(cfg, other)}; lifting the trivial profile"
             )
-        elif np.shape(payload.get("phi")) != phi.shape:
+        elif np.shape(payload.get("phi")) != (cfg.N + 1,):
             _log(
                 f"verify: {report_path} holds phi of shape {np.shape(payload.get('phi'))}, "
                 f"not the N + 1 = {cfg.N + 1} node values; lifting the trivial profile"
@@ -580,8 +580,7 @@ def _hold_freed_memory():
     Each traced point allocates and frees arrays of 0.1-1 MB.  Above the
     default 128 kB mmap threshold each one is a fresh mapping whose pages
     fault in on first use: a cold ``verify`` process of 3,000 samples makes
-    6,371 minor faults without these values and 5,557 with them (12,556
-    and 5,362 when it took its samples in blocks of 32).
+    6,371 minor faults without these values and 5,557 with them.
     glibc raises the threshold only after freeing a larger mapping, so
     the cost came and went with unrelated edits.  These are the values
     its dynamic rule reaches after freeing a 32 MiB block.

@@ -131,8 +131,9 @@ def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     vals = np.empty(t.shape)
     for start in range(0, t.size, _INTERPOLATE_ROWS):
-        M = interpolation_matrix(grid, t[start : start + _INTERPOLATE_ROWS])
-        vals[start : start + len(M)] = (M[:, None, :] @ phi[:, None])[:, 0, 0]
+        rows = slice(start, start + _INTERPOLATE_ROWS)
+        M = interpolation_matrix(grid, t[rows])
+        vals[rows] = (M[:, None, :] @ phi[:, None])[:, 0, 0]
     return float(vals[0]) if scalar else vals
 
 
