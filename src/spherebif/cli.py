@@ -485,11 +485,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
             phi = np.array(payload["phi"], dtype=float)
             lam = float(payload["lambda_star"])
             source = f"degenerate_k{cfg.k}"
+    path = os.path.join(cfg.output_dir, "verify.json")
     try:
         residual = manifold.lifted_residual(
             grid, phi, lam, params, cfg.sample_count, _H, cfg.seed
         )
     except PositivityError as exc:
+        # an earlier run's verify.json must not stand beside this failure
+        if os.path.exists(path):
+            os.remove(path)
         _log(f"verify: {report_path}: {exc}; verify.json not written", err=True)
         return 2
     out = {
@@ -505,7 +509,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
             "max_residual": residual,
         },
     }
-    path = os.path.join(cfg.output_dir, "verify.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")

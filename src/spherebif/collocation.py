@@ -93,20 +93,30 @@ def _bary_weights(grid: SpectralGrid) -> np.ndarray:
 
 
 def interpolation_matrix(grid: SpectralGrid, targets) -> np.ndarray:
-    """Matrix mapping node values to interpolant values at the targets."""
+    """Matrix mapping node values to interpolant values at the targets.
+
+    Row i holds the weights w_j / (t_i - x_j) of the first (true)
+    barycentric formula, divided by their sum.  A target within 1e-14 of a
+    node gets that node's unit row instead; only its nearest node can be so
+    close, so the hit test is one ``searchsorted`` per target (on the
+    midpoints between the increasing nodes), not one per matrix entry.
+    The matrix takes four passes: the differences, the weights over them,
+    the row sums and the division by them.
+    """
     t = np.atleast_1d(np.asarray(targets, dtype=float))
     if np.any(np.abs(t) > 1 + 1e-12):
         raise ValueError("interpolation targets must lie in [-1, 1]")
     t = np.clip(t, -1.0, 1.0)
-    w = _bary_weights(grid)
+    # nearest node: the cells between the midpoints of the increasing nodes
+    rising = grid.nodes[::-1]
+    near = grid.N - np.searchsorted(0.5 * (rising[1:] + rising[:-1]), t)
+    hit = np.flatnonzero(np.abs(t - grid.nodes[near]) < 1e-14)
     diff = t[:, None] - grid.nodes[None, :]
-    hit = np.abs(diff) < 1e-14
-    diff[hit] = 1.0
-    M = w[None, :] / diff
+    diff[hit, near[hit]] = 1.0
+    M = np.divide(_bary_weights(grid), diff, out=diff)
     M /= M.sum(axis=1)[:, None]
-    rows = np.any(hit, axis=1)
-    M[rows] = 0.0
-    M[np.where(hit)] = 1.0
+    M[hit] = 0.0
+    M[hit, near[hit]] = 1.0
     return M
 
 
@@ -120,8 +130,10 @@ def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
 
     phi holds the N + 1 node values of ``grid``.  The targets are taken
     ``_INTERPOLATE_ROWS`` at a time, so the matrix stays small for any
-    number of them.  Each value is one row-by-phi dot product, so it rounds
-    the same whether its target comes alone or among others.
+    number of them.  A target within 1e-14 of a node (found at its nearest
+    node, see ``interpolation_matrix``) returns that node's value exactly.
+    Each value is one row-by-phi dot product, so it rounds the same whether
+    its target comes alone or among others.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (grid.N + 1,):

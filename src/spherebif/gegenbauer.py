@@ -150,18 +150,19 @@ def gegenbauer_deriv(k: int, n: int, t):
 def gegenbauer_zeros(k: int, n: int) -> np.ndarray:
     """All k zeros of P_{k,n}, sorted, inside (-1, 1).
 
-    The zeros of consecutive modes interlace, so the zeros of mode j - 1
-    together with the endpoints bracket exactly one zero of mode j each.
-    Newton refinement runs inside each bracket with bisection as fallback.
+    They are the nodes of the k-point Gauss rule for the same weight, so
+    the midpoints between those nodes, with the endpoints, bracket exactly
+    one zero each.  One Newton refinement runs inside every bracket at
+    once, with bisection as fallback.
     """
     _check_mode(k, n)
     if k < 1:
         raise ValueError("mode index must be >= 1 for zeros")
-    zeros = np.array([0.0])
-    for j in range(2, k + 1):
-        lo = np.concatenate([[-1.0], zeros])
-        hi = np.concatenate([zeros, [1.0]])
-        zeros = _refine_zeros(j, n, lo, hi)
+    nodes = gauss_jacobi_rule(k, n).nodes
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    lo = np.concatenate([[-1.0], mids])
+    hi = np.concatenate([mids, [1.0]])
+    zeros = _refine_zeros(k, n, lo, hi)
     # zeros come in +/- pairs; symmetrize to kill rounding drift
     zeros = 0.5 * (zeros - zeros[::-1])
     return zeros

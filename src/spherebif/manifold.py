@@ -11,9 +11,11 @@ profiles by lifting them back to the manifold through u = phi(<p, q>) + 1.
 
 The stencils work on blocks: a ``SpherePair`` may stack sample pairs along
 leading axes, and the field is called once on all stencil points of the
-block.  ``lifted_residual`` and ``identity_residuals`` take their samples
-in ``_BLOCK_SAMPLES`` pairs at a time, so a few large blocks share the
-fixed cost of the frames, stencils and reductions; the lift makes one
+block.  A pair or block builds its tangent frames once, for both
+``laplace_beltrami_fd`` and ``gradient_sq_fd``.  ``lifted_residual`` and
+``identity_residuals`` take their samples in ``_BLOCK_SAMPLES`` pairs at a
+time, so a few large blocks share the fixed cost of the frames, stencils
+and reductions; the lift makes one
 ``interpolate`` call per block, which bounds its own temporaries by taking
 the targets in chunks.  No value depends on either size.
 
@@ -25,6 +27,7 @@ is the same stream as drawing p and then q sample by sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +70,11 @@ class SpherePair:
     def f(self):
         """The isoparametric value <p, q> in [-1, 1], per pair of a block."""
         return _float_if_single(_inner(self.p, self.q_vec))
+
+    @cached_property
+    def _frames(self):
+        """``tangent_frame`` of p and of q_vec, built on first use by ``_stencil``."""
+        return tangent_frame(self.p), tangent_frame(self.q_vec)
 
 
 def _check_h(h: float):
@@ -130,8 +138,7 @@ def _stencil(x: SpherePair, h: float, delta: float):
     backward steps; each set takes the n first-factor directions (angle h)
     before the n second-factor ones (angle h / sqrt(delta)).
     """
-    fp = tangent_frame(x.p)
-    fq = tangent_frame(x.q_vec)
+    fp, fq = x._frames
     p = np.broadcast_to(x.p[..., None, :], fp.shape)
     q = np.broadcast_to(x.q_vec[..., None, :], fq.shape)
     hh = h / np.sqrt(delta)

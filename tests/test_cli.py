@@ -272,10 +272,13 @@ class TestDegenerateAndVerify:
         assert (tmp_path / "verify.json").read_bytes() == expected
 
     def test_verify_exits_2_when_the_lift_is_not_positive(self, tmp_path, capsys):
+        argv = ["verify", "N=16", "sample_count=20", f"output_dir={tmp_path}"]
+        assert main(argv) == 0  # the trivial lift leaves a verify.json
+        assert (tmp_path / "verify.json").exists()
+        capsys.readouterr()
         report = {"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0,
                   "phi": [-1.5] * 17, "lambda_star": 4.0}
         (tmp_path / "degenerate_k2.json").write_text(json.dumps(report))
-        argv = ["verify", "N=16", "sample_count=20", f"output_dir={tmp_path}"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "degenerate_k2.json: lifted u is not positive at sample 0" in err

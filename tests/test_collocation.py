@@ -123,6 +123,68 @@ class TestInterpolation:
         assert got.tolist() == [interpolate(grid, phi, t) for t in ts]
 
 
+def _dense_interpolate(grid, phi, t):
+    """The barycentric lift with a hit test on every matrix entry."""
+    scalar = np.ndim(t) == 0
+    t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -1.0, 1.0)
+    w = (-1.0) ** np.arange(grid.N + 1)
+    w[[0, -1]] *= 0.5
+    diff = t[:, None] - grid.nodes[None, :]
+    hit = np.abs(diff) < 1e-14
+    diff[hit] = 1.0
+    M = w[None, :] / diff
+    M /= M.sum(axis=1)[:, None]
+    M[np.any(hit, axis=1)] = 0.0
+    M[hit] = 1.0
+    vals = (M[:, None, :] @ np.asarray(phi, dtype=float)[:, None])[:, 0, 0]
+    return float(vals[0]) if scalar else vals
+
+
+class TestNearestNodeHits:
+    """interpolate looks for a node hit at each target's nearest node only;
+    every float equals the dense all-entries hit test."""
+
+    @pytest.mark.parametrize("N", (2, 7, 24, 96))
+    def test_equals_the_dense_hit_test(self, N):
+        grid = build_grid(N)
+        phi = np.exp(grid.nodes) * np.cos(3 * grid.nodes) - 0.2
+        nodes = grid.nodes
+        ts = np.concatenate([
+            nodes,                     # exact hits, t = +1, -1 and (even N) the middle node
+            nodes + 1e-15, nodes - 1e-15,
+            nodes + 3e-14, nodes - 3e-14,
+            [1 + 1e-13, -1 - 1e-13],   # clipped onto the end nodes
+            np.random.default_rng(N).uniform(-1, 1, 300),
+        ])
+        ts = ts[np.abs(ts) <= 1 + 1e-12]
+        got = interpolate(grid, phi, ts)
+        assert got.tolist() == _dense_interpolate(grid, phi, ts).tolist()
+        assert got[: N + 1].tolist() == phi.tolist()
+        for t in (1.0, -1.0, nodes[N // 2], 1 + 1e-13, nodes[1] + 1e-15, 0.3):
+            assert interpolate(grid, phi, t) == _dense_interpolate(grid, phi, t)
+
+    def test_empty_and_scalar_targets(self):
+        grid = build_grid(10)
+        phi = np.sin(grid.nodes)
+        empty = interpolate(grid, phi, np.empty(0))
+        assert empty.shape == (0,)
+        assert collocation.interpolation_matrix(grid, []).shape == (0, 11)
+        got = interpolate(grid, phi, 0.25)
+        assert type(got) is float
+        assert got == _dense_interpolate(grid, phi, 0.25)
+
+    def test_lifted_residual_is_unchanged(self, monkeypatch):
+        from spherebif import manifold
+
+        grid = build_grid(24)
+        phi = 0.3 * np.sin(3 * grid.nodes)
+        params = ModelParams(n=2, delta=0.7, q=3.5)
+        got = manifold.lifted_residual(grid, phi, 4.0, params, 60, 1e-3, 2)
+        # manifold looks interpolate up as its own module global
+        monkeypatch.setattr(manifold, "interpolate", _dense_interpolate)
+        assert manifold.lifted_residual(grid, phi, 4.0, params, 60, 1e-3, 2) == got
+
+
 class TestResidual:
     def test_trivial_is_zero(self, system48):
         for lam in (0.1, 4.0, 25.0):

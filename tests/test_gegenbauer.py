@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose, assert_array_max_ulp
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_jacobi
+from scipy.special import roots_gegenbauer, roots_jacobi
 
 from spherebif.gegenbauer import (
     QuadratureRule,
@@ -150,6 +150,20 @@ class TestZeros:
     def test_residual_small(self):
         z = gegenbauer_zeros(6, 2)
         assert np.max(np.abs(gegenbauer_eval(6, 2, z))) < 1e-13
+
+    @pytest.mark.parametrize("k", (60, 120))
+    def test_high_modes_match_independent_roots(self, k):
+        # n = 3: P_{k,3} is a multiple of the Chebyshev U_k, whose zeros are
+        # cos(j pi / (k + 1)); n = 2: Legendre, from numpy's companion
+        # matrix; n = 4, 6: scipy's Gegenbauer roots of order (n - 1) / 2
+        expected = {
+            2: np.polynomial.legendre.leggauss(k)[0],
+            3: np.cos(np.arange(k, 0, -1) * np.pi / (k + 1)),
+            4: roots_gegenbauer(k, 1.5)[0],
+            6: roots_gegenbauer(k, 2.5)[0],
+        }
+        for n, ref in expected.items():
+            assert_allclose(gegenbauer_zeros(k, n), np.sort(ref), rtol=0, atol=1e-13)
 
 
 class TestQuadrature:

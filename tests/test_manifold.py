@@ -138,6 +138,21 @@ class TestIdentities:
         with pytest.raises(ValueError):
             SpherePair(p, np.eye(3)[:2])
 
+    def test_an_identity_block_builds_its_frames_once(self, monkeypatch):
+        # laplace_beltrami_fd and gradient_sq_fd share the block's frames:
+        # one tangent_frame call per factor, not one per factor and stencil
+        expected = identity_residuals(2, 1.0, 1e-3, 50, 0)
+        calls = []
+        original = manifold.tangent_frame
+
+        def counting(point):
+            calls.append(np.shape(point))
+            return original(point)
+
+        monkeypatch.setattr(manifold, "tangent_frame", counting)
+        assert identity_residuals(2, 1.0, 1e-3, 50, 0) == expected
+        assert calls == [(50, 3), (50, 3)]
+
     def test_identity_residuals_are_floats(self):
         errs = identity_residuals(2, 1.0, 1e-3, 70, 0)
         assert type(errs["laplacian"]) is float
