@@ -17,10 +17,11 @@ verify sample count and seed, and output_dir; the solver's tolerances and
 step sizes are constants of the modules that use them; ``branch`` and
 ``degenerate`` also need k <= N.  Exit codes: 0 success, 2 solver
 non-convergence or a stored profile whose lift is not positive (``verify``,
-which then writes nothing), 3 configuration error.  Output files are
-byte-identical across runs for a fixed config and seed on one platform,
-and for a fixed CPU count once a trace has 321 unknowns; floats are
-written with 17 significant digits so values round-trip exactly.  ``main``
+which then writes nothing and removes an earlier verify.json), 3
+configuration error.  Output files are byte-identical across runs for a
+fixed config and seed on one platform, and for a fixed CPU count once a
+trace has 321 unknowns; floats are written with 17 significant digits so
+values round-trip exactly.  ``main``
 sets numpy's OpenBLAS to one thread, except for traces of 321 or more
 unknowns (``blas_threads``), and raises glibc's malloc thresholds
 (``_hold_freed_memory``), for the whole calling process and after it

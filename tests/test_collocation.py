@@ -156,7 +156,6 @@ class TestNearestNodeHits:
             [1 + 1e-13, -1 - 1e-13],   # clipped onto the end nodes
             np.random.default_rng(N).uniform(-1, 1, 300),
         ])
-        ts = ts[np.abs(ts) <= 1 + 1e-12]
         got = interpolate(grid, phi, ts)
         assert got.tolist() == _dense_interpolate(grid, phi, ts).tolist()
         assert got[: N + 1].tolist() == phi.tolist()
