@@ -111,12 +111,13 @@ def interpolation_matrix(grid: SpectralGrid, targets) -> np.ndarray:
     rising = grid.nodes[::-1]
     near = grid.N - np.searchsorted(0.5 * (rising[1:] + rising[:-1]), t)
     hit = np.flatnonzero(np.abs(t - grid.nodes[near]) < 1e-14)
+    hit_node = near[hit]
     diff = t[:, None] - grid.nodes[None, :]
-    diff[hit, near[hit]] = 1.0
+    diff[hit, hit_node] = 1.0
     M = np.divide(_bary_weights(grid), diff, out=diff)
     M /= M.sum(axis=1)[:, None]
     M[hit] = 0.0
-    M[hit, near[hit]] = 1.0
+    M[hit, hit_node] = 1.0
     return M
 
 
