@@ -49,5 +49,5 @@ for k in range(1, 7):
     print(f"  k={k}:  {cube_integral(k, n): .6e}")
 
 print("\nsquare expansion P_2^2 = sum_j G_j P_j (coefficients sum to 1):")
-g = linearization_coeffs(2, n).coeffs
+g = linearization_coeffs(2, n)
 print("  G =", np.array2string(g, precision=5), " sum =", g.sum())

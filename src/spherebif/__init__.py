@@ -22,11 +22,8 @@ w = u - 1 on [-1, 1].  This package provides:
 """
 
 from .gegenbauer import (
-    CoeffExpansion,
-    GasperDiagnostics,
     QuadratureRule,
     cube_integral,
-    gasper_recurrence_report,
     gauss_jacobi_rule,
     gegenbauer_deriv,
     gegenbauer_eval,

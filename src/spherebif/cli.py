@@ -23,9 +23,8 @@ fixed config and seed on one platform, and for a fixed CPU count once a
 trace has 321 unknowns; floats are written with 17 significant digits so
 values round-trip exactly.  ``main``
 sets numpy's OpenBLAS to one thread, except for traces of 321 or more
-unknowns (``blas_threads``), and raises glibc's malloc thresholds
-(``_hold_freed_memory``), for the whole calling process and after it
-returns; importing the package changes neither.
+unknowns (``blas_threads``), for the whole calling process and after it
+returns; importing the package does not.
 
 ``degenerate`` traces and locates the fold at the coarse resolution
 max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies in k..N-1, and solves
@@ -79,7 +78,6 @@ __all__ = [
     "read_branch_records",
 ]
 
-COMMANDS = ("eigen", "poly", "branch", "degenerate", "verify")
 # finite-difference step of verify's stencils, written to verify.json as "h"
 _H = 1e-3
 # degenerate traces at max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies
@@ -271,7 +269,7 @@ def _cmd_poly(cfg: RunConfig) -> int:
     _write_csv(
         os.path.join(cfg.output_dir, "poly_coeffs.csv"),
         "j,coeff",
-        list(enumerate(linearization_coeffs(k, n).coeffs.tolist())),
+        list(enumerate(linearization_coeffs(k, n).tolist())),
     )
     _log(f"wrote poly_*.csv for k={k}, n={n} in {cfg.output_dir}")
     return 0
@@ -445,6 +443,35 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
     return 0
 
 
+def _stored_profile(report_path: str, cfg: RunConfig) -> tuple | str:
+    """(phi, lambda*) of the degenerate report at report_path, or the reason,
+    as a str, why it is not lifted."""
+    try:
+        with open(report_path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        return f"is not valid JSON ({exc})"
+    if not isinstance(payload, dict):
+        return "does not hold a JSON object"
+    if not payload.get("found"):
+        return "has found: false"
+    # a report of another problem or resolution is not lifted
+    other = next((key for key in ("N", "n", "delta", "q")
+                  if payload.get(key) != getattr(cfg, key)), None)
+    if other is not None:
+        return f"holds {other}={payload.get(other)}, not {other}={getattr(cfg, other)}"
+    try:  # a missing phi reads as shape (), a missing lambda_star raises
+        phi = np.array(payload.get("phi"), dtype=float)
+        lam = float(payload["lambda_star"])
+    except (KeyError, TypeError, ValueError):
+        return "does not hold a finite phi and lambda_star"
+    if phi.shape != (cfg.N + 1,):
+        return f"holds phi of shape {phi.shape}, not the N + 1 = {cfg.N + 1} node values"
+    if not (np.all(np.isfinite(phi)) and np.isfinite(lam)):
+        return "does not hold a finite phi and lambda_star"
+    return phi, lam
+
+
 def _cmd_verify(cfg: RunConfig) -> int:
     params = cfg.params()
     # isoparametric identities, with an h-halving order estimate
@@ -465,26 +492,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
     lam = yamabe_lambda(cfg.n, cfg.delta)
     report_path = os.path.join(cfg.output_dir, f"degenerate_k{cfg.k}.json")
     if os.path.exists(report_path):
-        with open(report_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        # a report of another problem or resolution is not lifted
-        other = next((key for key in ("N", "n", "delta", "q")
-                      if payload.get(key) != getattr(cfg, key)), None)
-        if not payload.get("found"):
-            _log(f"verify: {report_path} has found: false; lifting the trivial profile")
-        elif other is not None:
-            _log(
-                f"verify: {report_path} holds {other}={payload.get(other)}, "
-                f"not {other}={getattr(cfg, other)}; lifting the trivial profile"
-            )
-        elif np.shape(payload.get("phi")) != (cfg.N + 1,):
-            _log(
-                f"verify: {report_path} holds phi of shape {np.shape(payload.get('phi'))}, "
-                f"not the N + 1 = {cfg.N + 1} node values; lifting the trivial profile"
-            )
+        stored = _stored_profile(report_path, cfg)
+        if isinstance(stored, str):
+            _log(f"verify: {report_path} {stored}; lifting the trivial profile")
         else:
-            phi = np.array(payload["phi"], dtype=float)
-            lam = float(payload["lambda_star"])
+            phi, lam = stored
             source = f"degenerate_k{cfg.k}"
     path = os.path.join(cfg.output_dir, "verify.json")
     try:
@@ -578,23 +590,6 @@ def blas_threads(command: str, cfg: RunConfig, threads: int) -> int:
     return threads if command in ("branch", "degenerate") and size >= 321 else 1
 
 
-def _hold_freed_memory():
-    """Let glibc's malloc serve and keep the dense temporaries of a run.
-
-    Each traced point allocates and frees arrays of 0.1-1 MB.  Above the
-    default 128 kB mmap threshold each one is a fresh mapping whose pages
-    fault in on first use: a cold ``verify`` process of 3,000 samples makes
-    6,371 minor faults without these values and 5,557 with them.
-    glibc raises the threshold only after freeing a larger mapping, so
-    the cost came and went with unrelated edits.  These are the values
-    its dynamic rule reaches after freeing a 32 MiB block.
-    """
-    libc = ctypes.CDLL(None) if os.name == "posix" else None
-    if hasattr(libc, "mallopt"):
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spherebif",
@@ -602,7 +597,7 @@ def main(argv=None) -> int:
         "Yamabe-type equations on products of spheres.",
         epilog="Trailing key=value arguments override the config file.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", default=None, help="key = value config file")
     args, overrides = parser.parse_known_args(argv)
     try:
@@ -610,7 +605,6 @@ def main(argv=None) -> int:
             if item.startswith("-"):
                 raise ConfigError(f"unrecognized option {item!r}")
         cfg = parse_config(args.config, overrides)
-        _hold_freed_memory()
         found = numpy_openblas()
         if found is not None:  # for the whole process, and for good
             path, pattern, threads = found

@@ -19,12 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "QuadratureRule",
-    "CoeffExpansion",
-    "GasperDiagnostics",
     "gauss_jacobi_rule",
     "gegenbauer_eval",
     "gegenbauer_deriv",
@@ -33,7 +30,6 @@ __all__ = [
     "gegenbauer_norm2",
     "cube_integral",
     "linearization_coeffs",
-    "gasper_recurrence_report",
 ]
 
 # tolerance for accepting |t| marginally above 1 (rounding in inner products
@@ -232,26 +228,12 @@ def cube_integral(k: int, n: int) -> float:
     return float(np.dot(rule.weights, v**3))
 
 
-@dataclass(frozen=True)
-class CoeffExpansion:
-    """Coefficients G_j of P_{k,n}^2 = sum_j G_j P_{j,n}, j = 0..2k."""
+def linearization_coeffs(k: int, n: int) -> np.ndarray:
+    """Coefficients G_j of P_{k,n}^2 = sum_j G_j P_{j,n}, j = 0..2k.
 
-    k: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (2 * self.k + 1,):
-            raise ValueError("need 2k + 1 coefficients")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
-def linearization_coeffs(k: int, n: int) -> CoeffExpansion:
-    """Expand P_{k,n}^2 over {P_{j,n}} by weighted projection.
-
-    G_j = <P_k^2, P_j>_w / <P_j, P_j>_w.  The coefficients sum to 1
-    (evaluate at t = 1) and vanish for odd j by parity.
+    Weighted projection G_j = <P_k^2, P_j>_w / <P_j, P_j>_w; returns the
+    2k + 1 coefficients as a read-only array.  They sum to 1 (evaluate at
+    t = 1) and vanish for odd j by parity.
     """
     _check_mode(k, n)
     if k < 1:
@@ -262,112 +244,5 @@ def linearization_coeffs(k: int, n: int) -> CoeffExpansion:
     for j in range(2 * k + 1):
         pj = gegenbauer_eval(j, n, rule.nodes)
         coeffs[j] = np.dot(rule.weights, sq * pj) / np.dot(rule.weights, pj * pj)
-    return CoeffExpansion(k, coeffs)
-
-
-@dataclass(frozen=True)
-class GasperDiagnostics:
-    """Outcome of running the auxiliary positivity recurrence.
-
-    ``d`` holds the sequence produced by A_j d_{j+1} = B_j d_j - C_j d_{j-1}
-    from unit seeds d_0 = d_1 = 1; ``q_sign_changes`` counts sign changes of
-    the quartic Q(J) on (0, infinity).  ``projection`` carries the
-    ground-truth square-expansion coefficients for comparison, and
-    ``consistent_with_projection`` records whether the recurrence's
-    positivity pattern agrees with theirs.  Diagnostic only: disagreement
-    is reported, never raised, and the projection route always wins.
-    """
-
-    k: int
-    n: int
-    d: np.ndarray
-    all_d_positive: bool
-    q_sign_changes: int
-    projection: CoeffExpansion
-    projection_positive: bool
-    consistent_with_projection: bool
-
-
-def _gasper_abc(k, n, j):
-    a = (j + 1) * (2 * j + n) * (2 * k + j + 2 * (n - 1)) * (2 * k - j)
-    b = j * (2 * k + j - 1 + 2 * (n - 1)) * (2 * k - j + 1) * (2 * j)
-    c = (
-        (j + n - 2)
-        * (2 * j + n - 2)
-        * (2 * j + n - 1)
-        * (2 * k + j - 1 + 2 * (n - 1))
-        * (2 * k - j + 1)
-    )
-    return float(a), float(b), float(c)
-
-
-def _q_poly_coeffs(k, n):
-    # Q(J) = (J+2)^2 (J+2k+2n-1)(2k-J-1)(2J+n) - (J+1)^2 (J+2k+2n-2)(2k-J)(2J+n+2)
-    def prod(*factors):
-        out = np.array([1.0])
-        for f in factors:
-            out = npoly.polymul(out, np.asarray(f, dtype=float))
-        return out
-
-    first = prod([2, 1], [2, 1], [2 * k + 2 * n - 1, 1], [2 * k - 1, -1], [n, 2])
-    second = prod([1, 1], [1, 1], [2 * k + 2 * n - 2, 1], [2 * k, -1], [n + 2, 2])
-    return npoly.polysub(first, second)
-
-
-def _positive_sign_changes(coeffs) -> int:
-    """Sign changes of a polynomial on (0, infinity): its positive real roots
-    of odd multiplicity.  A root of multiplicity m comes out of the companion
-    matrix as a cluster of m roots, real or in conjugate pairs, spread by
-    about eps**(1/m); roots within 1e-3 (relative) of each other count as one
-    cluster, which resolves multiplicities up to four."""
-    roots = npoly.polyroots(coeffs)
-    changes = 0
-    counted = np.zeros(roots.size, dtype=bool)
-    for r in roots:
-        cluster = np.abs(roots - r) <= 1e-3 * (1 + abs(r))
-        if counted[cluster].any():
-            continue
-        counted |= cluster
-        centre = roots[cluster].mean()
-        real = abs(centre.imag) <= 1e-3 * (1 + abs(centre))
-        if real and centre.real > 0 and cluster.sum() % 2 == 1:
-            changes += 1
-    return changes
-
-
-def gasper_recurrence_report(k: int, n: int) -> GasperDiagnostics:
-    """Run the auxiliary d_j recurrence and the Q(J) sign analysis.
-
-    Reports (a) the sign pattern of the d_j generated from unit seeds,
-    (b) the number of sign changes of Q(J) on (0, infinity), and (c)
-    agreement with the projection-based square-expansion coefficients.
-    """
-    _check_mode(k, n)
-    if k < 1:
-        raise ValueError("mode index must be >= 1")
-    d = np.empty(2 * k + 1)
-    d[0] = d[1] = 1.0
-    for j in range(1, 2 * k):
-        a, b, c = _gasper_abc(k, n, j)
-        d[j + 1] = (b * d[j] - c * d[j - 1]) / a
-    all_pos = bool(np.all(d > 0))
-
-    q_changes = _positive_sign_changes(_q_poly_coeffs(k, n))
-
-    proj = linearization_coeffs(k, n)
-    g = proj.coeffs
-    proj_pos = bool(
-        g[0] > 0
-        and np.all(g[::2] > -1e-12)
-        and np.all(np.abs(g[1::2]) < 1e-10)
-    )
-    return GasperDiagnostics(
-        k=k,
-        n=n,
-        d=d,
-        all_d_positive=all_pos,
-        q_sign_changes=q_changes,
-        projection=proj,
-        projection_positive=proj_pos,
-        consistent_with_projection=all_pos == proj_pos,
-    )
+    coeffs.setflags(write=False)
+    return coeffs

@@ -216,10 +216,13 @@ def lifted_residual(
     """Max |-Lap(u) + lambda u - lambda u^(q-1)| over random sample pairs.
 
     u = phi(<p, q>) + 1 is the lift of the profile; for a converged
-    profile the result is O(h^2) plus the spectral error floor.
+    profile the result is O(h^2) plus the spectral error floor.  A phi or
+    lambda that is not finite raises ValueError.
     """
     _check_h(h)
     phi = np.asarray(phi, dtype=float)
+    if not (np.all(np.isfinite(phi)) and np.isfinite(lam)):
+        raise ValueError("profile values and lambda must be finite")
     evaluated = []
 
     def u(P, Q):

@@ -1,6 +1,5 @@
 """Tests for configuration parsing, dispatch, and file outputs."""
 
-import ctypes
 import json
 import math
 import os
@@ -70,6 +69,16 @@ class TestConfig:
     def test_solver_constants_are_not_keys(self, tmp_path, capsys, item):
         assert main(["eigen", f"output_dir={tmp_path}", item]) == 3
         assert "unknown configuration key" in capsys.readouterr().err
+
+    def test_unknown_command_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+            dispatch("bogus", parse_config(None, [f"output_dir={tmp_path}"]))
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus", f"output_dir={tmp_path}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "bogus" in err
+        assert all(name in err for name in ("eigen", "poly", "branch", "degenerate", "verify"))
 
     @pytest.mark.parametrize("item", ["N=3.5", "seed=x"])
     def test_unparsable_value_exits_three(self, tmp_path, capsys, item):
@@ -255,6 +264,19 @@ class TestDegenerateAndVerify:
               "lambda_star": 4.0}, "holds phi of shape (10,), not the N + 1 = 17 node values"),
             ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0, "lambda_star": 4.0},
              "holds phi of shape (), not the N + 1 = 17 node values"),
+            # malformed reports, given as the text of the file
+            ('{"found": true, "N": 16', "is not valid JSON"),
+            ("[]", "does not hold a JSON object"),
+            ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0, "phi": [0.0] * 17},
+             "does not hold a finite phi and lambda_star"),
+            ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0,
+              "phi": [0.0] * 16 + [None], "lambda_star": 4.0},
+             "does not hold a finite phi and lambda_star"),
+            ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0, "phi": [0.0] * 17,
+              "lambda_star": float("nan")}, "does not hold a finite phi and lambda_star"),
+            ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0,
+              "phi": [[0.0]] * 16 + [[0.0, 1.0]], "lambda_star": 4.0},
+             "does not hold a finite phi and lambda_star"),
         ],
     )
     def test_verify_names_why_a_report_is_not_lifted(self, tmp_path, capsys, report, reason):
@@ -263,7 +285,8 @@ class TestDegenerateAndVerify:
         expected = (tmp_path / "verify.json").read_bytes()
         capsys.readouterr()
 
-        (tmp_path / "degenerate_k2.json").write_text(json.dumps(report))
+        text = report if isinstance(report, str) else json.dumps(report)
+        (tmp_path / "degenerate_k2.json").write_text(text)
         assert dispatch("verify", parse_config(None, overrides)) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
@@ -680,30 +703,6 @@ assert get() == 1, get()
 assert spherebif.cli.numpy_openblas()[2] == 2  # the count a large trace gets back
 """
     _run_python(script, *found[:2], tmp_path)
-
-
-def test_main_serves_large_temporaries_from_the_heap(tmp_path):
-    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
-        pytest.skip("no glibc mallinfo2 to count mapped blocks")
-    script = """
-import ctypes, sys
-import numpy
-class MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks",
-                "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
-libc = ctypes.CDLL(None)
-libc.mallinfo2.restype = MallInfo2
-def maps(nbytes):
-    before = libc.mallinfo2().hblks
-    a = numpy.ones(nbytes // 8)
-    return libc.mallinfo2().hblks - before
-assert maps(8 << 20) == 1  # glibc's default: a block this large is a fresh mapping
-# freeing it raised glibc's dynamic threshold to 8 MiB, so check a larger block
-import spherebif.cli
-assert spherebif.cli.main(["eigen", f"output_dir={sys.argv[1]}"]) == 0
-assert maps(16 << 20) == 0
-"""
-    _run_python(script, tmp_path)
 
 
 @pytest.mark.parametrize("command, k, N, threads", [

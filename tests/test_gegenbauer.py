@@ -1,6 +1,7 @@
 """Tests for the zonal polynomial machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from scipy.special import roots_gegenbauer, roots_jacobi
 from spherebif.gegenbauer import (
     QuadratureRule,
     cube_integral,
-    gasper_recurrence_report,
     gauss_jacobi_rule,
     gegenbauer_deriv,
     gegenbauer_eval,
@@ -21,13 +21,42 @@ from spherebif.gegenbauer import (
     linearization_coeffs,
     weighted_inner,
 )
-from spherebif.gegenbauer import _positive_sign_changes, _q_poly_coeffs, _weight_mass
+from spherebif.gegenbauer import _weight_mass
 
 
 def even_moment(j, n):
     """Exact value of int t^(2j) (1-t^2)^((n-2)/2) dt on [-1, 1]."""
     a = (n - 2) / 2
     return math.gamma(j + 0.5) * math.gamma(a + 1) / math.gamma(j + a + 1.5)
+
+
+def _poch(a, j):
+    out = Fraction(1)
+    for i in range(j):
+        out *= a + i
+    return out
+
+
+def dougall_square(k, n):
+    """Exact {d: g_d} with P_k^2 = sum_d g_d P_d (P(1) = 1), by Dougall's formula.
+
+    For C_j^lam with lam = (n-1)/2: C_k^2 = sum_r a_r C_{2k-2r} (Askey 1975,
+    Lecture 5); then P_j = C_j / C_j(1) with C_j(1) = (2 lam)_j / j!.
+    """
+    lam = Fraction(n - 1, 2)
+
+    def c1(j):
+        return _poch(2 * lam, j) / math.factorial(j)
+
+    g = {}
+    for r in range(k + 1):
+        d = 2 * k - 2 * r
+        a = ((d + lam) / (2 * k + lam - r)
+             * _poch(lam, r) * _poch(lam, k - r) ** 2 * _poch(2 * lam, 2 * k - r)
+             / (math.factorial(r) * math.factorial(k - r) ** 2 * _poch(lam, 2 * k - r))
+             * math.factorial(d) / _poch(2 * lam, d))
+        g[d] = a * c1(d) / c1(k) ** 2
+    return g
 
 
 class TestEvaluation:
@@ -278,26 +307,23 @@ class TestCubeIntegral:
 class TestSquareExpansion:
     def test_hand_expansion(self):
         # t^2 = (n R_2 + 1)/(n + 1) with n = 2
-        ce = linearization_coeffs(1, 2)
-        assert_allclose(ce.coeffs, [1 / 3, 0.0, 2 / 3], atol=1e-14)
+        assert_allclose(linearization_coeffs(1, 2), [1 / 3, 0.0, 2 / 3], atol=1e-14)
 
     def test_coeffs_sum_to_one(self):
         for k, n in [(1, 2), (2, 3), (3, 4), (5, 2), (4, 6)]:
-            assert linearization_coeffs(k, n).coeffs.sum() == pytest.approx(
-                1.0, rel=1e-12
-            )
+            assert linearization_coeffs(k, n).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_leading_positive(self):
-        assert linearization_coeffs(2, 3).coeffs[0] > 0
+        assert linearization_coeffs(2, 3)[0] > 0
 
     def test_odd_coeffs_vanish(self):
         for k, n in [(2, 2), (3, 3), (4, 5)]:
-            g = linearization_coeffs(k, n).coeffs
+            g = linearization_coeffs(k, n)
             assert np.max(np.abs(g[1::2])) < 1e-13
 
     def test_reconstruction(self):
         for k, n in [(2, 2), (3, 4), (4, 3)]:
-            g = linearization_coeffs(k, n).coeffs
+            g = linearization_coeffs(k, n)
             rule = gauss_jacobi_rule(2 * k + 2, n)
             recon = sum(
                 g[j] * gegenbauer_eval(j, n, rule.nodes) for j in range(2 * k + 1)
@@ -305,49 +331,19 @@ class TestSquareExpansion:
             err = gegenbauer_eval(k, n, rule.nodes) ** 2 - recon
             assert np.sqrt(np.dot(rule.weights, err**2)) < 1e-10
 
+    def test_matches_dougall_exactly_positive_coefficients(self):
+        # the exact G_j are >= 0 and sum to 1; the projection matches them
+        for n in (2, 3, 4, 6):
+            for k in range(1, 17):
+                exact = dougall_square(k, n)
+                assert all(g >= 0 for g in exact.values())
+                assert sum(exact.values()) == Fraction(1)
+                want = np.zeros(2 * k + 1)
+                for d, g in exact.items():
+                    want[d] = float(g)
+                assert_allclose(linearization_coeffs(k, n), want, rtol=0, atol=1e-13)
 
-class TestGasperDiagnostics:
-    def test_recurrence_arithmetic(self):
-        # first generated value from unit seeds: (B_1 - C_1)/A_1 = -4/7 at k=n=2
-        rep = gasper_recurrence_report(2, 2)
-        assert rep.d[2] == pytest.approx(-4 / 7, rel=1e-13)
-        assert rep.d.shape == (5,)
-
-    def test_q_single_sign_change(self):
-        assert gasper_recurrence_report(2, 2).q_sign_changes == 1
-        assert gasper_recurrence_report(3, 3).q_sign_changes == 1
-
-    def test_q_sign_changes_match_dense_sampling(self):
-        # the sign count from Q's roots agrees with Q sampled densely on
-        # (0, Cauchy bound], past which Q keeps the sign of its leading term
-        for k, n in [(1, 2), (2, 2), (3, 3), (4, 5), (7, 2), (12, 9)]:
-            coeffs = _q_poly_coeffs(k, n)
-            bound = 1.0 + np.max(np.abs(coeffs[:-1])) / abs(coeffs[-1])
-            vals = npoly.polyval(np.linspace(1e-9, bound, 20_001), coeffs)
-            signs = np.sign(vals[vals != 0])
-            sampled = int(np.sum(signs[1:] * signs[:-1] < 0))
-            assert gasper_recurrence_report(k, n).q_sign_changes == sampled
-
-    def test_sign_changes_from_roots_of_odd_multiplicity(self):
-        cases = [
-            ([1.5, 1.5, 4.0, -1.0], 1),  # double root: no change there
-            ([2.0, 2.0, 2.0, -3.0], 1),  # triple root: one change
-            ([0.7, 0.75], 2),
-            ([-1.0, -2.0], 0),
-            ([3.0, 3.0, 3.0, 3.0], 0),
-        ]
-        for roots, changes in cases:
-            assert _positive_sign_changes(npoly.polyfromroots(roots)) == changes
-        # t^2 + 1 has no real roots
-        assert _positive_sign_changes(np.array([1.0, 0.0, 1.0])) == 0
-
-    def test_projection_comparison_flag(self):
-        rep = gasper_recurrence_report(1, 2)
-        assert rep.projection_positive is True
-        assert isinstance(rep.consistent_with_projection, bool)
-        # the printed recurrence does not realize the positivity the
-        # projection route certifies; the report surfaces the mismatch
-        assert rep.consistent_with_projection == (
-            rep.all_d_positive == rep.projection_positive
-        )
-
+    def test_coeffs_are_read_only(self):
+        g = linearization_coeffs(3, 2)
+        with pytest.raises(ValueError):
+            g[0] = 1.0

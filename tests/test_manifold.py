@@ -259,6 +259,16 @@ class TestLiftedResidual:
         got = lifted_residual(grid, pt.phi, pt.lam, params, 70, h, 8)
         assert got == pytest.approx(worst, abs=1e-8)
 
+    def test_rejects_a_profile_or_lambda_that_is_not_finite(self, params):
+        # NaN would otherwise drop out of the running max and read as 0
+        grid = build_grid(8)
+        phi = np.zeros(9)
+        phi[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            lifted_residual(grid, phi, 5.0, params, 20, 1e-3, 0)
+        with pytest.raises(ValueError, match="finite"):
+            lifted_residual(grid, np.zeros(9), np.nan, params, 20, 1e-3, 0)
+
     def test_positivity_error(self, params):
         grid = build_grid(16)
         phi = np.full(17, -0.9999)
