@@ -326,12 +326,13 @@ def linear_operator(sys: DiscreteSystem) -> np.ndarray:
 def linear_spectrum(sys: DiscreteSystem, count: int) -> np.ndarray:
     """Smallest ``count`` eigenvalues of -[(1-t^2) v'' - n t v'].
 
-    The exact values are j(j + n - 1); the Galerkin operator is diagonal
-    with exactly these entries, because the eigenfunctions are the basis.
+    The exact values are j(j + n - 1), increasing in j; the Galerkin
+    operator is diagonal with exactly these entries, because the
+    eigenfunctions are the basis, so they are returned as they are.
     """
-    if count > sys.grid.N + 1:
-        raise ValueError(f"count must be <= N + 1 = {sys.grid.N + 1}")
-    return np.linalg.eigvalsh(-linear_operator(sys))[:count]
+    if not 0 <= count <= sys.grid.N + 1:
+        raise ValueError(f"count must lie in 0..N + 1 = {sys.grid.N + 1}, got {count}")
+    return sys._eig[:count].copy()
 
 
 def sigma_min(J: np.ndarray, odd_block: np.ndarray | None = None) -> float:

@@ -10,7 +10,13 @@ Evaluation uses the three-term recurrence
     (k + n - 1) P_{k+1} = (2k + n - 1) t P_k - k P_{k-1},
 
 which preserves the unit normalization at t = 1 exactly.  Explicitly
-P_{0,n} = 1, P_{1,n} = t, P_{2,n} = ((n+1) t^2 - 1) / n.
+P_{0,n} = 1, P_{1,n} = t, P_{2,n} = ((n+1) t^2 - 1) / n.  It is the only
+recurrence here:
+
+- derivatives shift the dimension, P_{k,n}' = k(k + n - 1)/n P_{k-1,n+2}
+  (d/dt C_k^lam = 2 lam C_{k-1}^{lam+1}, DLMF 18.9.19, lam = (n-1)/2);
+- zeros = Gauss nodes: the zeros of P_{k,n} are the nodes of the k-point
+  Gauss rule for the weight (Golub-Welsch), so no root finder is needed.
 """
 
 from __future__ import annotations
@@ -116,86 +122,33 @@ def gegenbauer_eval(k: int, n: int, t, table: bool = False):
     """
     _check_mode(k, n)
     t = _check_t(t)
+    flat = t.ravel()
+    rows = np.empty((k + 1, flat.size))
+    rows[0] = 1.0
+    if k:
+        rows[1] = flat
+    for j in range(1, k):
+        np.multiply((2 * j + n - 1) * flat, rows[j], out=rows[j + 1])
+        rows[j + 1] -= j * rows[j - 1]
+        rows[j + 1] /= j + n - 1
     if table:
-        rows = np.empty((k + 1,) + t.shape)
-        rows[0] = 1.0
-        if k:
-            rows[1] = t
-        for j in range(1, k):
-            # the operations of the scalar recurrence, in place
-            np.multiply((2 * j + n - 1) * t, rows[j], out=rows[j + 1])
-            rows[j + 1] -= j * rows[j - 1]
-            rows[j + 1] /= j + n - 1
-        return np.moveaxis(rows, 0, -1)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    p = np.ones_like(t) if k == 0 else _eval_and_deriv(k, n, t)[0]
-    return float(p[0]) if scalar else p
+        return np.moveaxis(rows.reshape((k + 1,) + t.shape), 0, -1)
+    return float(rows[k, 0]) if t.ndim == 0 else rows[k].reshape(t.shape)
 
 
 def gegenbauer_deriv(k: int, n: int, t):
-    """Derivative of P_{k,n} in t, by differentiating the recurrence."""
+    """Derivative of P_{k,n} in t: k(k + n - 1)/n P_{k-1,n+2}(t)."""
     _check_mode(k, n)
-    t = _check_t(t)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    d = np.zeros_like(t) if k == 0 else _eval_and_deriv(k, n, t)[1]
-    return float(d[0]) if scalar else d
+    return k * (k + n - 1) / n * gegenbauer_eval(max(k - 1, 0), n + 2, t)
 
 
 def gegenbauer_zeros(k: int, n: int) -> np.ndarray:
-    """All k zeros of P_{k,n}, sorted, inside (-1, 1).
-
-    They are the nodes of the k-point Gauss rule for the same weight, so
-    the midpoints between those nodes, with the endpoints, bracket exactly
-    one zero each.  One Newton refinement runs inside every bracket at
-    once, with bisection as fallback.
-    """
+    """All k zeros of P_{k,n}, sorted, inside (-1, 1): the nodes of the
+    k-point Gauss rule for the same weight."""
     _check_mode(k, n)
     if k < 1:
         raise ValueError("mode index must be >= 1 for zeros")
-    nodes = gauss_jacobi_rule(k, n).nodes
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    lo = np.concatenate([[-1.0], mids])
-    hi = np.concatenate([mids, [1.0]])
-    zeros = _refine_zeros(k, n, lo, hi)
-    # zeros come in +/- pairs; symmetrize to kill rounding drift
-    zeros = 0.5 * (zeros - zeros[::-1])
-    return zeros
-
-
-def _eval_and_deriv(k, n, t):
-    p_prev, p_cur = np.ones_like(t), t.copy()
-    d_prev, d_cur = np.zeros_like(t), np.ones_like(t)
-    for j in range(1, k):
-        c1, c2 = 2 * j + n - 1, j + n - 1
-        p_next = (c1 * t * p_cur - j * p_prev) / c2
-        d_next = (c1 * (p_cur + t * d_cur) - j * d_prev) / c2
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return p_cur, d_cur
-
-
-def _refine_zeros(k, n, lo, hi):
-    """Bracketed Newton on every zero of mode k at once."""
-    lo, hi = lo.copy(), hi.copy()
-    flo, _ = _eval_and_deriv(k, n, lo)
-    flo[lo == -1.0] = (-1.0) ** k
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        f, df = _eval_and_deriv(k, n, x)
-        same = (f > 0) == (flo > 0)
-        lo = np.where(same, x, lo)
-        flo = np.where(same, f, flo)
-        hi = np.where(same, hi, x)
-        step = f / np.where(df == 0, 1.0, df)
-        x_new = x - step
-        outside = (x_new <= lo) | (x_new >= hi) | (df == 0)
-        x_new = np.where(outside, 0.5 * (lo + hi), x_new)
-        if np.max(np.abs(x_new - x)) < 1e-15:
-            return x_new
-        x = x_new
-    return x
+    return gauss_jacobi_rule(k, n).nodes.copy()
 
 
 def weighted_inner(f, g, n: int, m: int) -> float:
@@ -239,10 +192,11 @@ def linearization_coeffs(k: int, n: int) -> np.ndarray:
     if k < 1:
         raise ValueError("mode index must be >= 1")
     rule = gauss_jacobi_rule(2 * k + 2, n)
-    sq = gegenbauer_eval(k, n, rule.nodes) ** 2
-    coeffs = np.empty(2 * k + 1)
-    for j in range(2 * k + 1):
-        pj = gegenbauer_eval(j, n, rule.nodes)
-        coeffs[j] = np.dot(rule.weights, sq * pj) / np.dot(rule.weights, pj * pj)
+    w = rule.weights
+    # contiguous degree-major rows: np.dot may sum a strided column in
+    # another order, and poly_coeffs.csv would change in its last digits
+    P = gegenbauer_eval(2 * k, n, rule.nodes, table=True).T
+    sq = P[k] ** 2
+    coeffs = np.array([np.dot(w, sq * p) / np.dot(w, p * p) for p in P])
     coeffs.setflags(write=False)
     return coeffs

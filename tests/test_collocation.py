@@ -284,6 +284,15 @@ class TestSpectrum:
     def test_count_validation(self, system48):
         with pytest.raises(ValueError):
             linear_spectrum(system48, 50)
+        with pytest.raises(ValueError):
+            linear_spectrum(system48, -1)
+
+    def test_exact_values_as_a_copy(self, system48):
+        got = linear_spectrum(system48, 49)
+        j = np.arange(49)
+        assert np.array_equal(got, j * (j + 1.0))
+        got[0] = 7.0
+        assert linear_spectrum(system48, 1)[0] == 0.0
 
     def test_eigenvector_matches_zonal_polynomial(self, system96, params):
         # the kernel of the trivial-profile Jacobian at lambda_3, on the grid

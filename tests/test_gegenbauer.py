@@ -90,6 +90,28 @@ class TestEvaluation:
                     atol=1e-13,
                 )
 
+    @pytest.mark.parametrize("k", (0, 1, 2, 7))
+    def test_table_at_a_scalar(self, k):
+        row = gegenbauer_eval(k, 3, 0.37, table=True)
+        assert row.shape == (k + 1,)
+        assert np.array_equal(row, gegenbauer_eval(k, 3, np.array([0.37]), table=True)[0])
+
+    def test_table_keeps_the_shape_of_t(self):
+        t = np.linspace(-1, 1, 12).reshape(3, 4)
+        tab = gegenbauer_eval(5, 4, t, table=True)
+        assert tab.shape == (3, 4, 6)
+        assert np.array_equal(tab, gegenbauer_eval(5, 4, t.ravel(), table=True).reshape(3, 4, 6))
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 6, 9))
+    def test_value_is_the_last_table_column_bit_for_bit(self, n):
+        # cube_integral and gegenbauer_norm2, hence dlambda_ds0, evaluate
+        # one degree; the DiscreteSystem tables take every degree at once
+        t = np.concatenate([gauss_jacobi_rule(40, n).nodes, np.linspace(-1, 1, 21)])
+        tab = gegenbauer_eval(127, n, t, table=True)
+        for k in (0, 1, 2, 5, 30, 127):
+            assert np.array_equal(gegenbauer_eval(k, n, t), tab[:, k])
+        assert gegenbauer_eval(30, n, 0.37) == gegenbauer_eval(30, n, np.array([0.37]))[0]
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             gegenbauer_eval(2, 2, 1.5)
@@ -145,6 +167,30 @@ class TestDerivative:
                 ratio = gegenbauer_deriv(k, n, -1.0) / gegenbauer_eval(k, n, -1.0)
                 assert ratio == pytest.approx(-k * (k + n - 1) / n, rel=1e-12)
 
+    @pytest.mark.parametrize("n", (2, 3, 4, 6))
+    def test_endpoint_values_exact(self, n):
+        # P'(1) = j(j + n - 1)/n and P'(-1) = (-1)^(j+1) P'(1), as
+        # DiscreteSystem.endpoint_derivatives uses them
+        for j in range(49):
+            for s in (1, -1):
+                assert gegenbauer_deriv(j, n, float(s)) == s ** (j + 1) * j * (j + n - 1) / n
+
+    def test_matches_legendre_derivative(self):
+        # n = 2 is Legendre; numpy differentiates its series independently
+        t = np.linspace(-1, 1, 31)
+        for k in (0, 1, 4, 9, 30):
+            ref = np.polynomial.legendre.Legendre.basis(k).deriv()(t)
+            assert_allclose(gegenbauer_deriv(k, 2, t), ref, rtol=0, atol=1e-12 * max(1, k * k))
+
+    def test_rejects_bad_modes(self):
+        # the shifted call alone would accept n = 1 (as n + 2 = 3) and k < 0
+        with pytest.raises(ValueError):
+            gegenbauer_deriv(3, 1, 0.2)
+        with pytest.raises(ValueError):
+            gegenbauer_deriv(-1, 2, 0.2)
+        with pytest.raises(ValueError):
+            gegenbauer_deriv(2, 2, 1.5)
+
     def test_matches_finite_difference(self):
         h = 1e-6
         for k, n, t in [(3, 2, 0.4), (5, 4, -0.2), (7, 3, 0.1)]:
@@ -175,6 +221,24 @@ class TestZeros:
                 if prev is not None:
                     assert np.all(z[:-1] < prev) and np.all(prev < z[1:])
                 prev = z
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 5, 8, 40, 120))
+    @pytest.mark.parametrize("n", (2, 3, 4, 6))
+    def test_one_zero_in_each_gauss_cell(self, n, k):
+        # the cells split [-1, 1] at the midpoints of the Gauss nodes; P_k
+        # changes sign across each, and its zero lies strictly inside
+        z = gegenbauer_zeros(k, n)
+        mids = 0.5 * (z[1:] + z[:-1])
+        lo = np.concatenate([[-1.0], mids])
+        hi = np.concatenate([mids, [1.0]])
+        assert np.all((lo < z) & (z < hi))
+        assert np.all(gegenbauer_eval(k, n, lo) * gegenbauer_eval(k, n, hi) < 0)
+        assert np.array_equal(z, -z[::-1])
+
+    def test_zeros_are_a_writable_copy(self):
+        z = gegenbauer_zeros(4, 3)
+        z[0] = 0.0
+        assert gegenbauer_zeros(4, 3)[0] < 0
 
     def test_residual_small(self):
         z = gegenbauer_zeros(6, 2)
