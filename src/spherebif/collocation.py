@@ -54,7 +54,6 @@ __all__ = [
     "DiscreteSystem",
     "SolutionPoint",
     "build_grid",
-    "interpolation_matrix",
     "interpolate",
     "assemble_residual",
     "assemble_jacobian",
@@ -85,56 +84,25 @@ def build_grid(N: int) -> SpectralGrid:
     return SpectralGrid(N=N, nodes=np.cos(np.pi * np.arange(N + 1) / N))
 
 
-def _bary_weights(grid: SpectralGrid) -> np.ndarray:
-    w = (-1.0) ** np.arange(grid.N + 1)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def interpolation_matrix(grid: SpectralGrid, targets) -> np.ndarray:
-    """Matrix mapping node values to interpolant values at the targets.
-
-    Row i holds the weights w_j / (t_i - x_j) of the first (true)
-    barycentric formula, divided by their sum.  A target within 1e-14 of a
-    node gets that node's unit row instead; only its nearest node can be so
-    close, so the hit test is one ``searchsorted`` per target (on the
-    midpoints between the increasing nodes), not one per matrix entry.
-    The matrix takes four passes: the differences, the weights over them,
-    the row sums and the division by them.
-    """
-    t = np.atleast_1d(np.asarray(targets, dtype=float))
-    if np.any(np.abs(t) > 1 + 1e-12):
-        raise ValueError("interpolation targets must lie in [-1, 1]")
-    t = np.clip(t, -1.0, 1.0)
-    # nearest node: the cells between the midpoints of the increasing nodes
-    rising = grid.nodes[::-1]
-    near = grid.N - np.searchsorted(0.5 * (rising[1:] + rising[:-1]), t)
-    hit = np.flatnonzero(np.abs(t - grid.nodes[near]) < 1e-14)
-    hit_node = near[hit]
-    diff = t[:, None] - grid.nodes[None, :]
-    diff[hit, hit_node] = 1.0
-    M = np.divide(_bary_weights(grid), diff, out=diff)
-    M /= M.sum(axis=1)[:, None]
-    M[hit] = 0.0
-    M[hit, hit_node] = 1.0
-    return M
-
-
-# targets per interpolation_matrix in interpolate; bounds its
-# (rows x (N + 1)) temporaries whatever the number of targets
+# targets per chunk in interpolate; bounds its (rows x (N + 1)) temporaries
+# whatever the number of targets
 _INTERPOLATE_ROWS = 256
 
 
 def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
     """Barycentric interpolant of node values phi at t (scalar or 1-D array).
 
-    phi holds the N + 1 node values of ``grid``.  The targets are taken
-    ``_INTERPOLATE_ROWS`` at a time, so the matrix stays small for any
-    number of them.  A target within 1e-14 of a node (found at its nearest
-    node, see ``interpolation_matrix``) returns that node's value exactly.
-    Each value is one row-by-phi dot product, so it rounds the same whether
-    its target comes alone or among others.
+    phi holds the N + 1 node values of ``grid``.  The set-up is made once
+    per call: the domain check and clip of the targets, each target's
+    nearest node (one ``searchsorted`` on the midpoints between the
+    increasing nodes) and the weights (-1)^j, halved at both ends.  The
+    targets are then taken ``_INTERPOLATE_ROWS`` at a time, so the matrix
+    stays small for any number of them; its rows hold the weights
+    w_j / (t_i - x_j) of the second (true) barycentric formula, divided by
+    their sum.  Each value is one row-by-phi dot product, so it rounds the
+    same whether its target comes alone or among others.  A target within
+    1e-14 of a node (only its nearest node can be so close) returns that
+    node's value exactly.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (grid.N + 1,):
@@ -142,11 +110,27 @@ def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
                          f"got shape {phi.shape}")
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.abs(t) <= 1 + 1e-12):
+        raise ValueError("interpolation targets must lie in [-1, 1]")
+    t = np.clip(t, -1.0, 1.0)
+    rising = grid.nodes[::-1]
+    mid = 0.5 * (rising[1:] + rising[:-1])
+    near = grid.N - np.searchsorted(mid, t)
+    hit = np.abs(t - grid.nodes[near]) < 1e-14
+    # a hit takes its node's value after the loop; until then it sits on a
+    # midpoint, where its row is finite
+    t[hit] = mid[0]
+    w = (-1.0) ** np.arange(grid.N + 1)
+    w[0] *= 0.5
+    w[-1] *= 0.5
     vals = np.empty(t.shape)
     for start in range(0, t.size, _INTERPOLATE_ROWS):
         rows = slice(start, start + _INTERPOLATE_ROWS)
-        M = interpolation_matrix(grid, t[rows])
+        M = t[rows, None] - grid.nodes
+        np.divide(w, M, out=M)
+        M /= M.sum(axis=1)[:, None]
         vals[rows] = (M[:, None, :] @ phi[:, None])[:, 0, 0]
+    vals[hit] = phi[near[hit]]
     return float(vals[0]) if scalar else vals
 
 
@@ -250,10 +234,6 @@ class DiscreteSystem:
             phi = np.concatenate([phi, phi[N - phi.size :: -1]])
         return phi
 
-    def rule_values(self, c, parity: int = 0) -> np.ndarray:
-        """Values of the expansion at the rule nodes of the sector."""
-        return self._sectors[parity][0] @ c
-
     def endpoint_derivatives(self, c) -> tuple:
         """phi'(+1) and phi'(-1) of the expansion with all N + 1 coefficients c.
 
@@ -273,7 +253,7 @@ def _sector_u(c, sys: DiscreteSystem, parity: int):
     if c.shape != (profile.shape[1],):
         raise ValueError(f"expected {profile.shape[1]} coefficients, got {c.shape}")
     u = 1.0 + profile @ c
-    if u.min() <= 0:
+    if not u.min() > 0:  # a NaN fails too
         bad = int(np.argmin(u))
         raise PositivityError(f"u = phi + 1 is not positive at rule node {bad}")
     return V, w, eig, u

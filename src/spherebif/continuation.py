@@ -23,7 +23,8 @@ NEWTON_TOL, the tolerance that ``collocation.nodal_count`` also takes as its
 trivial-profile floor.  It stops when its residual max-norm fails to fall
 from the third iteration on, after MAX_ITER iterations, on a singular
 system, or when halving the step MAX_BACKTRACK times keeps u = phi + 1
-nonpositive at the rule nodes.  Its callers supply the residual and the
+nonpositive at the rule nodes, which the assembly of the Jacobian at each
+trial point checks.  Its callers supply the residual and the
 Newton matrix.  Every point comes from the Galerkin residual
 F(c, lambda) = 0 of ``collocation`` plus one linear equation in
 (c, lambda), solved as a bordered system: the equation holds lambda fixed
@@ -175,18 +176,21 @@ def _newton(sys, k, c, lam, v, residual, matrix):
     """Damped Newton on G = residual(c, lam, v, J) = 0 from (c, lam, v), J
     being the Jacobian of the sector of mode k at (c, lam); v holds unknowns
     after lambda, or is None.  Each step solves matrix(c, lam, v, J) z = -G
-    and is halved while u = phi + 1 is not positive at the rule nodes.
+    and assembles J at the trial point; the step is halved while that
+    assembly raises PositivityError (u = phi + 1 not positive at the rule
+    nodes).  J is assembled once per iterate and once per rejected trial,
+    plus once more at the last point when MAX_ITER iterations run out.
 
     Returns (point, J, v, steps) once max|G| < NEWTON_TOL; raises
-    PositivityError when the converged u is not positive on the grid, and
+    PositivityError when the start or the converged u is not positive, and
     ConvergenceError when max|G| fails to fall from iteration 2 on, after
     MAX_ITER iterations, on a singular matrix or when backtracking fails.
     """
     parity = _parity(k)
     m = c.size
     prev = np.inf
+    J = assemble_jacobian(c, lam, sys, parity)
     for it in range(MAX_ITER):
-        J = assemble_jacobian(c, lam, sys, parity)
         G = residual(c, lam, v, J)
         err = np.max(np.abs(G))
         if it >= 2 and err >= prev:
@@ -200,13 +204,15 @@ def _newton(sys, k, c, lam, v, residual, matrix):
         z = _solve(matrix(c, lam, v, J), -G)
         step = 1.0
         for _ in range(MAX_BACKTRACK):
-            trial = c + step * z[:m]
-            if sys.rule_values(trial, parity).min() > -1.0:
+            trial, trial_lam = c + step * z[:m], lam + step * z[m]
+            try:
+                J = assemble_jacobian(trial, trial_lam, sys, parity)
                 break
-            step *= 0.5
+            except PositivityError:
+                step *= 0.5
         else:
             raise ConvergenceError("iterate lost positivity and backtracking failed")
-        c, lam = trial, lam + step * z[m]
+        c, lam = trial, trial_lam
         if v is not None:
             v = v + step * z[m + 1:]
     raise ConvergenceError(f"no convergence after {MAX_ITER} iterations")
@@ -482,10 +488,10 @@ def _fold_newton(sys, k, c, lam, v):
 
 def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
     """Solve the extended system from start = (c, lam, v) and report the
-    fold for the traced pair (i, i + 1), or None: when the solve fails, its
-    point lies farther from a reference (coefficients, lambda) in refs than
-    the pair's chord length, |sigma_min| there is not below sigma_tol, its
-    nodal count differs from the pair's or u is not positive.
+    fold for the traced pair (i, i + 1), or None: when the solve stalls or
+    loses positivity, its point lies farther from a reference (coefficients,
+    lambda) in refs than the pair's chord length, |sigma_min| there is not
+    below sigma_tol or its nodal count differs from the pair's.
     earlier_steps is added to its Newton steps."""
     solved = _fold_newton(sys, branch.k, *start)
     if solved is None:
@@ -497,8 +503,7 @@ def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
         dc = star.coeffs - rc
         if np.sqrt(dc @ dc + (star.lam - rl) ** 2) > gap:
             return None
-    if (abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count
-            or star.u_min <= 0):
+    if abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count:
         return None
     parity = _parity(branch.k)
     F = assemble_residual(star.coeffs[_modes(parity)], star.lam, sys, parity)

@@ -101,7 +101,7 @@ def gauss_jacobi_rule(m: int, n: int) -> QuadratureRule:
 
 def _check_t(t):
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1 + _T_SLACK):
+    if not np.all(np.abs(t) <= 1 + _T_SLACK):
         raise ValueError("evaluation point outside [-1, 1]")
     return np.clip(t, -1.0, 1.0)
 

@@ -102,8 +102,10 @@ class TestInterpolation:
 
     def test_domain_error(self):
         grid = build_grid(8)
-        with pytest.raises(ValueError):
-            interpolate(grid, np.zeros(9), 1.01)
+        # a NaN target fails the domain check too
+        for t in (1.01, np.nan, [0.1, np.nan, -0.2]):
+            with pytest.raises(ValueError, match="must lie in"):
+                interpolate(grid, np.zeros(9), t)
 
     def test_phi_must_hold_the_node_values(self):
         grid = build_grid(8)
@@ -167,7 +169,6 @@ class TestNearestNodeHits:
         phi = np.sin(grid.nodes)
         empty = interpolate(grid, phi, np.empty(0))
         assert empty.shape == (0,)
-        assert collocation.interpolation_matrix(grid, []).shape == (0, 11)
         got = interpolate(grid, phi, 0.25)
         assert type(got) is float
         assert got == _dense_interpolate(grid, phi, 0.25)
@@ -220,6 +221,11 @@ class TestResidual:
         # u = 1 - 1.2 P_2 is negative near t = +/-1 only
         with pytest.raises(PositivityError, match="rule node"):
             assemble_residual(-1.2 * system48.basis(2), 1.0, system48)
+        # a NaN coefficient is not positive either, also for the Jacobian
+        c = np.zeros(49)
+        c[3] = np.nan
+        with pytest.raises(PositivityError, match="rule node"):
+            assemble_jacobian(c, 1.0, system48)
 
     def test_shape_validation(self, system48):
         with pytest.raises(ValueError):

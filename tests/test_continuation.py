@@ -126,15 +126,53 @@ class TestArclengthStep:
             arclength_step(triv, tangent, 0.3, system48)
         assert info.value.reason == "step-failure"
 
-    def test_rising_residual_is_a_step_failure(self, system48):
-        # the corrector gives up at the first rise of its residual, not
-        # after MAX_ITER iterations, and the rejection says why
+    @staticmethod
+    def _p6_step(system48, monkeypatch):
+        """A step of ds = 0.3 along P_6 off the trivial branch, which the
+        corrector rejects, with every continuation.assemble_jacobian call
+        recorded as (c, lam, assembled).  Returns the rejection's message
+        and the calls."""
         triv = newton_solve(np.zeros(49), 5.0, system48)
         tangent = (system48.basis(6) / np.linalg.norm(system48.basis(6)), 0.0)
+        calls = []
+
+        def recorder(c, lam, sys, parity=0):
+            try:
+                J = assemble_jacobian(c, lam, sys, parity)
+            except PositivityError:
+                calls.append((np.array(c), lam, False))
+                raise
+            calls.append((np.array(c), lam, True))
+            return J
+
+        monkeypatch.setattr(continuation, "assemble_jacobian", recorder)
         with pytest.raises(StepRejected) as info:
             arclength_step(triv, tangent, 0.3, system48)
         assert info.value.reason == "step-failure"
-        assert re.fullmatch(r"residual rose from \S+ to \S+ at iteration \d+", str(info.value))
+        return str(info.value), calls
+
+    def test_rising_residual_is_a_step_failure(self, system48, monkeypatch):
+        # the corrector gives up at the first rise of its residual, not
+        # after MAX_ITER iterations, and the rejection says why
+        message, calls = self._p6_step(system48, monkeypatch)
+        assert re.fullmatch(r"residual rose from \S+ to \S+ at iteration 2", message)
+        # positivity is decided by assembling J at each trial point: a
+        # rejected trial costs one call, and the J of an accepted one is the
+        # next iterate's, assembled once.  Iterates 0, 1 and 2; each of the
+        # two steps is halved once.
+        assert [ok for _, _, ok in calls] == [True, False, True, False, True]
+        for base, rejected, accepted in (calls[0:3], calls[2:5]):
+            assert_allclose(rejected[0] - base[0], 2 * (accepted[0] - base[0]), rtol=1e-12, atol=1e-15)
+            assert rejected[1] - base[1] == pytest.approx(2 * (accepted[1] - base[1]), rel=1e-12, abs=1e-15)
+
+    def test_failed_backtracking_is_a_step_failure(self, system48, monkeypatch):
+        # the full first step makes u nonpositive at a rule node; with one
+        # try per step the corrector cannot halve it and gives up
+        monkeypatch.setattr(continuation, "MAX_BACKTRACK", 1)
+        message, calls = self._p6_step(system48, monkeypatch)
+        assert message == "iterate lost positivity and backtracking failed"
+        # the start's J, then the one rejected trial
+        assert [ok for _, _, ok in calls] == [True, False]
 
     def test_landing_on_another_nodal_count_is_a_nodal_change(self, system48):
         triv = newton_solve(np.zeros(49), 5.0, system48)

@@ -119,6 +119,9 @@ class TestEvaluation:
             gegenbauer_eval(-1, 2, 0.0)
         with pytest.raises(ValueError):
             gegenbauer_eval(2, 1, 0.0)
+        for t in (np.nan, [0.1, np.nan, -0.2]):
+            with pytest.raises(ValueError, match="outside"):
+                gegenbauer_eval(3, 2, t)
 
     def test_rodrigues_cross_check(self):
         # the Rodrigues-style formula reproduces each polynomial up to one
