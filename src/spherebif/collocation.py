@@ -12,7 +12,8 @@ with Lambda = diag(j(j + n - 1)), V the basis at the nodes of a Gauss-Jacobi
 rule for w of ceil(1.5 (N+1)) + 1 points and W its weights.  The Jacobian
 J = -Lambda + mu V^T W diag(g'(V c)) V is symmetric, so the stability
 diagnostic ``sigma_min`` (the eigenvalue of J nearest zero) comes from
-``numpy.linalg.eigvalsh``.  Coefficient vectors are orthonormal
+``numpy.linalg.eigvalsh``, and every ``eigvalsh`` runs inside ``sigma_min``.
+Coefficient vectors are orthonormal
 coordinates: the weighted inner product of two profiles is the dot product
 of their coefficients.
 
@@ -23,7 +24,12 @@ even functions, so they use the rule folded onto its nodes t >= 0.  The
 functions here take a ``parity``: 0 for all N + 1 modes, 1 for the even
 modes; ``assemble_jacobian`` also takes -1 for the odd block at an even
 profile.  Coefficient vectors hold the modes of their sector in increasing
-order.
+order.  Both blocks are -Lambda_b + V_b^T diag(w h) V_b with one diagonal
+h = mu g'(u) and V_b^T diag(w) V_b = I (the rule is exact), so by Weyl's
+inequality no eigenvalue of a block moves by more than max|h - h'| between
+two profiles: along a trace ``solution_point`` evaluates a block only where
+this bound, carried from the previous point, cannot show that the other
+block holds the eigenvalue nearest zero.
 
 Profiles leave the package as values on the N + 1 Chebyshev-Lobatto nodes
 of ``build_grid``, which determine the degree-N expansion exactly;
@@ -38,7 +44,7 @@ share a single read-only set of them, built on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -48,6 +54,11 @@ from .model import ModelParams, PositivityError, reduction_factor
 # residual max-norm tolerance of the Newton solves; a profile this small is
 # indistinguishable from the trivial one
 NEWTON_TOL = 1e-10
+
+# slack of the Weyl bound in sigma_min's skip rule, per unit of the scale
+# of J (the largest j(j + n - 1) plus max|h|); it covers the backward error
+# of eigvalsh and the rounding of V^T W V = I
+_WEYL_MARGIN = 1e-10
 
 __all__ = [
     "SpectralGrid",
@@ -315,16 +326,51 @@ def linear_spectrum(sys: DiscreteSystem, count: int) -> np.ndarray:
     return sys._eig[:count].copy()
 
 
-def sigma_min(J: np.ndarray, odd_block: np.ndarray | None = None) -> float:
+def sigma_min(J: np.ndarray, odd_block=None, radii=None):
     """Eigenvalue nearest zero of the symmetric J, with its sign.
 
     On the even sector of an even-k branch, J is the even block and
-    ``odd_block`` the odd block of the Jacobian, and the eigenvalue is the
-    one nearest zero among both blocks' eigenvalues.
+    ``odd_block`` the odd block of the Jacobian, or a function that
+    assembles it, and the eigenvalue is the one nearest zero among both
+    blocks' eigenvalues; on a tie the even block's wins.
+
+    ``radii``, when given, holds a lower bound on min|eigenvalue| of each
+    block (-inf where none is known), and the pair (sigma, bounds) is
+    returned.  The block with the smaller radius is evaluated first, and
+    the other is skipped when its radius exceeds |sigma| of the first,
+    strictly: no eigenvalue of it can then be as near zero.  ``bounds``
+    holds min|eigenvalue| of each evaluated block and the radius of a
+    skipped one.
     """
     blocks = [J] if odd_block is None else [J, odd_block]
-    ev = np.concatenate([np.linalg.eigvalsh(np.asarray(B, dtype=float)) for B in blocks])
-    return float(ev[np.argmin(np.abs(ev))])
+    bounds = [-np.inf] * len(blocks) if radii is None else list(radii)
+    best = None
+    for b in sorted(range(len(blocks)), key=bounds.__getitem__):
+        if best is not None and bounds[b] > abs(best):
+            continue
+        B = blocks[b]() if callable(blocks[b]) else blocks[b]
+        ev = np.linalg.eigvalsh(np.asarray(B, dtype=float))
+        near = ev[np.argmin(np.abs(ev))]
+        bounds[b] = abs(near)
+        if best is None or abs(near) < abs(best) or (abs(near) == abs(best) and b == 0):
+            best = near
+    return float(best) if radii is None else (float(best), tuple(map(float, bounds)))
+
+
+def _radii(sys: DiscreteSystem, c, lam: float, prior) -> tuple:
+    """Lower bounds on min|eigenvalue| of the even and the odd block of J at
+    the even profile (c, lam): those of ``prior`` less max|h - h_prior| and
+    _WEYL_MARGIN times the scale of J, h = mu(lambda) g'(u) being the
+    blocks' diagonal at the folded rule nodes; -inf without a prior."""
+    if prior is None or prior.gap_bounds is None:
+        return (-np.inf, -np.inf)
+    V, q = sys._sectors[1][0], sys.params.q
+    h, h_prior = (reduction_factor(x_lam, sys.params) * ((q - 1) * (1.0 + V @ x) ** (q - 2) - 1.0)
+                  for x, x_lam in ((c, lam), (prior.coeffs[_modes(1)], prior.lam)))
+    dh = np.abs(h - h_prior).max()
+    # max|h_prior| <= max|h| + dh
+    shift = dh + _WEYL_MARGIN * (sys._eig[-1] + np.abs(h).max() + dh)
+    return tuple(bound - shift for bound in prior.gap_bounds)
 
 
 def nodal_count(sys: DiscreteSystem, c, parity: int = 0) -> int:
@@ -346,20 +392,25 @@ def nodal_count(sys: DiscreteSystem, c, parity: int = 0) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
-def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None) -> "SolutionPoint":
+def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None, prior=None) -> "SolutionPoint":
     """Assemble the standard diagnostics for a converged profile.
 
     c holds the coefficients of the sector mode k is traced in: the even
     modes for even k, all N + 1 otherwise.  J, when given, is the Jacobian
-    of that sector at (c, lam); for even k the odd block is built as well
-    and ``sigma_min`` runs on both blocks.
+    of that sector at (c, lam).  For even k ``sigma_min`` runs on the even
+    and the odd block; ``prior``, the previous point of the same trace,
+    lets it skip the block that the prior's ``gap_bounds`` and the Weyl
+    bound (see the module docstring) rule out, and a skipped odd block is
+    not assembled.  Without a prior both blocks are evaluated.
     """
     parity = _parity(k)
     c = np.asarray(c, dtype=float)
     nodes = nodal_count(sys, c, parity)
     if J is None:
         J = assemble_jacobian(c, lam, sys, parity)
-    odd = assemble_jacobian(c, lam, sys, -1) if parity else None
+    odd = partial(assemble_jacobian, c, lam, sys, -1) if parity else None
+    radii = _radii(sys, c, lam, prior) if parity else (-np.inf,)
+    sigma, bounds = sigma_min(J, odd, radii)
     coeffs = np.zeros(sys.grid.N + 1)
     coeffs[_modes(parity)] = c
     phi = sys.node_values(c, parity)
@@ -369,10 +420,11 @@ def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None) -> "SolutionPoin
         lam=float(lam),
         s_coord=float("nan") if k is None else float(coeffs[k] / sys._norms[k]),
         nodal_count=nodes,
-        sigma_min=sigma_min(J, odd),
+        sigma_min=sigma,
         u_min=float(1.0 + phi.min()),
         coeffs=coeffs,
         tail=float(np.max(np.abs(c[-4:])) / scale) if scale > 0 else 0.0,
+        gap_bounds=bounds,
     )
 
 
@@ -383,7 +435,10 @@ class SolutionPoint:
     ``phi`` holds the profile on the Lobatto nodes and ``coeffs`` its N + 1
     Galerkin coefficients.  ``tail`` estimates how well N resolves it: the
     largest magnitude among the last four coefficients of its sector over
-    the largest coefficient.
+    the largest coefficient.  ``gap_bounds`` holds a lower bound on
+    min|eigenvalue| of each block of the Jacobian (even then odd for even
+    k, one for the full Jacobian otherwise): the exact value for a block
+    whose spectrum was evaluated.  It is written to no output file.
     """
 
     phi: np.ndarray
@@ -394,6 +449,7 @@ class SolutionPoint:
     u_min: float
     coeffs: np.ndarray | None = None
     tail: float = float("nan")
+    gap_bounds: tuple | None = None
 
     def __post_init__(self):
         for name in ("phi", "coeffs"):

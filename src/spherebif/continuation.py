@@ -172,7 +172,7 @@ def _bordered(J, flam, wrow, wlam):
     return A
 
 
-def _newton(sys, k, c, lam, v, residual, matrix):
+def _newton(sys, k, c, lam, v, residual, matrix, prior=None):
     """Damped Newton on G = residual(c, lam, v, J) = 0 from (c, lam, v), J
     being the Jacobian of the sector of mode k at (c, lam); v holds unknowns
     after lambda, or is None.  Each step solves matrix(c, lam, v, J) z = -G
@@ -180,6 +180,7 @@ def _newton(sys, k, c, lam, v, residual, matrix):
     assembly raises PositivityError (u = phi + 1 not positive at the rule
     nodes).  J is assembled once per iterate and once per rejected trial,
     plus once more at the last point when MAX_ITER iterations run out.
+    ``prior``, the previous point of a trace, goes to solution_point.
 
     Returns (point, J, v, steps) once max|G| < NEWTON_TOL; raises
     PositivityError when the start or the converged u is not positive, and
@@ -197,7 +198,7 @@ def _newton(sys, k, c, lam, v, residual, matrix):
             raise ConvergenceError(f"residual rose from {prev:.1e} to {err:.1e} at iteration {it}")
         prev = err
         if err < NEWTON_TOL:
-            pt = solution_point(sys, c, lam, k=k, J=J)
+            pt = solution_point(sys, c, lam, k=k, J=J, prior=prior)
             if pt.u_min <= 0:
                 raise PositivityError(f"u = phi + 1 reaches {pt.u_min} on the grid")
             return pt, J, v, it
@@ -218,15 +219,16 @@ def _newton(sys, k, c, lam, v, residual, matrix):
     raise ConvergenceError(f"no convergence after {MAX_ITER} iterations")
 
 
-def _correct(sys, k, c, lam, wrow, wlam, constraint):
+def _correct(sys, k, c, lam, wrow, wlam, constraint, prior=None):
     """Newton on F = 0 and g = constraint(c, lam) = 0, g having gradient
     (wrow, wlam), in the coefficients of the sector of mode k.  Returns the
-    SolutionPoint and the Jacobian at it."""
+    SolutionPoint and the Jacobian at it; ``prior`` goes to _newton."""
     parity = _parity(k)
     pt, J, _, _ = _newton(
         sys, k, c, lam, None,
         lambda c, lam, v, J: np.append(assemble_residual(c, lam, sys, parity), constraint(c, lam)),
         lambda c, lam, v, J: _bordered(J, dresidual_dlambda(c, lam, sys, parity), wrow, wlam),
+        prior,
     )
     return pt, J
 
@@ -317,7 +319,9 @@ def arclength_step(
     ``nodal-change``.  A corrector that stalls or loses positivity (u <= 0)
     raises StepRejected with the reason ``step-failure`` and the corrector's
     message, so every accepted point has u > 0.  Returns the pair (point,
-    Jacobian of the sector at the point).
+    Jacobian of the sector at the point).  ``current`` is the new point's
+    prior in solution_point: for even k its ``gap_bounds`` and the Weyl
+    bound can spare the spectrum of one parity block.
     """
     tc, tlam = tangent
     c0, lam0 = current.coeffs[_modes(_parity(k))], current.lam
@@ -325,6 +329,7 @@ def arclength_step(
         pt, J = _correct(
             sys, k, c0 + ds * tc, lam0 + ds * tlam, tc, tlam,
             lambda c, lam: (c - c0) @ tc + (lam - lam0) * tlam - ds,
+            prior=current,
         )
     except (ConvergenceError, PositivityError) as exc:
         raise StepRejected("step-failure", str(exc)) from exc

@@ -67,8 +67,8 @@ class ModelParams:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ValueError(f"sphere dimension must be an integer >= 2, got {self.n}")
-        if not self.delta > 0:
-            raise ValueError(f"metric scale delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"metric scale delta must be finite and positive, got {self.delta}")
         qf = _q_critical(self.n)
         if not (2 < self.q < qf):
             raise ValueError(f"exponent q must satisfy 2 < q < {qf}, got {self.q}")

@@ -55,6 +55,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(None, ["delta=0"])
 
+    @pytest.mark.parametrize("command", ["eigen", "verify", "degenerate"])
+    def test_infinite_delta_exits_three(self, tmp_path, capsys, command):
+        # these used to exit 0 and write "delta": Infinity, which is not JSON
+        assert main([command, "delta=inf", "N=16", f"output_dir={tmp_path}"]) == 3
+        assert not any(tmp_path.iterdir())
+        assert "delta must be finite and positive" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("mystery = 1\n")

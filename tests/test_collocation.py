@@ -1,5 +1,7 @@
 """Tests for the spectral collocation layer."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -35,6 +37,14 @@ from spherebif.model import (
     lambda_k,
     ode_residual,
 )
+
+
+@lru_cache(maxsize=None)
+def _traced(n, q, k, direction, N):
+    """A system of degree N and its traced branch, shared by the tests that
+    check the recorded sigma_min along it."""
+    system = DiscreteSystem(build_grid(N), ModelParams(n, 1.0, q))
+    return system, trace_branch(k, direction, system)
 
 
 def _poly_coeffs(system, coeffs):
@@ -349,8 +359,7 @@ class TestSigmaMin:
     def test_matches_eigvals_along_branches(self, q, k, direction):
         # sigma_min of the full Jacobian, and the recorded sigma_min of the
         # even-sector trace (from the even and odd blocks), against eigvals
-        system = DiscreteSystem(build_grid(48), ModelParams(2, 1.0, q))
-        branch = trace_branch(k, direction, system)
+        system, branch = _traced(2, q, k, direction, 48)
         for pt in branch.points:
             J = assemble_jacobian(pt.coeffs, pt.lam, system)
             ev = np.linalg.eigvals(J)
@@ -485,6 +494,73 @@ class TestParitySectors:
         assert pt.sigma_min == pytest.approx(ref, rel=1e-9)
         assert solution_point(system48, c, 10.0).sigma_min == sigma_min(J)
         assert np.array_equal(pt.coeffs, solution_point(system48, c, 10.0).coeffs)
+
+
+class TestBlockSkip:
+    # along an even-k trace, solution_point skips the spectrum of a parity
+    # block that the Weyl bound from the previous point rules out
+
+    @pytest.mark.parametrize(
+        "n, q, k, direction, N",
+        [(2, 3.0, 2, 1, 48), (2, 3.0, 2, -1, 48), (2, 3.0, 4, 1, 48), (2, 3.0, 4, -1, 48),
+         (2, 6.0, 6, 1, 48), (2, 4.0, 4, 1, 48), (3, 4.9, 2, 1, 48),
+         (2, 3.0, 2, 1, 96), (2, 3.0, 2, -1, 96)],
+    )
+    def test_sigma_min_and_bounds_along_branches(self, n, q, k, direction, N):
+        system, branch = _traced(n, q, k, direction, N)
+        skipped = 0
+        for pt in branch.points:
+            c = pt.coeffs[::2]
+            blocks = [assemble_jacobian(c, pt.lam, system, parity) for parity in (1, -1)]
+            # bit for bit the value of both blocks evaluated
+            assert pt.sigma_min == sigma_min(*blocks)
+            for bound, block in zip(pt.gap_bounds, blocks):
+                exact = np.min(np.abs(np.linalg.eigvalsh(block)))
+                assert bound <= exact
+                # an evaluated block stores its exact value
+                skipped += bound < exact
+        if (n, q, k, direction, N) == (2, 3.0, 2, 1, 48):
+            assert skipped > 0
+
+    def test_a_distant_prior_evaluates_both_blocks(self, system48, monkeypatch):
+        branch = trace_branch(2, 1, system48, max_points=201)
+        seed, before, point = branch.points[0], branch.points[199], branch.points[200]
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            calls.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        c = point.coeffs[::2]
+        far = solution_point(system48, c, point.lam, k=2, prior=seed)
+        assert len(calls) == 2
+        assert far.sigma_min == point.sigma_min
+        blocks = [assemble_jacobian(c, point.lam, system48, parity) for parity in (1, -1)]
+        monkeypatch.undo()
+        assert far.gap_bounds == tuple(np.min(np.abs(np.linalg.eigvalsh(B))) for B in blocks)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        # the previous point of the trace rules the odd block out
+        near = solution_point(system48, c, point.lam, k=2, prior=before)
+        assert len(calls) == 3
+        assert near.sigma_min == point.sigma_min
+
+    def test_tie_rule(self):
+        even, odd = np.diag([3.0, -5.0]), np.diag([-3.0, 7.0])
+        # on equal |.| the even block wins, whichever block runs first
+        assert sigma_min(even, odd) == 3.0
+        assert sigma_min(even, odd, radii=(3.0, -np.inf)) == (3.0, (3.0, 3.0))
+        assert sigma_min(even, odd, radii=(-np.inf, 3.0)) == (3.0, (3.0, 3.0))
+        # a radius equal to |sigma| of the first block is never skipped;
+        # only a larger one is, and then its block is not assembled
+        skip = np.nextafter(3.0, 4.0)
+        assert sigma_min(even, odd, radii=(skip, -np.inf)) == (-3.0, (skip, 3.0))
+
+        def unassembled():
+            raise AssertionError("a skipped block was assembled")
+
+        assert sigma_min(even, unassembled, radii=(-np.inf, skip)) == (3.0, (3.0, skip))
 
 
 class TestNodalCount:

@@ -440,9 +440,11 @@ class TestEvenSector:
         branch = trace_branch(2, 1, system48, max_points=20)
         assert len(branch.points) == 20
         assert locate_degenerate(branch, 1e-6, system48) is not None
-        # the even block for the solves, the odd block for sigma_min only
+        # the even block for the solves, the odd block for sigma_min only,
+        # and only where the Weyl bound from the previous point cannot
+        # show that the even block holds the eigenvalue nearest zero
         assert set(calls) == {1, -1}
-        assert calls.count(-1) == len(branch.points) + 1
+        assert calls.count(-1) < len(branch.points) + 1
 
     def test_every_step_builds_its_jacobians_in_continuation(self, params, monkeypatch):
         # every Jacobian of the corrector is looked up in continuation's

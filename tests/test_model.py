@@ -55,6 +55,13 @@ class TestParams:
             ModelParams(3, 1.0, 6.0)  # q above (n+2)/(n-2) = 5
         ModelParams(2, 1.0, 12.0)  # n = 2 carries no upper bound on q
 
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_delta_rejected(self, delta):
+        # delta = inf would make mu = lambda and the second factor's
+        # verify steps h / sqrt(delta) zero
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            ModelParams(2, delta, 3.0)
+
     def test_derived_constants(self):
         d3 = derived_constants(ModelParams(3, 1.0, 3.0))
         assert d3.q_f == 5.0
