@@ -6,7 +6,7 @@
 
 import numpy as np
 
-from spherebif import (
+from spherebif.gegenbauer import (
     cube_integral,
     gauss_jacobi_rule,
     gegenbauer_eval,

@@ -9,17 +9,14 @@
 
 import numpy as np
 
-from spherebif import (
+from spherebif.collocation import (
     DiscreteSystem,
-    ModelParams,
     assemble_jacobian,
     build_grid,
-    derived_constants,
-    lambda_k,
     linear_spectrum,
     sigma_min,
-    yamabe_lambda,
 )
+from spherebif.model import ModelParams, derived_constants, lambda_k, yamabe_lambda
 
 params = ModelParams(n=2, delta=1.0, q=3.0)
 c = derived_constants(params).c_factor

@@ -5,14 +5,9 @@
 # the even mode the slope is negative, so lambda first decreases, turns at
 # a fold, and climbs back up.
 
-from spherebif import (
-    DiscreteSystem,
-    ModelParams,
-    build_grid,
-    dlambda_ds0,
-    lambda_k,
-    trace_branch,
-)
+from spherebif.collocation import DiscreteSystem, build_grid
+from spherebif.continuation import trace_branch
+from spherebif.model import ModelParams, dlambda_ds0, lambda_k
 
 params = ModelParams(n=2, delta=1.0, q=3.0)
 system = DiscreteSystem(build_grid(64), params)

@@ -9,17 +9,9 @@
 
 import numpy as np
 
-from spherebif import (
-    DiscreteSystem,
-    ModelParams,
-    assemble_jacobian,
-    build_grid,
-    endpoint_residual,
-    interpolate,
-    lambda_k,
-    locate_degenerate,
-    trace_branch,
-)
+from spherebif.collocation import DiscreteSystem, assemble_jacobian, build_grid, interpolate
+from spherebif.continuation import locate_degenerate, trace_branch
+from spherebif.model import ModelParams, endpoint_residual, lambda_k
 
 params = ModelParams(n=2, delta=1.0, q=3.0)
 system = DiscreteSystem(build_grid(64), params)

@@ -8,15 +8,10 @@
 # and then evaluate the full PDE residual of a computed profile lifted back
 # to the product through u = phi(<p, q>) + 1.
 
-from spherebif import (
-    DiscreteSystem,
-    ModelParams,
-    build_grid,
-    identity_residuals,
-    lifted_residual,
-    locate_degenerate,
-    trace_branch,
-)
+from spherebif.collocation import DiscreteSystem, build_grid
+from spherebif.continuation import locate_degenerate, trace_branch
+from spherebif.manifold import identity_residuals, lifted_residual
+from spherebif.model import ModelParams
 
 n, delta = 2, 1.0
 print("isoparametric identities at 500 random pairs:")

@@ -3,7 +3,9 @@
 The semilinear equation -Lap(u) + lambda*u = lambda*u^(q-1) on
 (S^n x S^n, g + delta*g), restricted to functions invariant under the
 diagonal O(n+1) action, reduces to a singular ODE for the profile
-w = u - 1 on [-1, 1].  This package provides:
+w = u - 1 on [-1, 1].  The Python API is the modules below: import each
+name from its module (``from spherebif.model import ModelParams``);
+``import spherebif`` itself loads none of them.
 
 * ``gegenbauer`` -- the zonal (ultraspherical) polynomial machinery:
   evaluation, zeros, Gauss-Jacobi quadrature, cube integrals, square
@@ -20,63 +22,5 @@ w = u - 1 on [-1, 1].  This package provides:
   differences along geodesics.
 * ``cli`` -- the ``spherebif`` command-line front end.
 """
-
-from .gegenbauer import (
-    QuadratureRule,
-    cube_integral,
-    gauss_jacobi_rule,
-    gegenbauer_deriv,
-    gegenbauer_eval,
-    gegenbauer_zeros,
-    linearization_coeffs,
-    weighted_inner,
-)
-from .model import (
-    DerivedConstants,
-    ModelParams,
-    PositivityError,
-    ProfilePoint,
-    derived_constants,
-    dlambda_ds0,
-    endpoint_residual,
-    lambda_k,
-    linearized_potential,
-    ode_residual,
-    reduction_factor,
-    yamabe_lambda,
-)
-from .collocation import (
-    DiscreteSystem,
-    SolutionPoint,
-    SpectralGrid,
-    assemble_jacobian,
-    assemble_residual,
-    build_grid,
-    interpolate,
-    linear_operator,
-    linear_spectrum,
-    nodal_count,
-    sigma_min,
-)
-from .continuation import (
-    Branch,
-    ConvergenceError,
-    DegeneracyReport,
-    arclength_step,
-    branch_seed,
-    locate_degenerate,
-    newton_solve,
-    psi_smallness_check,
-    solve_at_s,
-    trace_branch,
-)
-from .manifold import (
-    SpherePair,
-    gradient_sq_fd,
-    identity_residuals,
-    laplace_beltrami_fd,
-    lifted_residual,
-    sample_pair,
-)
 
 __version__ = "0.1.0"

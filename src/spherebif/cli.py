@@ -18,13 +18,13 @@ step sizes are constants of the modules that use them; ``branch`` and
 ``degenerate`` also need k <= N.  Exit codes: 0 success, 2 solver
 non-convergence or a stored profile whose lift is not positive (``verify``,
 which then writes nothing and removes an earlier verify.json), 3
-configuration error.  Output files are byte-identical across runs for a
-fixed config and seed on one platform, and for a fixed CPU count once a
+configuration error (also an output_dir that cannot be created, and a
+lambda_k that overflows).  Output files are byte-identical across runs for
+a fixed config and seed on one platform, and for a fixed CPU count once a
 trace has 321 unknowns; floats are written with 17 significant digits so
-values round-trip exactly.  ``main``
-sets numpy's OpenBLAS to one thread, except for traces of 321 or more
-unknowns (``blas_threads``), for the whole calling process and after it
-returns; importing the package does not.
+values round-trip exactly.  ``main`` sets numpy's OpenBLAS to one thread,
+except for traces of 321 or more unknowns (``blas_threads``), for the
+whole calling process and after it returns; importing the package does not.
 
 ``degenerate`` traces and locates the fold at the coarse resolution
 max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies in k..N-1, and solves
@@ -162,11 +162,17 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
 
 def _validate(cfg: RunConfig):
     try:
-        cfg.params()
+        params = cfg.params()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.k < 1:
         raise ConfigError(f"mode index k must be >= 1, got {cfg.k}")
+    try:
+        finite = np.isfinite(lambda_k(cfg.k, params))
+    except OverflowError:  # k(k+n-1) beyond a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"lambda_{cfg.k} overflows a float at delta={cfg.delta}, q={cfg.q}")
     if cfg.N < 2:
         raise ConfigError(f"N must be >= 2, got {cfg.N}")
     if not 0 < cfg.sigma_tol < np.inf:
@@ -451,6 +457,8 @@ def _stored_profile(report_path: str, cfg: RunConfig) -> tuple | str:
             payload = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8
         return f"is not valid JSON ({exc})"
+    except OSError as exc:  # a directory, say, or not readable
+        return f"cannot be read ({exc.strerror})"
     if not isinstance(payload, dict):
         return "does not hold a JSON object"
     if not payload.get("found"):
@@ -547,7 +555,10 @@ def dispatch(command: str, cfg: RunConfig) -> int:
         raise ConfigError(f"unknown command {command!r}")
     if command in ("branch", "degenerate") and cfg.k > cfg.N:
         raise ConfigError(f"mode index k={cfg.k} exceeds the resolution N={cfg.N}")
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:  # a file of that name, or no writable parent
+        raise ConfigError(f"cannot create output_dir {cfg.output_dir}: {exc.strerror}") from exc
     return _HANDLERS[command](cfg)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from spherebif import DiscreteSystem, ModelParams, build_grid
+from spherebif.collocation import DiscreteSystem, build_grid
+from spherebif.model import ModelParams
 
 
 @pytest.fixture(scope="session")

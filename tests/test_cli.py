@@ -108,10 +108,27 @@ class TestConfig:
         # sigma_tol of nan would switch off the |sigma_min| test of a fold
         for argv in (["branch", "k=40", "N=32"], ["degenerate", "k=40", "N=32"],
                      ["degenerate", "sigma_tol=nan", "N=32"],
-                     ["degenerate", "sigma_tol=inf", "N=32"]):
+                     ["degenerate", "sigma_tol=inf", "N=32"],
+                     # lambda_k overflows although mu stays finite; eigen wrote "2,inf"
+                     ["eigen", "delta=1e-308"], ["eigen", "delta=1e-320"],
+                     # k(k+n-1) does not convert to a float
+                     ["eigen", f"k={10**200}"]):
             assert main([*argv, f"output_dir={tmp_path}"]) == 3
         assert not any(tmp_path.iterdir())
-        assert capsys.readouterr().err.count("configuration error") == 5
+        err = capsys.readouterr().err
+        assert err.count("configuration error") == 8
+        assert f"lambda_{10**200} overflows a float" in err
+        assert "lambda_2 overflows a float at delta=1e-308, q=3.0" in err
+        assert "lambda_2 overflows a float at delta=1e-320, q=3.0" in err
+
+    def test_output_dir_that_cannot_be_created_exits_three(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for where in (taken, taken / "below"):
+            assert main(["eigen", f"output_dir={where}"]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"configuration error: cannot create output_dir {taken}") == 2
+        assert "Traceback" not in err
 
     def test_eigen_and_poly_take_any_k(self, tmp_path):
         # they do not discretize, so k > N is no error for them
@@ -284,6 +301,8 @@ class TestDegenerateAndVerify:
             ({"found": True, "N": 16, "n": 2, "delta": 1.0, "q": 3.0,
               "phi": [[0.0]] * 16 + [[0.0, 1.0]], "lambda_star": 4.0},
              "does not hold a finite phi and lambda_star"),
+            # a directory in the report's place
+            (None, "cannot be read ("),
         ],
     )
     def test_verify_names_why_a_report_is_not_lifted(self, tmp_path, capsys, report, reason):
@@ -292,8 +311,11 @@ class TestDegenerateAndVerify:
         expected = (tmp_path / "verify.json").read_bytes()
         capsys.readouterr()
 
-        text = report if isinstance(report, str) else json.dumps(report)
-        (tmp_path / "degenerate_k2.json").write_text(text)
+        path = tmp_path / "degenerate_k2.json"
+        if report is None:
+            path.mkdir()
+        else:
+            path.write_text(report if isinstance(report, str) else json.dumps(report))
         assert dispatch("verify", parse_config(None, overrides)) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
@@ -434,7 +456,8 @@ class TestCoarseFold:
         (2, 3.0, 2, 13), (2, 3.0, 4, 17), (2, 6.0, 6, 13), (2, 4.0, 4, 12), (3, 4.9, 2, 23),
     ])
     def test_lambda_star_matches_a_trace_at_N(self, tmp_path, n, q, k, crossing_index):
-        from spherebif import DiscreteSystem, ModelParams, build_grid
+        from spherebif.collocation import DiscreteSystem, build_grid
+        from spherebif.model import ModelParams
 
         cfg = parse_config(None, [f"output_dir={tmp_path}", f"n={n}", f"q={q}", f"k={k}", "N=96"])
         assert dispatch("degenerate", cfg) == 0
@@ -467,7 +490,7 @@ class TestCoarseFold:
     def test_k_above_N_c_traces_at_N(self, tmp_path, monkeypatch):
         # N_c = 32 has no mode 33: the command traces at N = 48 itself
         import spherebif.cli as cli_mod
-        from spherebif import build_grid
+        from spherebif.collocation import build_grid
 
         built = []
 
@@ -673,6 +696,27 @@ assert not [name for name, mod in sys.modules.items()
 
 def test_import_loads_no_scipy():
     _run_python("import sys\nimport spherebif.cli\n" + _NO_SCIPY_LOADED)
+
+
+def test_package_root_loads_no_numpy():
+    # the root holds no names but __version__: each one comes from its module
+    _run_python("import sys, spherebif\n"
+                "assert 'numpy' not in sys.modules, 'import spherebif loaded numpy'\n"
+                "assert spherebif.__version__\n")
+
+
+def test_every_module_export_resolves():
+    script = """
+import importlib, pkgutil, spherebif
+modules = [info.name for info in pkgutil.iter_modules(spherebif.__path__)
+           if not info.name.startswith("_")]
+assert {"gegenbauer", "model", "collocation", "continuation", "manifold", "cli"} <= set(modules)
+for name in modules:
+    module = importlib.import_module("spherebif." + name)
+    missing = [key for key in module.__all__ if not hasattr(module, key)]
+    assert not missing, (name, missing)
+"""
+    _run_python(script)
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -9,8 +9,14 @@ from numpy.testing import assert_allclose
 
 import spherebif.collocation as collocation
 import spherebif.continuation as continuation
-from spherebif import DiscreteSystem, ModelParams, build_grid
-from spherebif.collocation import assemble_jacobian, assemble_residual, interpolate, sigma_min
+from spherebif.collocation import (
+    DiscreteSystem,
+    assemble_jacobian,
+    assemble_residual,
+    build_grid,
+    interpolate,
+    sigma_min,
+)
 from spherebif.continuation import (
     ConvergenceError,
     StepRejected,
@@ -24,7 +30,7 @@ from spherebif.continuation import (
     trace_branch,
 )
 from spherebif.gegenbauer import gegenbauer_eval
-from spherebif.model import PositivityError, dlambda_ds0, endpoint_residual, lambda_k
+from spherebif.model import ModelParams, PositivityError, dlambda_ds0, endpoint_residual, lambda_k
 
 
 class TestNewton:
