@@ -18,21 +18,33 @@ step sizes are constants of the modules that use them; ``branch`` and
 ``degenerate`` also need k <= N.  Exit codes: 0 success, 2 solver
 non-convergence or a stored profile whose lift is not positive (``verify``,
 which then writes nothing and removes an earlier verify.json), 3
-configuration error (also an output_dir that cannot be created, and a
-lambda_k that overflows).  Output files are byte-identical across runs for
-a fixed config and seed on one platform, and for a fixed CPU count once a
-trace has 321 unknowns; floats are written with 17 significant digits so
-values round-trip exactly.  ``main`` sets numpy's OpenBLAS to one thread,
-except for traces of 321 or more unknowns (``blas_threads``), for the
-whole calling process and after it returns; importing the package does not.
+configuration error (also an output_dir that cannot be created, an output
+file that cannot be written, and a lambda_k that overflows).  Output files
+are byte-identical across runs for a fixed config and seed on one platform,
+and for a fixed CPU count once a trace has 321 unknowns; floats are written
+with 17 significant digits so values round-trip exactly.  ``main`` sets
+numpy's OpenBLAS to one thread, except for traces of 321 or more unknowns
+(``blas_threads``), for the whole calling process and after it returns;
+importing the package does not.
+
+``branch`` traces each direction with N as a ceiling:
+``continuation.trace_branch`` climbs a ladder of sizes from
+continuation.COARSE_N_MIN and solves each point at the smallest size that
+resolves it, and every record is at N.
 
 ``degenerate`` traces and locates the fold at the coarse resolution
-max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies in k..N-1, and solves
-for it again at N (``continuation.refine_degenerate``); the report, the
-profile and the JSON schema are at N, and the stderr line adds the coarse
-N and the change in lambda* as an error estimate.  If the coarse trace
-locates nothing or the refined fold fails a check, the command traces at N
-and writes exactly what it writes without the coarse trace.
+N_c = max(continuation.COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies in
+k..N-1, and solves for it again at N (``continuation.refine_degenerate``);
+the report, the profile and the JSON schema are at N, and the stderr line
+adds the coarse N and the change in lambda* as an error estimate.  It keeps
+this coarse trace rather than the ladder up to N, because only the fold
+itself must be resolved, which the solve at N does: for the four (q, k) of
+the perfbench fold hunt at N = 96 (N_c = 32, the bottom rung), the ladder
+took 11.1-14.7 ms to the located fold and the coarse trace 7.2-10.0 ms
+(medians, one BLAS thread, 2 shared vCPUs).  If the coarse trace
+locates nothing or the refined fold fails a check, the command traces again
+with N as the ceiling, locates from its points at N, and writes exactly
+what it writes without the coarse trace.
 
 On two or more CPUs (Linux) ``branch`` traces D_k^+ in the calling process
 while one forked child traces D_k^- and writes its files; the child returns
@@ -80,9 +92,8 @@ __all__ = [
 
 # finite-difference step of verify's stencils, written to verify.json as "h"
 _H = 1e-3
-# degenerate traces at max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies
-# in k..N-1, and solves for the located fold again at N
-COARSE_N_MIN = 32
+# degenerate traces at max(continuation.COARSE_N_MIN, N // COARSE_N_DIVISOR)
+# when that lies in k..N-1, and solves for the located fold again at N
 COARSE_N_DIVISOR = 3
 
 
@@ -194,12 +205,35 @@ def _log(msg: str, err: bool = False):
     print(msg, file=stream)
 
 
+def _write_file(path, chunks):
+    """Write the strings of the iterable chunks to a temporary file beside
+    path and os.replace it onto path, so that a failed write leaves no file;
+    an OSError becomes a ConfigError naming path (exit 3)."""
+    try:
+        with open(f"{path}.tmp", "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(f"{path}.tmp", path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        _remove_partial(path)
+
+
+def _remove_partial(path):
+    """Remove the temporary file of a _write_file of path that did not end."""
+    try:
+        os.remove(f"{path}.tmp")
+    except OSError:  # none (the write ended), or not a file
+        pass
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    def lines():
+        yield header + "\n"
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+            yield ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+    _write_file(path, lines())
 
 
 def _point_record(pt, event: str = "") -> dict:
@@ -209,7 +243,7 @@ def _point_record(pt, event: str = "") -> dict:
         "nodal_count": pt.nodal_count,
         "sigma_min": pt.sigma_min,
         "u_min": pt.u_min,
-        "phi": [float(v) for v in pt.phi],
+        "phi": pt.phi.tolist(),
         "event": event,
     }
 
@@ -224,16 +258,19 @@ def read_branch_records(path) -> list:
     return records
 
 
+def _branch_files(cfg, tag) -> tuple:
+    """The JSON-lines and the CSV file of the branch of direction tag."""
+    stem = os.path.join(cfg.output_dir, f"branch_k{cfg.k}_{tag}")
+    return f"{stem}.jsonl", f"{stem}.csv"
+
+
 def _write_branch(branch, cfg, tag):
     events = {}
     for idx, kind in branch.events:
         events[idx] = events.get(idx, "") + (";" if idx in events else "") + kind
-    jsonl = os.path.join(cfg.output_dir, f"branch_k{branch.k}_{tag}.jsonl")
-    with open(jsonl, "w", encoding="utf-8", newline="\n") as fh:
-        for i, pt in enumerate(branch.points):
-            fh.write(json.dumps(_point_record(pt, events.get(i, ""))))
-            fh.write("\n")
-    csv = os.path.join(cfg.output_dir, f"branch_k{branch.k}_{tag}.csv")
+    jsonl, csv = _branch_files(cfg, tag)
+    _write_file(jsonl, (json.dumps(_point_record(pt, events.get(i, ""))) + "\n"
+                        for i, pt in enumerate(branch.points)))
     _write_csv(
         csv,
         "s,lambda,sigma_min",
@@ -312,7 +349,8 @@ def _trace_both_forked(cfg: RunConfig, system: DiscreteSystem) -> list:
     The child shares the system copy-on-write and sends back only its
     (code, line) tuple, or the exception to raise here.  It is joined on
     every path: when the trace here raises it is terminated first, and when
-    it dies without a result an error names its exit code.
+    it dies without a result an error names its exit code.  A write of the
+    child's that a signal cut short leaves a temporary file, removed here.
     """
     import multiprocessing  # only a forking branch pays for the import
 
@@ -333,6 +371,8 @@ def _trace_both_forked(cfg: RunConfig, system: DiscreteSystem) -> list:
     finally:
         child.join()
         recv.close()
+        for path in _branch_files(cfg, "minus"):
+            _remove_partial(path)
     if minus is None:
         raise RuntimeError(
             f"branch k={cfg.k} minus: the tracing process exited with code "
@@ -391,7 +431,7 @@ def _coarse_fold(cfg: RunConfig, system: DiscreteSystem, coarse_N: int):
 
 def _cmd_degenerate(cfg: RunConfig) -> int:
     system = cfg.system()
-    coarse_N = max(COARSE_N_MIN, cfg.N // COARSE_N_DIVISOR)
+    coarse_N = max(continuation.COARSE_N_MIN, cfg.N // COARSE_N_DIVISOR)
     found = _coarse_fold(cfg, system, coarse_N) if cfg.k <= coarse_N < cfg.N else None
     if found is not None:
         report, coarse = found
@@ -427,12 +467,10 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
                 "crossing_index": report.crossing_index,
                 "newton_iterations": report.newton_iterations,
                 "endpoint_derivs": list(report.endpoint_derivs),
-                "phi": [float(v) for v in report.phi_star],
+                "phi": report.phi_star.tolist(),
             }
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_file(path, [json.dumps(payload, indent=2), "\n"])
     if report is None:
         _log(f"degenerate k={cfg.k}: no eigenvalue crossing found -> {path}", err=True)
         return 2
@@ -530,9 +568,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             "max_residual": residual,
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    _write_file(path, [json.dumps(out, indent=2), "\n"])
     _log(
         f"verify: identity errors {err_h['laplacian']:.3e}/{err_h['gradient']:.3e}, "
         f"lifted residual {residual:.3e} ({source}) -> {path}"

@@ -29,7 +29,8 @@ h = mu g'(u) and V_b^T diag(w) V_b = I (the rule is exact), so by Weyl's
 inequality no eigenvalue of a block moves by more than max|h - h'| between
 two profiles: along a trace ``solution_point`` evaluates a block only where
 this bound, carried from the previous point, cannot show that the other
-block holds the eigenvalue nearest zero.
+block holds the eigenvalue nearest zero.  The bound holds within one
+system only: a point solved at another N gives none.
 
 Profiles leave the package as values on the N + 1 Chebyshev-Lobatto nodes
 of ``build_grid``, which determine the degree-N expansion exactly;
@@ -60,6 +61,10 @@ NEWTON_TOL = 1e-10
 # of eigvalsh and the rounding of V^T W V = I
 _WEYL_MARGIN = 1e-10
 
+# relative tolerance of the chop test ``resolved``: machine precision, the
+# default of Aurentz and Trefethen's standardChop
+CHOP_TOL = float(np.finfo(float).eps)
+
 __all__ = [
     "SpectralGrid",
     "DiscreteSystem",
@@ -72,6 +77,7 @@ __all__ = [
     "linear_operator",
     "linear_spectrum",
     "nodal_count",
+    "resolved",
     "sigma_min",
     "solution_point",
 ]
@@ -161,7 +167,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=4)
+# a trace at N = 192 reaches six sizes (continuation.trace_branch); the cache
+# holds all of them and the sizes of a second problem
+@lru_cache(maxsize=16)
 def _tables(N: int, n: int) -> tuple:
     """The read-only tables of every DiscreteSystem of degree N and
     dimension n (see there), built once per (N, n)."""
@@ -357,17 +365,14 @@ def sigma_min(J: np.ndarray, odd_block=None, radii=None):
     return float(best) if radii is None else (float(best), tuple(map(float, bounds)))
 
 
-def _radii(sys: DiscreteSystem, c, lam: float, prior) -> tuple:
+def _radii(sys: DiscreteSystem, h, prior) -> tuple:
     """Lower bounds on min|eigenvalue| of the even and the odd block of J at
-    the even profile (c, lam): those of ``prior`` less max|h - h_prior| and
-    _WEYL_MARGIN times the scale of J, h = mu(lambda) g'(u) being the
-    blocks' diagonal at the folded rule nodes; -inf without a prior."""
-    if prior is None or prior.gap_bounds is None:
+    the even profile whose blocks have the diagonal h = mu(lambda) g'(u) at
+    the folded rule nodes: those of ``prior`` less max|h - h_prior| and
+    _WEYL_MARGIN times the scale of J; -inf without a prior of this N."""
+    if prior is None or prior.gap_bounds is None or prior.rung != sys.grid.N:
         return (-np.inf, -np.inf)
-    V, q = sys._sectors[1][0], sys.params.q
-    h, h_prior = (reduction_factor(x_lam, sys.params) * ((q - 1) * (1.0 + V @ x) ** (q - 2) - 1.0)
-                  for x, x_lam in ((c, lam), (prior.coeffs[_modes(1)], prior.lam)))
-    dh = np.abs(h - h_prior).max()
+    dh = np.abs(h - prior.h).max()
     # max|h_prior| <= max|h| + dh
     shift = dh + _WEYL_MARGIN * (sys._eig[-1] + np.abs(h).max() + dh)
     return tuple(bound - shift for bound in prior.gap_bounds)
@@ -392,24 +397,57 @@ def nodal_count(sys: DiscreteSystem, c, parity: int = 0) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
+def resolved(c) -> bool:
+    """The chop test: whether the coefficients c of a profile reach a plateau.
+
+    This is step 2 of the rule ``standardChop`` of Aurentz and Trefethen
+    ("Chopping a Chebyshev series", ACM TOMS 43, 2017) at the relative
+    tolerance CHOP_TOL.  On the envelope e_j = max_{i >= j} |c_i| / max|c|
+    (j from 1), a plateau starts at j when e_j = 0 or when e_j2 / e_j >
+    3 (1 - log e_j / log CHOP_TOL) at j2 = round(1.25 j + 5) <= len(c).  The
+    coefficients beyond it are noise, so the series is resolved.  Fewer than
+    17 coefficients never are, and an all-zero c is.  An even profile's odd
+    coefficients are zero, which leaves the envelope as it is.
+    """
+    b = np.abs(np.asarray(c, dtype=float))
+    n = b.size
+    if n < 17:
+        return False
+    env = np.maximum.accumulate(b[::-1])[::-1]
+    if env[0] == 0:
+        return True
+    top = (4 * n - 19) // 5  # the largest j with j2 <= n
+    e1 = env[1:top] / env[0]  # e_j for j = 2..top
+    if e1[-1] == 0:
+        return True
+    j = np.arange(2, top + 1)
+    e2 = env[(5 * j + 22) // 4 - 1] / env[0]  # round(1.25 j + 5), halves up
+    return bool(np.any(e2 > e1 * (3.0 - 3.0 * np.log(e1) / np.log(CHOP_TOL))))
+
+
 def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None, prior=None) -> "SolutionPoint":
     """Assemble the standard diagnostics for a converged profile.
 
     c holds the coefficients of the sector mode k is traced in: the even
     modes for even k, all N + 1 otherwise.  J, when given, is the Jacobian
     of that sector at (c, lam).  For even k ``sigma_min`` runs on the even
-    and the odd block; ``prior``, the previous point of the same trace,
-    lets it skip the block that the prior's ``gap_bounds`` and the Weyl
-    bound (see the module docstring) rule out, and a skipped odd block is
-    not assembled.  Without a prior both blocks are evaluated.
+    and the odd block; ``prior``, the previous point of the same trace at
+    the same N, lets it skip the block that the prior's ``gap_bounds`` and
+    the Weyl bound (see the module docstring) rule out, and a skipped odd
+    block is not assembled.  Without such a prior both blocks are evaluated.
     """
     parity = _parity(k)
     c = np.asarray(c, dtype=float)
     nodes = nodal_count(sys, c, parity)
     if J is None:
         J = assemble_jacobian(c, lam, sys, parity)
-    odd = partial(assemble_jacobian, c, lam, sys, -1) if parity else None
-    radii = _radii(sys, c, lam, prior) if parity else (-np.inf,)
+    odd = h = None
+    radii = (-np.inf,)
+    if parity:
+        odd = partial(assemble_jacobian, c, lam, sys, -1)
+        V, q = sys._sectors[1][0], sys.params.q
+        h = reduction_factor(lam, sys.params) * ((q - 1) * (1.0 + V @ c) ** (q - 2) - 1.0)
+        radii = _radii(sys, h, prior)
     sigma, bounds = sigma_min(J, odd, radii)
     coeffs = np.zeros(sys.grid.N + 1)
     coeffs[_modes(parity)] = c
@@ -425,6 +463,8 @@ def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None, prior=None) -> "
         coeffs=coeffs,
         tail=float(np.max(np.abs(c[-4:])) / scale) if scale > 0 else 0.0,
         gap_bounds=bounds,
+        rung=sys.grid.N,
+        h=h,
     )
 
 
@@ -438,7 +478,13 @@ class SolutionPoint:
     the largest coefficient.  ``gap_bounds`` holds a lower bound on
     min|eigenvalue| of each block of the Jacobian (even then odd for even
     k, one for the full Jacobian otherwise): the exact value for a block
-    whose spectrum was evaluated.  It is written to no output file.
+    whose spectrum was evaluated.  ``rung`` is the N of the system the
+    point was solved on, which a trace may keep below the N of its
+    ``coeffs`` and ``phi`` (see continuation.trace_branch); ``gap_bounds``
+    and every diagnostic but ``phi`` and ``u_min`` come from that system,
+    and so does ``h``, the diagonal mu g'(u) of both blocks at its folded
+    rule nodes for even k (None otherwise).  These three are written to no
+    output file.
     """
 
     phi: np.ndarray
@@ -450,9 +496,11 @@ class SolutionPoint:
     coeffs: np.ndarray | None = None
     tail: float = float("nan")
     gap_bounds: tuple | None = None
+    rung: int | None = None
+    h: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("phi", "coeffs"):
+        for name in ("phi", "coeffs", "h"):
             a = getattr(self, name)
             if a is not None:
                 a = np.asarray(a, dtype=float)

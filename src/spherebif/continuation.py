@@ -14,9 +14,16 @@ only wants the degenerate point passes trace_branch a ``stop`` predicate
 that locates each crossing as the trace records it, so the trace ends one
 point past the located crossing.  Such a trace can run on a coarser system
 than the answer needs: in the orthonormal basis prolongation is
-zero-padding, so ``refine_degenerate`` pads the located point's
-coefficients and kernel with zeros and solves the extended system again on
-the finer system, in a few Newton steps, with the checks of a candidate.
+zero-padding (``_padded``), so ``refine_degenerate`` pads the located
+point's coefficients and kernel with zeros and solves the extended system
+again on the finer system, in a few Newton steps, with the checks of a
+candidate.
+
+The same prolongation lets a trace treat its system's N as a ceiling:
+``trace_branch`` climbs a ladder of sizes, one rung whenever a point fails
+the chop test ``collocation.resolved``, and records every point at N, so
+the fold search sees one N.  The ``degenerate`` command keeps its coarse
+trace instead (see ``cli``).
 
 Every Newton solve runs one damped loop, ``_newton``, converged to
 NEWTON_TOL, the tolerance that ``collocation.nodal_count`` also takes as its
@@ -46,7 +53,7 @@ processes on two or more CPUs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -60,7 +67,9 @@ from .collocation import (
     _parity,
     assemble_jacobian,
     assemble_residual,
+    build_grid,
     dresidual_dlambda,
+    resolved,
     solution_point,
 )
 from .model import PositivityError, dlambda_ds0, lambda_k
@@ -89,6 +98,9 @@ SEED_AMPLITUDE = 1e-2
 MAX_BACKTRACK = 20
 # branch event kinds that mark a candidate eigenvalue crossing
 CROSSING_EVENTS = ("fold", "sigma-zero")
+# the bottom rung of a trace's ladder of sizes, and the least coarse N of
+# the degenerate command's trace
+COARSE_N_MIN = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -110,7 +122,9 @@ class Branch:
     ``direction`` is the sign of the seed parameter s.  ``events`` holds
     (point index, kind) pairs with kind in {fold, sigma-zero, lambda-floor,
     step-failure}, plus ``nodal-change`` markers for rejected steps (a
-    persistent one terminates the branch as a step failure).
+    persistent one terminates the branch as a step failure) and an
+    ``under-resolved`` marker on each point that the trace's N does not
+    resolve (collocation.resolved).
     """
 
     k: int
@@ -341,6 +355,37 @@ def arclength_step(
     return pt, J
 
 
+def _padded(c, sys: DiscreteSystem, parity: int = 0) -> np.ndarray:
+    """Coefficients c of a sector of a smaller system of the same problem,
+    zero-padded to that sector of ``sys``.  The basis is orthonormal, so
+    this is the profile itself on the larger system."""
+    out = np.zeros(len(range(sys.grid.N + 1)[_modes(parity)]))
+    out[: c.size] = c
+    return out
+
+
+def _padded_point(pt: SolutionPoint, sys: DiscreteSystem, k) -> SolutionPoint:
+    """A point of mode k's trace, solved on a system of at most sys's N, as
+    a point of ``sys``: its coefficients zero-padded, phi and u_min on sys's
+    Lobatto nodes, every other field as solved (see SolutionPoint)."""
+    if pt.rung == sys.grid.N:
+        return pt
+    parity = _parity(k)
+    coeffs = _padded(pt.coeffs, sys)
+    phi = sys.node_values(coeffs[_modes(parity)], parity)
+    return replace(pt, phi=phi, coeffs=coeffs, u_min=float(1.0 + phi.min()))
+
+
+def _rungs(N: int, k: int) -> list:
+    """The sizes a trace of mode k climbs to reach N: COARSE_N_MIN * 1.5^i
+    below N, each raised to at least k, then N."""
+    rungs, r = [], COARSE_N_MIN
+    while r < N:
+        rungs.append(max(r, k))
+        r = r * 3 // 2
+    return sorted({r for r in rungs if r < N}) + [N]
+
+
 def trace_branch(
     k: int,
     direction: int,
@@ -359,6 +404,16 @@ def trace_branch(
     called once after each accepted point, after that point's fold and
     sigma-zero events are recorded, so it sees every crossing event exactly
     once.
+
+    The trace climbs a ladder of sizes (``_rungs``) that ends at sys's N
+    and solves each point at the size it has reached.  When a point fails
+    the chop test (collocation.resolved) below N, the step is taken again
+    at the next size, from the previous point and the tangent zero-padded,
+    on the same arclength constraint; at N a failing point gets an
+    ``under-resolved`` event.  Sizes never fall.  Every point is recorded as
+    a point of sys (``_padded_point``), with the size it was solved at as
+    its ``rung``.  The first point at a new size has no Weyl bound to carry,
+    so its sigma_min evaluates both parity blocks.
     """
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
@@ -367,21 +422,40 @@ def trace_branch(
     lam_k = lambda_k(k, sys.params)
     lambda_floor = 1e-3 * lambda_k(1, sys.params)
     branch = Branch(k=k, direction=direction, lambda_origin=lam_k)
+    parity = _parity(k)
+    modes = _modes(parity)
+    rungs = _rungs(sys.grid.N, k)
+
+    def at(N):
+        return sys if N == sys.grid.N else DiscreteSystem(build_grid(N), sys.params)
+
+    def record(pt):
+        branch.points.append(_padded_point(pt, sys, k))
+        if pt.rung == sys.grid.N and not resolved(pt.coeffs):
+            branch.events.append((len(branch.points) - 1, "under-resolved"))
 
     # solve_at_s starts from the tangent predictor at the seed
-    first = solve_at_s(k, direction * SEED_AMPLITUDE, sys)
-    branch.points.append(first)
+    rsys = at(rungs.pop(0))
+    first = solve_at_s(k, direction * SEED_AMPLITUDE, rsys)
+    while rungs and not resolved(first.coeffs):
+        rsys = at(rungs.pop(0))
+        first = solve_at_s(k, direction * SEED_AMPLITUDE, rsys)
+    record(first)
 
     # reference direction: the secant back to the bifurcation point
-    modes = _modes(_parity(k))
     c = first.coeffs[modes]
-    tc, tlam = _tangent(sys, c, first.lam, c, first.lam - lam_k, k=k)
+    tc, tlam = _tangent(rsys, c, first.lam, c, first.lam - lam_k, k=k)
     ds = DS_INIT
     prev_dlam = first.lam - lam_k
+    current = first
     while len(branch.points) < max_points:
-        current = branch.points[-1]
         try:
-            nxt, J = arclength_step(current, (tc, tlam), ds, sys, k=k)
+            nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k)
+            while rungs and not resolved(nxt.coeffs):
+                rsys = at(rungs.pop(0))
+                current = _padded_point(current, rsys, k)
+                tc = _padded(tc, rsys, parity)
+                nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k)
         except StepRejected as exc:
             idx = len(branch.points) - 1
             if exc.reason == "nodal-change":
@@ -391,21 +465,22 @@ def trace_branch(
                 branch.events.append((idx, "step-failure"))
                 break
             continue
-        branch.points.append(nxt)
-        idx = len(branch.points) - 1
+        idx = len(branch.points)
         dlam = nxt.lam - current.lam
         if prev_dlam != 0 and dlam != 0 and np.sign(dlam) != np.sign(prev_dlam):
             branch.events.append((idx, "fold"))
         prev_dlam = dlam
         if current.sigma_min != 0 and np.sign(nxt.sigma_min) != np.sign(current.sigma_min):
             branch.events.append((idx, "sigma-zero"))
+        record(nxt)
         if stop is not None and stop(branch):
             break
         if nxt.lam < lambda_floor:
             branch.events.append((idx, "lambda-floor"))
             break
-        tc, tlam = _tangent(sys, nxt.coeffs[modes], nxt.lam, tc, tlam, k=k, J=J)
+        tc, tlam = _tangent(rsys, nxt.coeffs[modes], nxt.lam, tc, tlam, k=k, J=J)
         ds = min(ds * 1.3, DS_MAX)
+        current = nxt
     return branch
 
 
@@ -569,12 +644,10 @@ def refine_degenerate(
     ends.  ``crossing_index``, ``s_bracket`` and ``branch_lambda_min`` come
     from the coarse trace, and ``newton_iterations`` counts both solves.
     """
-    modes = _modes(_parity(branch.k))
-    coarse = np.zeros(sys.grid.N + 1)
-    coarse[: report.coeffs.size] = report.coeffs
-    c = coarse[modes]
-    v = np.zeros(c.size)
-    v[: report.kernel.size] = report.kernel
+    parity = _parity(branch.k)
+    coarse = _padded(report.coeffs, sys)
+    c = coarse[_modes(parity)]
+    v = _padded(report.kernel, sys, parity)
     return _fold_report(branch, report.crossing_index, (c, report.lambda_star, v),
                         [(coarse, report.lambda_star)], sigma_tol, sys, report.newton_iterations)
 

@@ -130,6 +130,28 @@ class TestConfig:
         assert err.count(f"configuration error: cannot create output_dir {taken}") == 2
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,name,cpus", [
+        (["eigen"], "eigen.csv", 1),
+        (["poly"], "poly_coeffs.csv", 1),
+        (["degenerate", "N=32"], "degenerate_k2.json", 1),
+        (["degenerate", "N=32"], "degenerate_k2_profile.csv", 1),
+        (["verify", "N=16", "sample_count=20"], "verify.json", 1),
+        # on two CPUs a forked child writes the minus files
+        *[(["branch", "N=32"], f"branch_k2_{name}", cpus)
+          for name in ("plus.csv", "minus.jsonl") for cpus in (1, 2)],
+    ])
+    def test_a_directory_in_place_of_an_output_file_exits_three(
+        self, tmp_path, capsys, monkeypatch, argv, name, cpus
+    ):
+        (_one_cpu if cpus == 1 else _two_cpus)(monkeypatch)
+        (tmp_path / name).mkdir()
+        assert main([*argv, f"output_dir={tmp_path}"]) == 3
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot write {tmp_path / name}: " in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.tmp"))
+        _assert_no_child_left()
+
     def test_eigen_and_poly_take_any_k(self, tmp_path):
         # they do not discretize, so k > N is no error for them
         assert main(["eigen", "k=200", "N=8", f"output_dir={tmp_path}"]) == 0
@@ -444,7 +466,8 @@ def _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides) -> tuple:
     import spherebif.cli as cli_mod
 
     with monkeypatch.context() as m:
-        m.setattr(cli_mod, "COARSE_N_MIN", 10**9)
+        # N_c = max(32, N): never below N
+        m.setattr(cli_mod, "COARSE_N_DIVISOR", 1)
         return _degenerate_outputs(tmp_path, capsys, overrides)
 
 

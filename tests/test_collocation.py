@@ -1,5 +1,6 @@
 """Tests for the spectral collocation layer."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
-from spherebif import collocation
+from spherebif import collocation, continuation
 from spherebif.gegenbauer import (
     gauss_jacobi_rule,
     gegenbauer_eval,
@@ -25,6 +26,7 @@ from spherebif.collocation import (
     linear_operator,
     linear_spectrum,
     nodal_count,
+    resolved,
     sigma_min,
     solution_point,
 )
@@ -496,6 +498,56 @@ class TestParitySectors:
         assert np.array_equal(pt.coeffs, solution_point(system48, c, 10.0).coeffs)
 
 
+def _standard_chop_plateau(coeffs, tol):
+    """Step 2 of standardChop (Aurentz and Trefethen 2017), line by line:
+    whether the envelope of coeffs reaches a plateau."""
+    n = len(coeffs)
+    if n < 17:
+        return False
+    b = [abs(float(x)) for x in coeffs]
+    m = b[:]
+    for j in range(n - 2, -1, -1):
+        m[j] = max(b[j], m[j + 1])
+    if m[0] == 0:
+        return True
+    envelope = [x / m[0] for x in m]
+    for j in range(2, n + 1):  # 1-based, as in the paper
+        j2 = math.floor(1.25 * j + 5 + 0.5)
+        if j2 > n:
+            return False
+        e1, e2 = envelope[j - 1], envelope[j2 - 1]
+        if e1 == 0 or e2 / e1 > 3 * (1 - math.log(e1) / math.log(tol)):
+            return True
+    return False
+
+
+class TestChop:
+    def test_matches_the_reference_rule(self):
+        rng = np.random.default_rng(7)
+        answers = []
+        for _ in range(400):
+            n = int(rng.integers(10, 120))
+            c = np.exp(-rng.uniform(0.05, 2.0) * np.arange(n))
+            c *= 1 + rng.uniform(0, 1e-13) * rng.standard_normal(n)
+            c += rng.uniform(0, 1e-13) * rng.standard_normal(n) * (rng.random() < 0.5)
+            if rng.random() < 0.2:
+                c[int(rng.integers(0, n)):] = 0.0
+            if rng.random() < 0.3:
+                c[1::2] = 0.0  # an even profile
+            answers.append(resolved(c))
+            assert answers[-1] == _standard_chop_plateau(c, collocation.CHOP_TOL)
+        assert 0 < sum(answers) < len(answers)
+
+    def test_cases(self):
+        assert resolved(np.zeros(33))
+        assert not resolved(np.ones(16) * 0.5 ** np.arange(16))  # fewer than 17
+        # decay to rounding, then a plateau of noise
+        noise = 1e-17 * np.random.default_rng(0).standard_normal(40)
+        assert resolved(0.1 ** np.arange(40) + noise)
+        # still decaying at the last coefficient
+        assert not resolved(0.7 ** np.arange(40))
+
+
 class TestBlockSkip:
     # along an even-k trace, solution_point skips the spectrum of a parity
     # block that the Weyl bound from the previous point rules out
@@ -510,8 +562,12 @@ class TestBlockSkip:
         system, branch = _traced(n, q, k, direction, N)
         skipped = 0
         for pt in branch.points:
-            c = pt.coeffs[::2]
-            blocks = [assemble_jacobian(c, pt.lam, system, parity) for parity in (1, -1)]
+            # a point's sigma_min and bounds are those of the system it was
+            # solved on, whose coefficients are the leading ones of coeffs
+            rung = DiscreteSystem(build_grid(pt.rung), system.params)
+            c = pt.coeffs[: pt.rung + 1 : 2]
+            assert not pt.coeffs[pt.rung + 1 :].any()
+            blocks = [assemble_jacobian(c, pt.lam, rung, parity) for parity in (1, -1)]
             # bit for bit the value of both blocks evaluated
             assert pt.sigma_min == sigma_min(*blocks)
             for bound, block in zip(pt.gap_bounds, blocks):
@@ -523,6 +579,8 @@ class TestBlockSkip:
             assert skipped > 0
 
     def test_a_distant_prior_evaluates_both_blocks(self, system48, monkeypatch):
+        # a trace pinned to N = 48, so that every point is solved there
+        monkeypatch.setattr(continuation, "COARSE_N_MIN", 48)
         branch = trace_branch(2, 1, system48, max_points=201)
         seed, before, point = branch.points[0], branch.points[199], branch.points[200]
         calls = []

@@ -15,6 +15,7 @@ from spherebif.collocation import (
     assemble_residual,
     build_grid,
     interpolate,
+    resolved,
     sigma_min,
 )
 from spherebif.continuation import (
@@ -31,6 +32,17 @@ from spherebif.continuation import (
 )
 from spherebif.gegenbauer import gegenbauer_eval
 from spherebif.model import ModelParams, PositivityError, dlambda_ds0, endpoint_residual, lambda_k
+
+
+def _crossings(branch):
+    """The events of a branch but its under-resolved marks."""
+    return [event for event in branch.events if event[1] != "under-resolved"]
+
+
+def _assert_under_resolved_marks(branch):
+    """Exactly the points that the branch's N does not resolve are marked."""
+    marked = [idx for idx, kind in branch.events if kind == "under-resolved"]
+    assert marked == [i for i, pt in enumerate(branch.points) if not resolved(pt.coeffs)]
 
 
 class TestNewton:
@@ -333,7 +345,8 @@ class TestDegeneracy:
         # a kernel; the extended system runs off to the bifurcation point at
         # lambda_k, far outside the pair, and the candidate is skipped
         branch = trace_branch(k, direction, system48, max_points=max_points)
-        assert branch.events == [(index, "sigma-zero")]
+        assert _crossings(branch) == [(index, "sigma-zero")]
+        _assert_under_resolved_marks(branch)
         assert locate_degenerate(branch, 1e-6, system48) is None
 
     def test_swap_candidate_stops_at_the_first_rise(self, system48, monkeypatch):
@@ -544,7 +557,60 @@ def test_tail_flags_the_under_resolved_plus_branch():
     assert nearest.tail < 1e-12
     assert report.tail < 1e-12
     coarse = DiscreteSystem(build_grid(48), params)
-    assert max(pt.tail for pt in trace_branch(2, 1, coarse).points) > 1e-4
+    under = trace_branch(2, 1, coarse)
+    assert max(pt.tail for pt in under.points) > 1e-4
+    # the points that N = 48 does not resolve carry an event, these among them
+    _assert_under_resolved_marks(under)
+    marked = {idx for idx, kind in under.events if kind == "under-resolved"}
+    assert {i for i, pt in enumerate(under.points) if pt.tail > 1e-4} <= marked
+    _assert_under_resolved_marks(branch)
+
+
+class TestLadder:
+    """A trace climbs the sizes 32 * 1.5^i below N, then N."""
+
+    def test_rungs(self):
+        assert continuation._rungs(192, 2) == [32, 48, 72, 108, 162, 192]
+        assert continuation._rungs(96, 3) == [32, 48, 72, 96]
+        assert continuation._rungs(32, 2) == continuation._rungs(32, 32) == [32]
+        assert continuation._rungs(20, 2) == [20]
+        # raised to at least k
+        assert continuation._rungs(96, 40) == [40, 48, 72, 96]
+        assert continuation._rungs(96, 60) == [60, 72, 96]
+
+    @pytest.mark.parametrize("q,k,direction,max_points",
+                             [(3.0, 2, 1, 170), (3.0, 2, -1, 90), (3.0, 3, 1, 100), (4.0, 4, 1, 40)])
+    def test_matches_a_trace_pinned_to_N(self, monkeypatch, q, k, direction, max_points):
+        system = DiscreteSystem(build_grid(96), ModelParams(2, 1.0, q))
+        ladder = trace_branch(k, direction, system, max_points=max_points)
+        monkeypatch.setattr(continuation, "COARSE_N_MIN", 96)
+        pinned = trace_branch(k, direction, system, max_points=max_points)
+        assert {pt.rung for pt in pinned.points} == {96}
+        rungs = [pt.rung for pt in ladder.points]
+        # each budget reaches a rung above 48; rungs never fall
+        assert rungs == sorted(rungs) and rungs[0] < 72 <= rungs[-1]
+        assert set(rungs) <= {32, 48, 72, 96}
+        assert len(ladder.points) == len(pinned.points) == max_points
+        assert _crossings(ladder) == _crossings(pinned) != []
+        _assert_under_resolved_marks(ladder)
+        # phi to 1e-11: the pinned trace itself moves phi by 6.4e-12 when
+        # NEWTON_TOL goes from 1e-10 to 1e-12 (q=4 k=4, point 8)
+        for a, b in zip(ladder.points, pinned.points):
+            assert a.coeffs.shape == a.phi.shape == (97,)
+            assert a.nodal_count == b.nodal_count == k
+            assert a.lam == pytest.approx(b.lam, rel=1e-12, abs=0)
+            assert abs(a.sigma_min - b.sigma_min) <= 1e-9
+            assert np.sign(a.sigma_min) == np.sign(b.sigma_min)
+            assert np.max(np.abs(a.phi - b.phi)) <= 1e-11
+
+    def test_a_second_trace_builds_no_table(self, params):
+        # at N = 192 the k = 2 plus trace reaches the rungs 32, 48, 72 and 108
+        system = DiscreteSystem(build_grid(192), params)
+        first = trace_branch(2, 1, system, max_points=180)
+        assert {pt.rung for pt in first.points} == {32, 48, 72, 108}
+        misses = collocation._tables.cache_info().misses
+        trace_branch(2, 1, system, max_points=180)
+        assert collocation._tables.cache_info().misses == misses
 
 
 class TestRefineDegenerate:
