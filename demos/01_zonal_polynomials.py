@@ -12,7 +12,6 @@ from spherebif.gegenbauer import (
     gegenbauer_eval,
     gegenbauer_zeros,
     linearization_coeffs,
-    weighted_inner,
 )
 
 n = 3
@@ -29,20 +28,10 @@ for k in (3, 4):
 
 rule = gauss_jacobi_rule(12, n)
 print(f"\n12-point rule for the weight: total mass = {rule.weights.sum():.6f}")
-gram = max(
-    abs(
-        weighted_inner(
-            lambda t, j=j: gegenbauer_eval(j, n, t),
-            lambda t, k=k: gegenbauer_eval(k, n, t),
-            n,
-            12,
-        )
-    )
-    for j in range(6)
-    for k in range(6)
-    if j != k
-)
-print(f"worst off-diagonal Gram entry (k, j <= 5): {gram:.2e}")
+P = gegenbauer_eval(5, n, rule.nodes, table=True)  # column j holds P_j at the nodes
+gram = P.T @ (rule.weights[:, None] * P)
+off_diagonal = np.abs(gram - np.diag(np.diag(gram))).max()
+print(f"worst off-diagonal Gram entry (k, j <= 5): {off_diagonal:.2e}")
 
 print("\ncube integrals vanish for odd k and are positive for even k:")
 for k in range(1, 7):

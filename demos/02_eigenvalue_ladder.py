@@ -13,13 +13,12 @@ from spherebif.collocation import (
     DiscreteSystem,
     assemble_jacobian,
     build_grid,
-    linear_spectrum,
     sigma_min,
 )
-from spherebif.model import ModelParams, derived_constants, lambda_k, yamabe_lambda
+from spherebif.model import ModelParams, lambda_k, yamabe_lambda
 
 params = ModelParams(n=2, delta=1.0, q=3.0)
-c = derived_constants(params).c_factor
+c = (params.q - 2) / (1 + 1 / params.delta)
 
 print("ladder for n=2, delta=1, q=3:")
 for k in range(1, 6):
@@ -29,14 +28,15 @@ for k in range(1, 6):
 print(f"\nYamabe value of lambda: {yamabe_lambda(2, 1.0):.6f} (n=2, delta=1)")
 
 system = DiscreteSystem(build_grid(96), params)
-got = linear_spectrum(system, 8)
+zeros = np.zeros(97)
+# at lambda = 0 the Jacobian at u = 1 is the operator alone, as mu(0) = 0
+got = np.linalg.eigvalsh(-assemble_jacobian(zeros, 0.0, system))[:8]
 exact = np.array([j * (j + 1) for j in range(8)], dtype=float)
 print("\ndiscrete spectrum at N=96 vs j(j+n-1):")
 for j, (g, e) in enumerate(zip(got, exact)):
     print(f"  j={j}:  {g: .12f}   (error {abs(g - e):.2e})")
 
 print("\nsigma_min of the Jacobian at u = 1 just below and above each lambda_k:")
-zeros = np.zeros(97)
 for k in range(1, 5):
     lam = lambda_k(k, params)
     lo, hi = (sigma_min(assemble_jacobian(zeros, x, system)) for x in (0.99 * lam, 1.01 * lam))

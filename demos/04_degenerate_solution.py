@@ -11,7 +11,7 @@ import numpy as np
 
 from spherebif.collocation import DiscreteSystem, assemble_jacobian, build_grid, interpolate
 from spherebif.continuation import locate_degenerate, trace_branch
-from spherebif.model import ModelParams, endpoint_residual, lambda_k
+from spherebif.model import ModelParams, lambda_k, reduction_factor
 
 params = ModelParams(n=2, delta=1.0, q=3.0)
 system = DiscreteSystem(build_grid(64), params)
@@ -38,7 +38,9 @@ J = assemble_jacobian(c, report.lambda_star, system)
 closest = np.min(np.abs(np.linalg.eigvals(J)))
 print(f"\nindependent eigendecomposition: min |eigenvalue| = {closest:.3e}")
 
-# the regular limits of the ODE at the poles hold without boundary rows
+# the regular limits of the ODE at the poles hold without boundary rows:
+# -+ n phi'(+-1) + mu(lambda) [(phi(+-1)+1)^(q-1) - phi(+-1) - 1] = 0
+mu = reduction_factor(report.lambda_star, params)
 for side, phi_end, dphi_end in zip((1, -1), report.phi_star[[0, -1]], report.endpoint_derivs):
-    res = endpoint_residual(side, phi_end, dphi_end, report.lambda_star, params)
+    res = -side * params.n * dphi_end + mu * ((phi_end + 1) ** (params.q - 1) - phi_end - 1)
     print(f"endpoint condition at t = {side:+d}: residual {res:.1e}")

@@ -19,7 +19,7 @@ step sizes are constants of the modules that use them; ``branch`` and
 non-convergence or a stored profile whose lift is not positive (``verify``,
 which then writes nothing and removes an earlier verify.json), 3
 configuration error (also an output_dir that cannot be created, an output
-file that cannot be written, and a lambda_k that overflows).  Output files
+file that cannot be written or removed, and a lambda_k that overflows).  Output files
 are byte-identical across runs for a fixed config and seed on one platform,
 and for a fixed CPU count once a trace has 321 unknowns; floats are written
 with 17 significant digits so values round-trip exactly.  ``main`` sets
@@ -87,7 +87,6 @@ __all__ = [
     "main",
     "numpy_openblas",
     "blas_threads",
-    "read_branch_records",
 ]
 
 # finite-difference step of verify's stencils, written to verify.json as "h"
@@ -246,16 +245,6 @@ def _point_record(pt, event: str = "") -> dict:
         "phi": pt.phi.tolist(),
         "event": event,
     }
-
-
-def read_branch_records(path) -> list:
-    """Load a JSON-lines branch file back into dictionaries."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
 
 
 def _branch_files(cfg, tag) -> tuple:
@@ -550,10 +539,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
             grid, phi, lam, params, cfg.sample_count, _H, cfg.seed
         )
     except PositivityError as exc:
+        _log(f"verify: {report_path}: {exc}; verify.json not written", err=True)
         # an earlier run's verify.json must not stand beside this failure
         if os.path.exists(path):
-            os.remove(path)
-        _log(f"verify: {report_path}: {exc}; verify.json not written", err=True)
+            try:
+                os.remove(path)
+            except OSError as err:  # a directory of that name, say
+                raise ConfigError(f"cannot remove {path}: {err.strerror or err}") from err
         return 2
     out = {
         "n": cfg.n,

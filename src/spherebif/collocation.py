@@ -74,8 +74,6 @@ __all__ = [
     "assemble_residual",
     "assemble_jacobian",
     "dresidual_dlambda",
-    "linear_operator",
-    "linear_spectrum",
     "nodal_count",
     "resolved",
     "sigma_min",
@@ -315,23 +313,6 @@ def dresidual_dlambda(c, lam: float, sys: DiscreteSystem, parity: int = 0) -> np
     """Derivative of the residual in lambda (the projected bracket over 1 + 1/delta)."""
     V, w, _, u = _sector_u(c, sys, parity)
     return V.T @ (w * (u ** (sys.params.q - 1) - u)) / (1 + 1 / sys.params.delta)
-
-
-def linear_operator(sys: DiscreteSystem) -> np.ndarray:
-    """The operator (1-t^2) d^2 - n t d on the N + 1 modes: diag(-j(j + n - 1))."""
-    return np.diag(-sys._eig)
-
-
-def linear_spectrum(sys: DiscreteSystem, count: int) -> np.ndarray:
-    """Smallest ``count`` eigenvalues of -[(1-t^2) v'' - n t v'].
-
-    The exact values are j(j + n - 1), increasing in j; the Galerkin
-    operator is diagonal with exactly these entries, because the
-    eigenfunctions are the basis, so they are returned as they are.
-    """
-    if not 0 <= count <= sys.grid.N + 1:
-        raise ValueError(f"count must lie in 0..N + 1 = {sys.grid.N + 1}, got {count}")
-    return sys._eig[:count].copy()
 
 
 def sigma_min(J: np.ndarray, odd_block=None, radii=None):

@@ -86,7 +86,6 @@ __all__ = [
     "trace_branch",
     "locate_degenerate",
     "refine_degenerate",
-    "psi_smallness_check",
 ]
 
 MAX_ITER = 30
@@ -651,16 +650,3 @@ def refine_degenerate(
     return _fold_report(branch, report.crossing_index, (c, report.lambda_star, v),
                         [(coarse, report.lambda_star)], sigma_tol, sys, report.newton_iterations)
 
-
-def psi_smallness_check(k: int, s_list, sys: DiscreteSystem) -> list:
-    """Ratios ||w(s) - s P_{k,n}||_w / |s| for each s in s_list.
-
-    The remainder of the branch parametrization is quadratically small at
-    the bifurcation point, so the ratios decay linearly in s.
-    """
-    p = sys.basis(k)
-    out = []
-    for s in s_list:
-        pt = solve_at_s(k, s, sys)
-        out.append(np.linalg.norm(pt.coeffs - s * p) / abs(s))
-    return out

@@ -11,12 +11,8 @@ Evaluation uses the three-term recurrence
 
 which preserves the unit normalization at t = 1 exactly.  Explicitly
 P_{0,n} = 1, P_{1,n} = t, P_{2,n} = ((n+1) t^2 - 1) / n.  It is the only
-recurrence here:
-
-- derivatives shift the dimension, P_{k,n}' = k(k + n - 1)/n P_{k-1,n+2}
-  (d/dt C_k^lam = 2 lam C_{k-1}^{lam+1}, DLMF 18.9.19, lam = (n-1)/2);
-- zeros = Gauss nodes: the zeros of P_{k,n} are the nodes of the k-point
-  Gauss rule for the weight (Golub-Welsch), so no root finder is needed.
+recurrence here: the zeros of P_{k,n} are the nodes of the k-point Gauss
+rule for the weight (Golub-Welsch), so no root finder is needed.
 """
 
 from __future__ import annotations
@@ -30,9 +26,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_jacobi_rule",
     "gegenbauer_eval",
-    "gegenbauer_deriv",
     "gegenbauer_zeros",
-    "weighted_inner",
     "gegenbauer_norm2",
     "cube_integral",
     "linearization_coeffs",
@@ -65,10 +59,6 @@ class QuadratureRule:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    def integrate(self, f) -> float:
-        """Apply the rule to a callable f(t)."""
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def _weight_mass(n: int) -> float:
@@ -136,12 +126,6 @@ def gegenbauer_eval(k: int, n: int, t, table: bool = False):
     return float(rows[k, 0]) if t.ndim == 0 else rows[k].reshape(t.shape)
 
 
-def gegenbauer_deriv(k: int, n: int, t):
-    """Derivative of P_{k,n} in t: k(k + n - 1)/n P_{k-1,n+2}(t)."""
-    _check_mode(k, n)
-    return k * (k + n - 1) / n * gegenbauer_eval(max(k - 1, 0), n + 2, t)
-
-
 def gegenbauer_zeros(k: int, n: int) -> np.ndarray:
     """All k zeros of P_{k,n}, sorted, inside (-1, 1): the nodes of the
     k-point Gauss rule for the same weight."""
@@ -149,16 +133,6 @@ def gegenbauer_zeros(k: int, n: int) -> np.ndarray:
     if k < 1:
         raise ValueError("mode index must be >= 1 for zeros")
     return gauss_jacobi_rule(k, n).nodes.copy()
-
-
-def weighted_inner(f, g, n: int, m: int) -> float:
-    """Inner product int f g (1-t^2)^((n-2)/2) dt by m-point quadrature.
-
-    f and g are callables on [-1, 1].  Exact when f*g is a polynomial of
-    degree <= 2m - 1.
-    """
-    rule = gauss_jacobi_rule(m, n)
-    return float(np.dot(rule.weights, f(rule.nodes) * g(rule.nodes)))
 
 
 def gegenbauer_norm2(k: int, n: int) -> float:

@@ -36,7 +36,6 @@ from .model import ModelParams, PositivityError
 
 __all__ = [
     "SpherePair",
-    "sample_pair",
     "tangent_frame",
     "laplace_beltrami_fd",
     "gradient_sq_fd",
@@ -81,16 +80,6 @@ def _check_h(h: float):
     """Reject a geodesic step h (radians) outside (0, 0.1)."""
     if not 0 < h < 0.1:
         raise ValueError(f"step h must lie in (0, 0.1), got {h}")
-
-
-def sample_pair(n: int, seed: int) -> SpherePair:
-    """Uniform random pair on S^n x S^n, deterministic for the seed."""
-    if n < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {n}")
-    rng = np.random.default_rng(seed)
-    p = rng.standard_normal(n + 1)
-    q = rng.standard_normal(n + 1)
-    return SpherePair(p / np.linalg.norm(p), q / np.linalg.norm(q))
 
 
 def tangent_frame(point: np.ndarray) -> np.ndarray:

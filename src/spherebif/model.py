@@ -33,16 +33,10 @@ from .gegenbauer import cube_integral, gegenbauer_norm2
 
 __all__ = [
     "ModelParams",
-    "DerivedConstants",
-    "ProfilePoint",
     "PositivityError",
-    "derived_constants",
     "lambda_k",
     "yamabe_lambda",
     "reduction_factor",
-    "ode_residual",
-    "endpoint_residual",
-    "linearized_potential",
     "dlambda_ds0",
 ]
 
@@ -80,33 +74,6 @@ def _q_critical(n: int) -> float:
     return math.inf if n == 2 else (n + 2) / (n - 2)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Quantities derived from ModelParams.
-
-    ``q_f`` is the admissible upper bound on q (inf for n = 2), ``p_2n``
-    the critical exponent (2n+2)/(2n-2) of the 2n-dimensional product,
-    ``a_2n`` the conformal constant 4(2n-1)/(2n-2), and ``c_factor`` is
-    (q-2) / (1 + 1/delta), so ``c_factor * lam`` is the zero-order
-    coefficient of the linearization at the trivial solution.
-    """
-
-    q_f: float
-    p_2n: float
-    a_2n: float
-    c_factor: float
-
-
-def derived_constants(params: ModelParams) -> DerivedConstants:
-    n, delta, q = params.n, params.delta, params.q
-    return DerivedConstants(
-        q_f=_q_critical(n),
-        p_2n=(2 * n + 2) / (2 * n - 2),
-        a_2n=4 * (2 * n - 1) / (2 * n - 2),
-        c_factor=(q - 2) / (1 + 1 / delta),
-    )
-
-
 def lambda_k(k: int, params: ModelParams) -> float:
     """k-th bifurcation value k(k+n-1)(1 + 1/delta)/(q-2); lambda_0 = 0."""
     if k < 0:
@@ -125,55 +92,6 @@ def yamabe_lambda(n: int, delta: float) -> float:
 def reduction_factor(lam: float, params: ModelParams) -> float:
     """Prefactor mu(lambda) = lambda / (1 + 1/delta) of the nonlinearity."""
     return lam / (1 + 1 / params.delta)
-
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    """Profile value and derivatives at one t in [-1, 1]."""
-
-    t: float
-    phi: float
-    dphi: float
-    d2phi: float
-
-    def __post_init__(self):
-        if abs(self.t) > 1:
-            raise ValueError(f"|t| must be <= 1, got {self.t}")
-
-
-def _bracket(phi: float, q: float) -> float:
-    # (phi+1)^(q-1) - phi - 1, guarded against u <= 0
-    u = phi + 1.0
-    if u <= 0:
-        raise PositivityError(f"u = phi + 1 = {u} is not positive")
-    return u ** (q - 1) - u
-
-
-def ode_residual(pt: ProfilePoint, lam: float, params: ModelParams) -> float:
-    """Pointwise residual of the reduced equation at pt."""
-    mu = reduction_factor(lam, params)
-    return (
-        (1 - pt.t**2) * pt.d2phi
-        - params.n * pt.t * pt.dphi
-        + mu * _bracket(pt.phi, params.q)
-    )
-
-
-def endpoint_residual(
-    side: int, phi_end: float, dphi_end: float, lam: float, params: ModelParams
-) -> float:
-    """Regular limit of the ODE at t = side for side in {-1, +1}."""
-    if side not in (-1, 1):
-        raise ValueError(f"side must be -1 or +1, got {side}")
-    mu = reduction_factor(lam, params)
-    return -side * params.n * dphi_end + mu * _bracket(phi_end, params.q)
-
-
-def linearized_potential(u_val: float, lam: float, params: ModelParams) -> float:
-    """Zero-order coefficient lambda (1 - (q-1) u^(q-2)) of the linearization at u."""
-    if u_val <= 0:
-        raise PositivityError(f"u must be positive, got {u_val}")
-    return lam * (1 - (params.q - 1) * u_val ** (params.q - 2))
 
 
 def dlambda_ds0(k: int, params: ModelParams) -> float:

@@ -1,8 +1,10 @@
 """Tests for configuration parsing, dispatch, and file outputs."""
 
+import importlib
 import json
 import math
 import os
+import runpy
 import signal
 import subprocess
 import sys
@@ -20,7 +22,6 @@ from spherebif.cli import (
     main,
     numpy_openblas,
     parse_config,
-    read_branch_records,
 )
 from spherebif.collocation import SolutionPoint
 from spherebif.continuation import ConvergenceError, locate_degenerate, trace_branch
@@ -152,6 +153,19 @@ class TestConfig:
         assert not list(tmp_path.glob("*.tmp"))
         _assert_no_child_left()
 
+    def test_a_directory_in_place_of_a_verify_json_to_remove_exits_three(self, tmp_path, capsys):
+        # a lift that is not positive removes an earlier verify.json
+        report = {"found": True, "N": 32, "n": 2, "delta": 1.0, "q": 3.0,
+                  "phi": [-2.0] * 33, "lambda_star": 1.0}
+        (tmp_path / "degenerate_k2.json").write_text(json.dumps(report))
+        (tmp_path / "verify.json").mkdir()
+        assert main(["verify", "N=32", "sample_count=20", f"output_dir={tmp_path}"]) == 3
+        err = capsys.readouterr().err
+        assert "degenerate_k2.json: lifted u is not positive at sample 0" in err
+        assert f"configuration error: cannot remove {tmp_path / 'verify.json'}: " in err
+        assert "Traceback" not in err
+        assert (tmp_path / "verify.json").is_dir()
+
     def test_eigen_and_poly_take_any_k(self, tmp_path):
         # they do not discretize, so k > N is no error for them
         assert main(["eigen", "k=200", "N=8", f"output_dir={tmp_path}"]) == 0
@@ -228,7 +242,8 @@ class TestBranchCommand:
             assert (branch_outdir / f"branch_k2_{tag}.csv").exists()
 
     def test_round_trip_invariants(self, branch_outdir):
-        records = read_branch_records(branch_outdir / "branch_k2_plus.jsonl")
+        jsonl = (branch_outdir / "branch_k2_plus.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in jsonl]
         assert len(records) >= 10
         for rec in records:
             pt = SolutionPoint(
@@ -245,7 +260,8 @@ class TestBranchCommand:
             assert pt.u_min == pytest.approx(1 + pt.phi.min(), rel=1e-12)
 
     def test_csv_matches_jsonl(self, branch_outdir):
-        records = read_branch_records(branch_outdir / "branch_k2_plus.jsonl")
+        jsonl = (branch_outdir / "branch_k2_plus.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in jsonl]
         lines = (branch_outdir / "branch_k2_plus.csv").read_text().strip().splitlines()
         assert lines[0] == "s,lambda,sigma_min"
         assert len(lines) == len(records) + 1
@@ -740,6 +756,15 @@ for name in modules:
     assert not missing, (name, missing)
 """
     _run_python(script)
+
+
+def test_every_benchmark_hook_resolves():
+    # the benchmark's tracer wraps each (module, attribute) of PATCHES and
+    # fails on one that is gone; run_path compiles it without writing bytecode
+    tracer = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))
+    missing = [(module, name) for module, name, _ in tracer["PATCHES"]
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -7,14 +7,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
+from oracles import ode_residual, weighted_inner
 
 from spherebif import collocation, continuation
-from spherebif.gegenbauer import (
-    gauss_jacobi_rule,
-    gegenbauer_eval,
-    gegenbauer_norm2,
-    weighted_inner,
-)
+from spherebif.gegenbauer import gauss_jacobi_rule, gegenbauer_eval, gegenbauer_norm2
 from spherebif.collocation import (
     NEWTON_TOL,
     DiscreteSystem,
@@ -23,22 +19,13 @@ from spherebif.collocation import (
     build_grid,
     dresidual_dlambda,
     interpolate,
-    linear_operator,
-    linear_spectrum,
     nodal_count,
     resolved,
     sigma_min,
     solution_point,
 )
 from spherebif.continuation import trace_branch
-from spherebif.model import (
-    ModelParams,
-    PositivityError,
-    ProfilePoint,
-    derived_constants,
-    lambda_k,
-    ode_residual,
-)
+from spherebif.model import ModelParams, PositivityError, lambda_k
 
 
 @lru_cache(maxsize=None)
@@ -47,6 +34,17 @@ def _traced(n, q, k, direction, N):
     check the recorded sigma_min along it."""
     system = DiscreteSystem(build_grid(N), ModelParams(n, 1.0, q))
     return system, trace_branch(k, direction, system)
+
+
+def _minus_lambda(N, n):
+    """The reduced operator on the N + 1 modes: diag(-j(j + n - 1))."""
+    j = np.arange(N + 1.0)
+    return np.diag(-j * (j + n - 1))
+
+
+def _c_factor(params):
+    """(q - 2) / (1 + 1/delta): c(lambda) / lambda at the trivial profile."""
+    return (params.q - 2) / (1 + 1 / params.delta)
 
 
 def _poly_coeffs(system, coeffs):
@@ -67,7 +65,7 @@ class TestGrid:
         # the operator maps the constant mode to zero exactly, so a constant
         # profile's residual is its nonlinearity, projected onto mode 0 alone
         system = DiscreteSystem(build_grid(30), params)
-        assert not np.any(linear_operator(system) @ system.basis(0))
+        assert not np.any(assemble_jacobian(np.zeros(31), 0.0, system) @ system.basis(0))
         c = 0.4 * system.basis(0)
         res = assemble_residual(c, 5.0, system)
         mu = 5.0 / 2
@@ -218,10 +216,8 @@ class TestResidual:
         res = assemble_residual(_poly_coeffs(system48, coeffs), 5.0, system48)
         rule = gauss_jacobi_rule(40, params.n)
         pointwise = np.array([
-            ode_residual(ProfilePoint(t=t, phi=npoly.polyval(t, coeffs),
-                                      dphi=npoly.polyval(t, npoly.polyder(coeffs)),
-                                      d2phi=npoly.polyval(t, npoly.polyder(coeffs, 2))),
-                         5.0, params)
+            ode_residual(t, npoly.polyval(t, coeffs), npoly.polyval(t, npoly.polyder(coeffs)),
+                         npoly.polyval(t, npoly.polyder(coeffs, 2)), 5.0, params)
             for t in rule.nodes
         ])
         for j in (0, 1, 2, 5, 12, 30):
@@ -248,16 +244,17 @@ class TestJacobian:
     def test_linear_at_trivial(self, system48, params):
         lam = 7.0
         J = assemble_jacobian(np.zeros(49), lam, system48)
-        c = derived_constants(params).c_factor * lam
-        expected = linear_operator(system48) + c * np.eye(49)
+        expected = _minus_lambda(48, params.n) + _c_factor(params) * lam * np.eye(49)
         assert_allclose(J, expected, atol=1e-12)
 
     def test_linear_operator_is_a_fresh_copy(self, system48):
-        L0 = linear_operator(system48)
-        L = linear_operator(system48)
+        # at lambda = 0 the Jacobian is the operator alone; writing into one
+        # leaves the system's tables, and so the next one, as they were
+        L0 = assemble_jacobian(np.zeros(49), 0.0, system48)
+        L = assemble_jacobian(np.zeros(49), 0.0, system48)
         L[:] = 0.0
         assemble_jacobian(np.zeros(49), 7.0, system48)
-        assert np.array_equal(linear_operator(system48), L0)
+        assert np.array_equal(assemble_jacobian(np.zeros(49), 0.0, system48), L0)
 
     def test_finite_difference_agreement(self):
         # central differences confirm the analytic Jacobian on random
@@ -292,25 +289,23 @@ class TestJacobian:
 
 
 class TestSpectrum:
+    # mu(0) = 0, so the Jacobian at phi = 0, lambda = 0 is -Lambda alone and
+    # its eigenvalues, largest first, are -j(j + n - 1)
     def test_known_eigenvalues(self, system96):
-        assert_allclose(linear_spectrum(system96, 5), [0, 2, 6, 12, 20], atol=1e-9)
+        J = assemble_jacobian(np.zeros(97), 0.0, system96)
+        assert_allclose(np.linalg.eigvalsh(-J)[:5], [0, 2, 6, 12, 20], atol=1e-9)
 
     def test_known_eigenvalues_n3(self):
         system = DiscreteSystem(build_grid(96), ModelParams(3, 1.0, 3.0))
-        assert_allclose(linear_spectrum(system, 4), [0, 3, 8, 15], atol=1e-9)
-
-    def test_count_validation(self, system48):
-        with pytest.raises(ValueError):
-            linear_spectrum(system48, 50)
-        with pytest.raises(ValueError):
-            linear_spectrum(system48, -1)
+        J = assemble_jacobian(np.zeros(97), 0.0, system)
+        assert_allclose(np.linalg.eigvalsh(-J)[:4], [0, 3, 8, 15], atol=1e-9)
 
     def test_exact_values_as_a_copy(self, system48):
-        got = linear_spectrum(system48, 49)
+        J = assemble_jacobian(np.zeros(49), 0.0, system48)
         j = np.arange(49)
-        assert np.array_equal(got, j * (j + 1.0))
-        got[0] = 7.0
-        assert linear_spectrum(system48, 1)[0] == 0.0
+        assert np.array_equal(J, np.diag(-j * (j + 1.0)))
+        J[1, 1] = 7.0
+        assert assemble_jacobian(np.zeros(49), 0.0, system48)[1, 1] == -2.0
 
     def test_eigenvector_matches_zonal_polynomial(self, system96, params):
         # the kernel of the trivial-profile Jacobian at lambda_3, on the grid
@@ -337,7 +332,7 @@ class TestSigmaMin:
             assert ev[1] > 1.0
 
     def test_gap_between_bifurcation_points(self, system96, params):
-        c = derived_constants(params).c_factor
+        c = _c_factor(params)
         lam = 0.5 * (lambda_k(2, params) + lambda_k(3, params))
         J = assemble_jacobian(np.zeros(97), lam, system96)
         expected = min(
@@ -376,7 +371,7 @@ class TestSigmaMin:
         lam = 1.001 * lambda_k(1, params)
         J = assemble_jacobian(np.zeros(97), lam, system96)
         assert_allclose(J, J.T, atol=1e-13 * np.abs(J).max())
-        expected = derived_constants(params).c_factor * lam - params.n
+        expected = _c_factor(params) * lam - params.n
         assert sigma_min(J) == pytest.approx(expected, rel=1e-8)
 
     def test_odd_mode_of_a_well_conditioned_even_matrix(self):
@@ -475,7 +470,7 @@ class TestParitySectors:
         lam = 1.001 * lambda_k(1, params)
         even = assemble_jacobian(np.zeros(49), lam, system96, 1)
         odd = assemble_jacobian(np.zeros(49), lam, system96, -1)
-        expected = derived_constants(params).c_factor * lam - params.n
+        expected = _c_factor(params) * lam - params.n
         assert sigma_min(even, odd) == pytest.approx(expected, rel=1e-8)
         assert sigma_min(even, odd) == pytest.approx(
             sigma_min(assemble_jacobian(np.zeros(97), lam, system96)), rel=1e-10
@@ -710,7 +705,7 @@ class TestWeightedStructure:
         # <Lu, v>_w = <u, Lv>_w, with L u evaluated pointwise on degree-12
         # polynomials, equals the Galerkin form v^T L u of their coefficients
         rng = np.random.default_rng(23)
-        L = linear_operator(system48)
+        L = _minus_lambda(48, params.n)
         rule = gauss_jacobi_rule(20, params.n)
         t = rule.nodes
 

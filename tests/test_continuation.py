@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import endpoint_residual
 
 import spherebif.collocation as collocation
 import spherebif.continuation as continuation
@@ -25,13 +26,12 @@ from spherebif.continuation import (
     branch_seed,
     locate_degenerate,
     newton_solve,
-    psi_smallness_check,
     refine_degenerate,
     solve_at_s,
     trace_branch,
 )
 from spherebif.gegenbauer import gegenbauer_eval
-from spherebif.model import ModelParams, PositivityError, dlambda_ds0, endpoint_residual, lambda_k
+from spherebif.model import ModelParams, PositivityError, dlambda_ds0, lambda_k
 
 
 def _crossings(branch):
@@ -649,12 +649,18 @@ class TestRefineDegenerate:
 
 
 class TestPsiSmallness:
+    @staticmethod
+    def ratios(k, s_list, sys):
+        """||w(s) - s P_{k,n}||_w / |s| along the branch, for each s."""
+        return [np.linalg.norm(solve_at_s(k, s, sys).coeffs - s * sys.basis(k)) / abs(s)
+                for s in s_list]
+
     def test_linear_decay(self, system48):
         for k in (2, 3):
-            r1, r2 = psi_smallness_check(k, [1e-2, 5e-3], system48)
+            r1, r2 = self.ratios(k, [1e-2, 5e-3], system48)
             assert 1.5 < r1 / r2 < 2.5
 
     def test_vanishing_at_origin(self, system48):
-        ratios = psi_smallness_check(2, [1e-2, 1e-3, 1e-4], system48)
+        ratios = self.ratios(2, [1e-2, 1e-3, 1e-4], system48)
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] < 1e-3

@@ -1,23 +1,19 @@
 """Tests for the reduced-equation model layer."""
 
 import math
-import pickle
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from oracles import endpoint_residual, ode_residual
 
+from spherebif.collocation import DiscreteSystem, assemble_jacobian, build_grid
 from spherebif.gegenbauer import gegenbauer_eval
 from spherebif.model import (
     ModelParams,
     PositivityError,
-    ProfilePoint,
-    derived_constants,
     dlambda_ds0,
-    endpoint_residual,
     lambda_k,
-    linearized_potential,
-    ode_residual,
     reduction_factor,
     yamabe_lambda,
 )
@@ -30,15 +26,12 @@ def zonal_poly(k, n):
 
 
 def profile_points(coeffs, ts):
+    """(t, phi, phi', phi'') of the polynomial at each t."""
     d1 = npoly.polyder(coeffs)
     d2 = npoly.polyder(d1)
     return [
-        ProfilePoint(
-            t=float(t),
-            phi=float(npoly.polyval(t, coeffs)),
-            dphi=float(npoly.polyval(t, d1)),
-            d2phi=float(npoly.polyval(t, d2)),
-        )
+        (float(t), float(npoly.polyval(t, coeffs)), float(npoly.polyval(t, d1)),
+         float(npoly.polyval(t, d2)))
         for t in ts
     ]
 
@@ -63,28 +56,15 @@ class TestParams:
             ModelParams(2, delta, 3.0)
 
     def test_derived_constants(self):
-        d3 = derived_constants(ModelParams(3, 1.0, 3.0))
-        assert d3.q_f == 5.0
-        assert d3.p_2n == 2.0
-        assert d3.a_2n == pytest.approx(5.0)
-        d2 = derived_constants(ModelParams(2, 1.0, 3.0))
-        assert math.isinf(d2.q_f)
-        assert d2.a_2n == pytest.approx(6.0)
-        assert d2.p_2n < d2.q_f and d3.p_2n < d3.q_f
-
-    def test_c_factor(self):
-        params = ModelParams(2, 1.0, 3.0)
-        c = derived_constants(params).c_factor
-        assert c * 12.0 == pytest.approx(6.0)
-        assert c * 4.0 == pytest.approx(2.0)
-        # strictly increasing in lambda
-        assert c * 5.0 > c * 4.0
-
-    def test_derived_constants_compare_and_pickle(self):
-        params = ModelParams(3, 2.0, 2.8)
-        d = derived_constants(params)
-        assert d == derived_constants(params)
-        assert pickle.loads(pickle.dumps(d)) == d
+        # q_f = (n+2)/(n-2) bounds q (5 for n = 3; none for n = 2), and the
+        # conformal constant a_2n = 4(2n-1)/(2n-2) (6 for n = 2, 5 for n = 3)
+        # gives the Yamabe lambda n(n-1)(1 + 1/delta)/a_2n
+        with pytest.raises(ValueError, match=r"2 < q < 5\.0, got 5\.0"):
+            ModelParams(3, 1.0, 5.0)
+        with pytest.raises(ValueError, match=r"2 < q < inf, got 2\.0"):
+            ModelParams(2, 1.0, 2.0)
+        assert yamabe_lambda(2, 1.0) == pytest.approx(2 * 1 * 2 / 6.0)
+        assert yamabe_lambda(3, 1.0) == pytest.approx(3 * 2 * 2 / 5.0)
 
 
 class TestLambdaLadder:
@@ -119,14 +99,12 @@ class TestOdeResidual:
     def test_trivial_profile(self):
         params = ModelParams(2, 1.0, 3.0)
         for t in (-1.0, -0.3, 0.0, 0.8, 1.0):
-            pt = ProfilePoint(t=t, phi=0.0, dphi=0.0, d2phi=0.0)
-            assert ode_residual(pt, 7.3, params) == 0.0
+            assert ode_residual(t, 0.0, 0.0, 0.0, 7.3, params) == 0.0
 
     def test_direct_evaluation(self):
         # phi = t at t = 0.5: -2(0.5)(1) + 2((1.5)^2 - 1.5) = 0.5
         params = ModelParams(2, 1.0, 3.0)
-        pt = ProfilePoint(t=0.5, phi=0.5, dphi=1.0, d2phi=0.0)
-        assert ode_residual(pt, 4.0, params) == pytest.approx(0.5, rel=1e-14)
+        assert ode_residual(0.5, 0.5, 1.0, 0.0, 4.0, params) == pytest.approx(0.5, rel=1e-14)
 
     def test_tangent_residual_quadratic_in_s(self):
         # at lambda_k the residual of s P_{k,n} shrinks like s^2
@@ -141,15 +119,14 @@ class TestOdeResidual:
             maxres = {}
             for s in (1e-2, 5e-3):
                 pts = profile_points(s * coeffs, ts)
-                maxres[s] = max(abs(ode_residual(p, lam, params)) for p in pts)
+                maxres[s] = max(abs(ode_residual(*p, lam, params)) for p in pts)
             ratio = maxres[1e-2] / maxres[5e-3]
             assert 3.5 < ratio < 4.5
 
     def test_positivity_error(self):
         params = ModelParams(2, 1.0, 3.0)
-        pt = ProfilePoint(t=0.0, phi=-1.5, dphi=0.0, d2phi=0.0)
         with pytest.raises(PositivityError):
-            ode_residual(pt, 1.0, params)
+            ode_residual(0.0, -1.5, 0.0, 0.0, 1.0, params)
 
     def test_reduction_factor(self):
         params = ModelParams(2, 2.0, 3.0)
@@ -186,28 +163,42 @@ class TestEndpointResidual:
 
 
 class TestLinearizedPotential:
+    """The zero-order coefficient lambda (1 - (q-1) u^(q-2)) of the
+    linearization at u: at a constant profile u the Galerkin Jacobian is
+    -Lambda - potential / (1 + 1/delta) times the identity."""
+
+    @staticmethod
+    def potential(u, lam, params):
+        system = DiscreteSystem(build_grid(16), params)
+        J = assemble_jacobian((u - 1.0) * system.basis(0), lam, system)
+        j = np.arange(17.0)
+        shift = J + np.diag(j * (j + params.n - 1))
+        assert np.allclose(shift, shift[0, 0] * np.eye(17), rtol=0, atol=1e-12 * (1 + abs(lam)))
+        return -(1 + 1 / params.delta) * shift[0, 0]
+
     def test_at_trivial(self):
         params = ModelParams(2, 1.0, 3.0)
-        assert linearized_potential(1.0, 4.0, params) == pytest.approx(-4.0)
+        assert self.potential(1.0, 4.0, params) == pytest.approx(-4.0)
         for q in (2.5, 3.0, 4.0):
             p = ModelParams(2, 1.0, q)
             lam = 2.7
-            assert linearized_potential(1.0, lam, p) == pytest.approx(-lam * (q - 2))
+            assert self.potential(1.0, lam, p) == pytest.approx(-lam * (q - 2))
 
     def test_away_from_trivial(self):
         params = ModelParams(2, 1.0, 3.0)
-        assert linearized_potential(2.0, 1.0, params) == pytest.approx(-3.0)
+        assert self.potential(2.0, 1.0, params) == pytest.approx(-3.0)
 
     def test_rejects_nonpositive_u(self):
+        # u = 0 itself may round to either side at the rule nodes
         with pytest.raises(PositivityError):
-            linearized_potential(0.0, 1.0, ModelParams(2, 1.0, 3.0))
+            self.potential(-0.5, 1.0, ModelParams(2, 1.0, 3.0))
 
     def test_consistent_with_reduction(self):
         # -potential / (1 + 1/delta) at u = 1 equals c(lambda)
         params = ModelParams(3, 2.0, 2.8)
         lam = 4.2
-        c = derived_constants(params).c_factor
-        got = -linearized_potential(1.0, lam, params) / (1 + 1 / params.delta)
+        c = (params.q - 2) / (1 + 1 / params.delta)
+        got = -self.potential(1.0, lam, params) / (1 + 1 / params.delta)
         assert got == pytest.approx(c * lam, rel=1e-14)
 
 
@@ -241,7 +232,7 @@ class TestEigenConsistency:
             (ModelParams(4, 2.0, 2.5), 5),
         ]:
             n = params.n
-            c = derived_constants(params).c_factor * lambda_k(k, params)
+            c = (params.q - 2) / (1 + 1 / params.delta) * lambda_k(k, params)
             assert c == pytest.approx(k * (k + n - 1), rel=1e-13)
             coeffs = zonal_poly(k, n)
             d1 = npoly.polyder(coeffs)
@@ -252,8 +243,3 @@ class TestEigenConsistency:
                 + c * npoly.polyval(grid, coeffs)
             )
             assert np.max(np.abs(res)) < 1e-10
-
-
-def test_profile_point_validation():
-    with pytest.raises(ValueError):
-        ProfilePoint(t=1.2, phi=0.0, dphi=0.0, d2phi=0.0)
