@@ -34,7 +34,9 @@ system only: a point solved at another N gives none.
 
 Profiles leave the package as values on the N + 1 Chebyshev-Lobatto nodes
 of ``build_grid``, which determine the degree-N expansion exactly;
-``interpolate`` evaluates such node values anywhere in [-1, 1].
+``interpolate`` evaluates such node values anywhere in [-1, 1] through
+their Chebyshev series (one DCT-I, then Clenshaw's recurrence), without
+the Galerkin basis.
 
 Grids and systems are immutable after construction and safe to share
 across threads; all assembly routines are pure functions of their inputs.
@@ -99,24 +101,18 @@ def build_grid(N: int) -> SpectralGrid:
     return SpectralGrid(N=N, nodes=np.cos(np.pi * np.arange(N + 1) / N))
 
 
-# targets per chunk in interpolate; bounds its (rows x (N + 1)) temporaries
-# whatever the number of targets
-_INTERPOLATE_ROWS = 256
-
-
 def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
-    """Barycentric interpolant of node values phi at t (scalar or 1-D array).
+    """Degree-N interpolant of node values phi at t (scalar or 1-D array).
 
-    phi holds the N + 1 node values of ``grid``.  The set-up is made once
-    per call: the domain check and clip of the targets, each target's
-    nearest node (one ``searchsorted`` on the midpoints between the
-    increasing nodes) and the weights (-1)^j, halved at both ends.  The
-    targets are then taken ``_INTERPOLATE_ROWS`` at a time, so the matrix
-    stays small for any number of them; its rows hold the weights
-    w_j / (t_i - x_j) of the second (true) barycentric formula, divided by
-    their sum.  Each value is one row-by-phi dot product, so it rounds the
-    same whether its target comes alone or among others.  A target within
-    1e-14 of a node (only its nearest node can be so close) returns that
+    phi holds the N + 1 node values of ``grid``.  The Lobatto nodes are
+    Chebyshev extrema, so one DCT-I (an ``rfft`` of the even extension of
+    phi) gives the Chebyshev coefficients a_k of the same interpolant, and
+    Clenshaw's recurrence b_k = a_k + 2t b_{k+1} - b_{k+2} sums the series
+    at all targets at once.  Every value is computed elementwise, so it
+    rounds the same whether its target comes alone or among others.  The
+    targets are checked and clipped to [-1, 1]; a target within 1e-14 of a
+    node (only its nearest node, found by one ``searchsorted`` on the
+    midpoints between the increasing nodes, can be so close) returns that
     node's value exactly.
     """
     phi = np.asarray(phi, dtype=float)
@@ -129,24 +125,25 @@ def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
         raise ValueError("interpolation targets must lie in [-1, 1]")
     t = np.clip(t, -1.0, 1.0)
     rising = grid.nodes[::-1]
-    mid = 0.5 * (rising[1:] + rising[:-1])
-    near = grid.N - np.searchsorted(mid, t)
+    near = grid.N - np.searchsorted(0.5 * (rising[1:] + rising[:-1]), t)
     hit = np.abs(t - grid.nodes[near]) < 1e-14
-    # a hit takes its node's value after the loop; until then it sits on a
-    # midpoint, where its row is finite
-    t[hit] = mid[0]
-    w = (-1.0) ** np.arange(grid.N + 1)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    vals = np.empty(t.shape)
-    for start in range(0, t.size, _INTERPOLATE_ROWS):
-        rows = slice(start, start + _INTERPOLATE_ROWS)
-        M = t[rows, None] - grid.nodes
-        np.divide(w, M, out=M)
-        M /= M.sum(axis=1)[:, None]
-        vals[rows] = (M[:, None, :] @ phi[:, None])[:, 0, 0]
-    vals[hit] = phi[near[hit]]
-    return float(vals[0]) if scalar else vals
+    # numpy imports its fft module on this first use, not at package import
+    a = np.fft.rfft(np.concatenate([phi, phi[-2:0:-1]])).real / grid.N
+    a[[0, -1]] *= 0.5
+    two_t = 2.0 * t
+    b1, b2 = np.zeros_like(t), np.zeros_like(t)  # b_{k+1}, b_{k+2}
+    work = np.empty_like(t)
+    for ak in a[:0:-1]:
+        np.multiply(two_t, b1, out=work)
+        work -= b2
+        work += ak
+        b1, b2, work = work, b1, b2
+    # a_0 + t b_1 - b_2
+    np.multiply(t, b1, out=work)
+    work -= b2
+    work += a[0]
+    work[hit] = phi[near[hit]]
+    return float(work[0]) if scalar else work
 
 
 def _parity(k) -> int:

@@ -15,9 +15,8 @@ block.  A pair or block builds its tangent frames once, for both
 ``laplace_beltrami_fd`` and ``gradient_sq_fd``.  ``lifted_residual`` and
 ``identity_residuals`` take their samples in ``_BLOCK_SAMPLES`` pairs at a
 time, so a few large blocks share the fixed cost of the frames, stencils
-and reductions; the lift makes one
-``interpolate`` call per block, which bounds its own temporaries by taking
-the targets in chunks.  No value depends on either size.
+and reductions; the lift makes one ``interpolate`` call per block, whose
+series is summed elementwise.  No value depends on the block size.
 
 All sampling is deterministic given the seed.  Both residual functions
 draw every pair from one ``standard_normal((count, 2, n+1))`` call, which
@@ -180,7 +179,7 @@ def gradient_sq_fd(x: SpherePair, h: float, delta: float):
 
 
 # sample pairs per stencil evaluation; each block costs a fixed ~0.6 ms of
-# small-array work, and interpolate bounds its own temporaries
+# small-array work, and its temporaries grow with it
 _BLOCK_SAMPLES = 1024
 
 

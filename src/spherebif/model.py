@@ -64,6 +64,9 @@ class ModelParams:
         if not 0 < self.delta < math.inf:
             raise ValueError(f"metric scale delta must be finite and positive, got {self.delta}")
         qf = _q_critical(self.n)
+        if qf <= 2:
+            raise ValueError(f"no exponent q is admissible for n={self.n}: "
+                             f"q_f = (n+2)/(n-2) = {qf} <= 2 for n >= 6, got {self.q}")
         if not (2 < self.q < qf):
             raise ValueError(f"exponent q must satisfy 2 < q < {qf}, got {self.q}")
 

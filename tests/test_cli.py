@@ -52,6 +52,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="q"):
             parse_config(None, ["n=3", "q=6"])
 
+    @pytest.mark.parametrize("args, message", [
+        (["n=6"], "no exponent q is admissible for n=6: q_f = (n+2)/(n-2) = 2.0 <= 2 "
+                  "for n >= 6, got 3.0"),
+        (["n=10", "q=1.5"], "no exponent q is admissible for n=10: q_f = (n+2)/(n-2) "
+                            "= 1.5 <= 2 for n >= 6, got 1.5"),
+        (["n=5"], "exponent q must satisfy 2 < q < 2.3333333333333335, got 3.0"),
+        (["n=3", "q=6"], "exponent q must satisfy 2 < q < 5.0, got 6.0"),
+    ], ids=["n6", "n10-q1.5", "n5", "n3-q6"])
+    def test_empty_exponent_range_is_named(self, tmp_path, capsys, args, message):
+        assert main(["eigen", *args, f"output_dir={tmp_path}"]) == 3
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_zero_delta_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(None, ["delta=0"])
@@ -735,6 +748,12 @@ assert not [name for name, mod in sys.modules.items()
 
 def test_import_loads_no_scipy():
     _run_python("import sys\nimport spherebif.cli\n" + _NO_SCIPY_LOADED)
+
+
+def test_import_loads_no_fft():
+    # numpy imports numpy.fft on the first interpolate call, not before
+    _run_python("import sys, spherebif.cli\n"
+                "assert 'numpy.fft' not in sys.modules, 'import spherebif.cli loaded numpy.fft'\n")
 
 
 def test_package_root_loads_no_numpy():

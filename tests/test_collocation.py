@@ -1,10 +1,13 @@
 """Tests for the spectral collocation layer."""
 
+import json
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 from oracles import ode_residual, weighted_inner
@@ -26,6 +29,8 @@ from spherebif.collocation import (
 )
 from spherebif.continuation import trace_branch
 from spherebif.model import ModelParams, PositivityError, lambda_k
+
+EPS = np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -123,16 +128,24 @@ class TestInterpolation:
             with pytest.raises(ValueError, match="phi must hold the 9 node values"):
                 interpolate(grid, phi, [0.1, 0.2])
 
-    @pytest.mark.parametrize("rows", (1, 5, collocation._INTERPOLATE_ROWS))
-    def test_many_targets_round_as_scalar_calls(self, monkeypatch, rows):
-        monkeypatch.setattr(collocation, "_INTERPOLATE_ROWS", rows)
+    @pytest.mark.parametrize("size", (1, 5, 256))
+    def test_many_targets_round_as_scalar_calls(self, size):
         grid = build_grid(20)
         phi = np.exp(grid.nodes) * np.cos(4 * grid.nodes)
-        ts = np.random.default_rng(2).uniform(-1, 1, 3 * rows + 5)
+        ts = np.random.default_rng(2).uniform(-1, 1, 3 * size + 5)
         ts[[0, 2, -1]] = grid.nodes[[0, 7, 20]]  # node hits among the targets
         got = interpolate(grid, phi, ts)
         assert got.shape == ts.shape
         assert got.tolist() == [interpolate(grid, phi, t) for t in ts]
+
+    @pytest.mark.parametrize("N", (96, 192))
+    def test_legendre_series_reproduction(self, N):
+        grid = build_grid(N)
+        coeffs = np.random.default_rng(N).standard_normal(N + 1) * 0.9 ** np.arange(N + 1)
+        phi = legendre.legval(grid.nodes, coeffs)
+        ts = np.random.default_rng(N + 1).uniform(-1, 1, 2000)
+        err = np.abs(interpolate(grid, phi, ts) - legendre.legval(ts, coeffs))
+        assert err.max() <= 16 * EPS * np.abs(phi).max()
 
 
 def _dense_interpolate(grid, phi, t):
@@ -152,27 +165,41 @@ def _dense_interpolate(grid, phi, t):
     return float(vals[0]) if scalar else vals
 
 
+def _lift_floor(n, phi, h):
+    """8 n eps max|u| / h^2: the rounding of the 2n second differences of u =
+    phi + 1, which magnify an evaluator's rounding by 1 / h^2."""
+    return 8 * n * EPS * np.abs(np.asarray(phi) + 1.0).max() / h**2
+
+
 class TestNearestNodeHits:
-    """interpolate looks for a node hit at each target's nearest node only;
-    every float equals the dense all-entries hit test."""
+    """interpolate looks for a node hit at each target's nearest node only:
+    hits take their node's value exactly, and every other target agrees
+    with the dense barycentric oracle to rounding."""
 
     @pytest.mark.parametrize("N", (2, 7, 24, 96))
     def test_equals_the_dense_hit_test(self, N):
         grid = build_grid(N)
         phi = np.exp(grid.nodes) * np.cos(3 * grid.nodes) - 0.2
         nodes = grid.nodes
-        ts = np.concatenate([
+        hits = np.concatenate([
             nodes,                     # exact hits, t = +1, -1 and (even N) the middle node
             nodes + 1e-15, nodes - 1e-15,
-            nodes + 3e-14, nodes - 3e-14,
             [1 + 1e-13, -1 - 1e-13],   # clipped onto the end nodes
+        ])
+        others = np.concatenate([
+            nodes + 3e-14, nodes - 3e-14,
             np.random.default_rng(N).uniform(-1, 1, 300),
         ])
+        ts = np.concatenate([hits, others])
         got = interpolate(grid, phi, ts)
-        assert got.tolist() == _dense_interpolate(grid, phi, ts).tolist()
+        dense = _dense_interpolate(grid, phi, ts)
+        assert got[: hits.size].tolist() == dense[: hits.size].tolist()
         assert got[: N + 1].tolist() == phi.tolist()
-        for t in (1.0, -1.0, nodes[N // 2], 1 + 1e-13, nodes[1] + 1e-15, 0.3):
+        tol = 16 * EPS * np.abs(phi).max()
+        assert np.abs(got[hits.size :] - dense[hits.size :]).max() <= tol
+        for t in (1.0, -1.0, nodes[N // 2], 1 + 1e-13, nodes[1] + 1e-15):
             assert interpolate(grid, phi, t) == _dense_interpolate(grid, phi, t)
+        assert abs(interpolate(grid, phi, 0.3) - _dense_interpolate(grid, phi, 0.3)) <= tol
 
     def test_empty_and_scalar_targets(self):
         grid = build_grid(10)
@@ -181,7 +208,8 @@ class TestNearestNodeHits:
         assert empty.shape == (0,)
         got = interpolate(grid, phi, 0.25)
         assert type(got) is float
-        assert got == _dense_interpolate(grid, phi, 0.25)
+        assert got == interpolate(grid, phi, np.array([0.25]))[0]
+        assert abs(got - _dense_interpolate(grid, phi, 0.25)) <= 16 * EPS
 
     def test_lifted_residual_is_unchanged(self, monkeypatch):
         from spherebif import manifold
@@ -192,7 +220,23 @@ class TestNearestNodeHits:
         got = manifold.lifted_residual(grid, phi, 4.0, params, 60, 1e-3, 2)
         # manifold looks interpolate up as its own module global
         monkeypatch.setattr(manifold, "interpolate", _dense_interpolate)
-        assert manifold.lifted_residual(grid, phi, 4.0, params, 60, 1e-3, 2) == got
+        dense = manifold.lifted_residual(grid, phi, 4.0, params, 60, 1e-3, 2)
+        assert abs(got - dense) <= _lift_floor(2, phi, 1e-3)
+
+    def test_stored_profile_lift(self, monkeypatch):
+        from spherebif import manifold
+
+        root = Path(__file__).resolve().parents[1]
+        report = json.loads((root / "perfbench" / "data" / "degenerate_k2.json").read_text())
+        grid = build_grid(report["N"])
+        phi = np.array(report["phi"])
+        params = ModelParams(report["n"], report["delta"], report["q"])
+        args = (grid, phi, report["lambda_star"], params, 3000, 1e-3, 0)
+        # as `verify k=2 N=96 sample_count=3000` lifts it at seed 0
+        got = manifold.lifted_residual(*args)
+        assert abs(got - 4.766046505011445e-06) <= 2e-8
+        monkeypatch.setattr(manifold, "interpolate", _dense_interpolate)
+        assert abs(got - manifold.lifted_residual(*args)) <= _lift_floor(2, phi, 1e-3)
 
 
 class TestResidual:

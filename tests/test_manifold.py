@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import sample_pair
 
-from spherebif import collocation, manifold
+from spherebif import manifold
 from spherebif.collocation import build_grid
 from spherebif.continuation import solve_at_s
 from spherebif.manifold import (
@@ -295,11 +295,11 @@ class TestLiftedResidual:
 
 
 class TestBlockSizes:
-    """Sample blocks and interpolation chunks bound work and temporaries
-    only: no float depends on them."""
+    """Sample blocks bound work and temporaries only: the stencils and the
+    lift's series are elementwise, so no float depends on the block size."""
 
     @pytest.mark.parametrize("n", (2, 3))
-    def test_every_float_is_the_same_for_any_block_and_chunk(self, monkeypatch, n):
+    def test_every_float_is_the_same_for_any_block_size(self, monkeypatch, n):
         grid = build_grid(24)
         phi = 0.3 * np.sin(3 * grid.nodes)
         params = ModelParams(n=n, delta=0.7, q=3.5)
@@ -313,7 +313,5 @@ class TestBlockSizes:
 
         expected = run()
         for block in (1, 7, manifold._BLOCK_SAMPLES):
-            for rows in (1, 5, collocation._INTERPOLATE_ROWS):
-                monkeypatch.setattr(manifold, "_BLOCK_SAMPLES", block)
-                monkeypatch.setattr(collocation, "_INTERPOLATE_ROWS", rows)
-                assert run() == expected
+            monkeypatch.setattr(manifold, "_BLOCK_SAMPLES", block)
+            assert run() == expected
