@@ -9,7 +9,7 @@
 # to the product through u = phi(<p, q>) + 1.
 
 from spherebif.collocation import DiscreteSystem, build_grid
-from spherebif.continuation import locate_degenerate, trace_branch
+from spherebif.continuation import find_degenerate
 from spherebif.manifold import identity_residuals, lifted_residual
 from spherebif.model import ModelParams
 
@@ -23,18 +23,17 @@ print("(errors drop ~4x per halving: second-order differencing)")
 
 params = ModelParams(n=n, delta=delta, q=3.0)
 system = DiscreteSystem(build_grid(64), params)
-branch = trace_branch(2, 1, system, max_points=60)
-report = locate_degenerate(branch, 1e-6, system)
+star = find_degenerate(2, system, 1e-6)[0].point
 
 res = lifted_residual(
-    system.grid, report.phi_star, report.lambda_star, params,
+    system.grid, star.phi, star.lam, params,
     sample_count=200, h=1e-3, seed=0,
 )
 print(f"\nlifted PDE residual of the degenerate profile "
-      f"(lambda* = {report.lambda_star:.6f}): {res:.3e}")
+      f"(lambda* = {star.lam:.6f}): {res:.3e}")
 
 wrong = lifted_residual(
-    system.grid, report.phi_star, 1.1 * report.lambda_star, params,
+    system.grid, star.phi, 1.1 * star.lam, params,
     sample_count=200, h=1e-3, seed=0,
 )
 print(f"same profile with lambda off by 10%:           {wrong:.3e}")

@@ -16,10 +16,12 @@ command-line overrides take precedence.  The keys are the problem data
 verify sample count and seed, and output_dir; the solver's tolerances and
 step sizes are constants of the modules that use them; ``branch`` and
 ``degenerate`` also need k <= N.  Exit codes: 0 success, 2 solver
-non-convergence or a stored profile whose lift is not positive (``verify``,
-which then writes nothing and removes an earlier verify.json), 3
-configuration error (also an output_dir that cannot be created, an output
-file that cannot be written or removed, and a lambda_k that overflows).  Output files
+non-convergence, no degenerate point found (``degenerate``, which then
+writes found: false and removes an earlier profile CSV) or a stored profile
+whose lift is not positive (``verify``, which then writes nothing and
+removes an earlier verify.json), 3 configuration error (also an output_dir
+that cannot be created, an output file that cannot be written or removed,
+and a lambda_k that overflows).  Output files
 are byte-identical across runs for a fixed config and seed on one platform,
 and for a fixed CPU count once a trace has 321 unknowns; floats are written
 with 17 significant digits so values round-trip exactly.  ``main`` sets
@@ -32,19 +34,9 @@ importing the package does not.
 continuation.COARSE_N_MIN and solves each point at the smallest size that
 resolves it, and every record is at N.
 
-``degenerate`` traces and locates the fold at the coarse resolution
-N_c = max(continuation.COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies in
-k..N-1, and solves for it again at N (``continuation.refine_degenerate``);
-the report, the profile and the JSON schema are at N, and the stderr line
-adds the coarse N and the change in lambda* as an error estimate.  It keeps
-this coarse trace rather than the ladder up to N, because only the fold
-itself must be resolved, which the solve at N does: for the four (q, k) of
-the perfbench fold hunt at N = 96 (N_c = 32, the bottom rung), the ladder
-took 11.1-14.7 ms to the located fold and the coarse trace 7.2-10.0 ms
-(medians, one BLAS thread, 2 shared vCPUs).  If the coarse trace
-locates nothing or the refined fold fails a check, the command traces again
-with N as the ceiling, locates from its points at N, and writes exactly
-what it writes without the coarse trace.
+``degenerate`` runs ``continuation.find_degenerate`` (a coarse trace, the
+fold solved for again at N, a trace at N as the fallback); the stderr line
+adds the coarse N and the change in lambda* as an error estimate.
 
 On two or more CPUs (Linux) ``branch`` traces D_k^+ in the calling process
 while one forked child traces D_k^- and writes its files; the child returns
@@ -91,9 +83,6 @@ __all__ = [
 
 # finite-difference step of verify's stencils, written to verify.json as "h"
 _H = 1e-3
-# degenerate traces at max(continuation.COARSE_N_MIN, N // COARSE_N_DIVISOR)
-# when that lies in k..N-1, and solves for the located fold again at N
-COARSE_N_DIVISOR = 3
 
 
 class ConfigError(ValueError):
@@ -216,6 +205,18 @@ def _write_file(path, chunks):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         _remove_partial(path)
+
+
+def _remove_stale(path):
+    """Remove an earlier run's file at path, if any, so that it does not
+    stand beside this run's failure; an OSError becomes a ConfigError
+    naming path (exit 3)."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:  # a directory of that name, say
+        raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}") from exc
 
 
 def _remove_partial(path):
@@ -386,54 +387,15 @@ def _cmd_branch(cfg: RunConfig) -> int:
     return code
 
 
-def _locate_fold(cfg: RunConfig, system: DiscreteSystem) -> tuple:
-    """Trace D_k^+ on ``system`` until a crossing is located; returns the
-    branch and the report, or None for the report."""
-    report = None
-
-    def located(branch) -> bool:
-        # solve for each crossing once, as the trace records it; a failed
-        # candidate lets the trace go on to the next one
-        nonlocal report
-        first = len(branch.points) - 2
-        report = continuation.locate_degenerate(branch, cfg.sigma_tol, system, first=first)
-        return report is not None
-
-    branch = continuation.trace_branch(cfg.k, 1, system, stop=located)
-    return branch, report
-
-
-def _coarse_fold(cfg: RunConfig, system: DiscreteSystem, coarse_N: int):
-    """Locate the fold on a trace at coarse_N and solve for it again on
-    ``system``; returns (report, coarse report), or None when the coarse
-    trace finds none or the refined point fails a check."""
-    coarse = DiscreteSystem(build_grid(coarse_N), cfg.params())
-    try:
-        branch, located = _locate_fold(cfg, coarse)
-    except ConvergenceError:
-        return None
-    if located is None:
-        return None
-    report = continuation.refine_degenerate(branch, located, cfg.sigma_tol, system)
-    return None if report is None else (report, located)
-
-
 def _cmd_degenerate(cfg: RunConfig) -> int:
     system = cfg.system()
-    coarse_N = max(continuation.COARSE_N_MIN, cfg.N // COARSE_N_DIVISOR)
-    found = _coarse_fold(cfg, system, coarse_N) if cfg.k <= coarse_N < cfg.N else None
-    if found is not None:
-        report, coarse = found
-        estimate = (f", N_c = {coarse_N}, |lambda*(N) - lambda*(N_c)| = "
-                    f"{abs(report.lambda_star - coarse.lambda_star):.1e}")
-    else:
-        estimate = ""
-        try:
-            _, report = _locate_fold(cfg, system)
-        except ConvergenceError as exc:
-            _log(f"degenerate k={cfg.k}: {exc}", err=True)
-            return 2
+    try:
+        report, coarse = continuation.find_degenerate(cfg.k, system, cfg.sigma_tol)
+    except ConvergenceError as exc:
+        _log(f"degenerate k={cfg.k}: {exc}", err=True)
+        return 2
     path = os.path.join(cfg.output_dir, f"degenerate_k{cfg.k}.json")
+    profile = os.path.join(cfg.output_dir, f"degenerate_k{cfg.k}_profile.csv")
     payload = {
         "found": report is not None,
         "k": cfg.k,
@@ -444,33 +406,34 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
         "lambda_k": lambda_k(cfg.k, cfg.params()),
     }
     if report is not None:
+        star = report.point
         payload.update(
             {
-                "lambda_star": report.lambda_star,
-                "sigma_at_star": report.sigma_at_star,
-                "nodal_count": report.nodal_count,
-                "u_min": report.u_min,
+                "lambda_star": star.lam,
+                "sigma_at_star": star.sigma_min,
+                "nodal_count": star.nodal_count,
+                "u_min": star.u_min,
                 "s_bracket": list(report.s_bracket),
                 "residual_norm": report.residual_norm,
                 "branch_lambda_min": report.branch_lambda_min,
                 "crossing_index": report.crossing_index,
                 "newton_iterations": report.newton_iterations,
                 "endpoint_derivs": list(report.endpoint_derivs),
-                "phi": report.phi_star.tolist(),
+                "phi": star.phi.tolist(),
             }
         )
     _write_file(path, [json.dumps(payload, indent=2), "\n"])
     if report is None:
+        _remove_stale(profile)
         _log(f"degenerate k={cfg.k}: no eigenvalue crossing found -> {path}", err=True)
         return 2
-    _write_csv(
-        os.path.join(cfg.output_dir, f"degenerate_k{cfg.k}_profile.csv"),
-        "t,phi",
-        zip(system.grid.nodes.tolist(), report.phi_star.tolist()),
-    )
+    _write_csv(profile, "t,phi", zip(system.grid.nodes.tolist(), star.phi.tolist()))
+    estimate = "" if coarse is None else (
+        f", N_c = {coarse.point.rung}, |lambda*(N) - lambda*(N_c)| = "
+        f"{abs(star.lam - coarse.point.lam):.1e}")
     _log(
-        f"degenerate k={cfg.k}: lambda* = {report.lambda_star:.9g}, "
-        f"sigma = {report.sigma_at_star:.3e}, tail = {report.tail:.1e}, "
+        f"degenerate k={cfg.k}: lambda* = {star.lam:.9g}, "
+        f"sigma = {star.sigma_min:.3e}, tail = {star.tail:.1e}, "
         f"newton_iterations = {report.newton_iterations}{estimate} -> {path}"
     )
     return 0
@@ -540,12 +503,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         )
     except PositivityError as exc:
         _log(f"verify: {report_path}: {exc}; verify.json not written", err=True)
-        # an earlier run's verify.json must not stand beside this failure
-        if os.path.exists(path):
-            try:
-                os.remove(path)
-            except OSError as err:  # a directory of that name, say
-                raise ConfigError(f"cannot remove {path}: {err.strerror or err}") from err
+        _remove_stale(path)
         return 2
     out = {
         "n": cfg.n,

@@ -12,18 +12,23 @@ directly by Newton on the minimally extended system of Moore and Spence
 <ell, v> = 1, started from the traced point just before it.  A caller that
 only wants the degenerate point passes trace_branch a ``stop`` predicate
 that locates each crossing as the trace records it, so the trace ends one
-point past the located crossing.  Such a trace can run on a coarser system
-than the answer needs: in the orthonormal basis prolongation is
-zero-padding (``_padded``), so ``refine_degenerate`` pads the located
-point's coefficients and kernel with zeros and solves the extended system
-again on the finer system, in a few Newton steps, with the checks of a
-candidate.
+point past the located crossing.
 
-The same prolongation lets a trace treat its system's N as a ceiling:
-``trace_branch`` climbs a ladder of sizes, one rung whenever a point fails
-the chop test ``collocation.resolved``, and records every point at N, so
-the fold search sees one N.  The ``degenerate`` command keeps its coarse
-trace instead (see ``cli``).
+In the orthonormal basis prolongation is zero-padding (``_padded``), so a
+trace can treat its system's N as a ceiling: ``trace_branch`` climbs a
+ladder of sizes, one rung whenever a point fails the chop test
+``collocation.resolved``, and records every point at N, so the fold search
+sees one N.  ``find_degenerate``, the ``degenerate`` command's search,
+traces at N_c = max(COARSE_N_MIN, N // COARSE_N_DIVISOR) instead when that
+lies in k..N-1, and ``_refine_degenerate`` pads the located point's
+coefficients and kernel with zeros and solves the extended system again at
+N, in a few Newton steps, with the checks of a candidate.  Only the fold
+itself must be resolved, which the solve at N does: for the four (q, k) of
+the perfbench fold hunt at N = 96 (N_c = 32, the bottom rung), the ladder
+took 11.1-14.7 ms to the located fold and the coarse trace 7.2-10.0 ms
+(medians, one BLAS thread, 2 shared vCPUs).  If the coarse trace stalls,
+locates nothing or the refined fold fails a check, ``find_degenerate``
+traces again with N as the ceiling and locates from its points at N.
 
 Every Newton solve runs one damped loop, ``_newton``, converged to
 NEWTON_TOL, the tolerance that ``collocation.nodal_count`` also takes as its
@@ -85,7 +90,7 @@ __all__ = [
     "arclength_step",
     "trace_branch",
     "locate_degenerate",
-    "refine_degenerate",
+    "find_degenerate",
 ]
 
 MAX_ITER = 30
@@ -97,9 +102,10 @@ SEED_AMPLITUDE = 1e-2
 MAX_BACKTRACK = 20
 # branch event kinds that mark a candidate eigenvalue crossing
 CROSSING_EVENTS = ("fold", "sigma-zero")
-# the bottom rung of a trace's ladder of sizes, and the least coarse N of
-# the degenerate command's trace
+# the bottom rung of a trace's ladder of sizes; find_degenerate traces at
+# max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies in k..N-1
 COARSE_N_MIN = 32
+COARSE_N_DIVISOR = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -128,42 +134,35 @@ class Branch:
 
     k: int
     direction: int
-    lambda_origin: float
     points: list = field(default_factory=list)
     events: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class DegeneracyReport:
-    """A located degenerate pair (phi*, lambda*) with diagnostics.
+    """A located degenerate point with diagnostics.
 
-    ``s_bracket`` holds the projection coordinates s of the traced pair
-    (crossing_index, crossing_index + 1) whose crossing was located;
-    ``branch_lambda_min`` is the minimum of lambda over the traced points
-    and the located one (a trace stopped at the crossing ends one point
-    past it), so the relation between the eigenvalue crossing and the
+    ``point`` is the located SolutionPoint: phi*, lambda* and their
+    diagnostics, ``rung`` being the N it was solved at.  ``kernel`` holds
+    the kernel v of J there, in the coefficients of the traced sector, with
+    <ell, v> = 1.  ``s_bracket`` holds the projection coordinates s of the
+    traced pair (crossing_index, crossing_index + 1) whose crossing was
+    located; ``branch_lambda_min`` is the minimum of lambda over the traced
+    points and the located one (a trace stopped at the crossing ends one
+    point past it), so the relation between the eigenvalue crossing and the
     minimal-lambda point stays observable.  ``endpoint_derivs`` reports
-    phi'(+1), phi'(-1) of the profile; ``newton_iterations`` counts the
-    Newton steps on the extended system that located it, and ``tail`` is
-    the located point's resolution estimate (see SolutionPoint).  ``coeffs``
-    holds the N + 1 coefficients of phi* and ``kernel`` the kernel v of J
-    there, in the coefficients of the traced sector, with <ell, v> = 1.
+    phi'(+1), phi'(-1) of the profile, and ``newton_iterations`` counts the
+    Newton steps on the extended system that located it.
     """
 
-    lambda_star: float
-    phi_star: np.ndarray
-    sigma_at_star: float
-    nodal_count: int
-    u_min: float
+    point: SolutionPoint
+    kernel: np.ndarray
     s_bracket: tuple
     residual_norm: float
     branch_lambda_min: float
     crossing_index: int
     endpoint_derivs: tuple
     newton_iterations: int
-    tail: float
-    coeffs: np.ndarray
-    kernel: np.ndarray
 
 
 def _solve(A, b):
@@ -420,7 +419,7 @@ def trace_branch(
         raise ValueError(f"direction must be -1 or +1, got {direction}")
     lam_k = lambda_k(k, sys.params)
     lambda_floor = 1e-3 * lambda_k(1, sys.params)
-    branch = Branch(k=k, direction=direction, lambda_origin=lam_k)
+    branch = Branch(k=k, direction=direction)
     parity = _parity(k)
     modes = _modes(parity)
     rungs = _rungs(sys.grid.N, k)
@@ -587,20 +586,14 @@ def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
     parity = _parity(branch.k)
     F = assemble_residual(star.coeffs[_modes(parity)], star.lam, sys, parity)
     return DegeneracyReport(
-        lambda_star=star.lam,
-        phi_star=star.phi,
-        sigma_at_star=star.sigma_min,
-        nodal_count=star.nodal_count,
-        u_min=star.u_min,
+        point=star,
+        kernel=v,
         s_bracket=(a.s_coord, b.s_coord),
         residual_norm=float(np.max(np.abs(F))),
         branch_lambda_min=min([p.lam for p in branch.points] + [star.lam]),
         crossing_index=i,
         endpoint_derivs=sys.endpoint_derivatives(star.coeffs),
         newton_iterations=earlier_steps + steps,
-        tail=star.tail,
-        coeffs=star.coeffs,
-        kernel=v,
     )
 
 
@@ -626,12 +619,7 @@ def _solve_fold(branch, i, sigma_tol, sys):
     return _fold_report(branch, i, (c, a.lam, v), refs, sigma_tol, sys)
 
 
-def refine_degenerate(
-    branch: Branch,
-    report: DegeneracyReport,
-    sigma_tol: float,
-    sys: DiscreteSystem,
-) -> DegeneracyReport | None:
+def _refine_degenerate(branch, report, sigma_tol, sys):
     """Solve again on the finer system ``sys`` for the degenerate point that
     locate_degenerate reported on ``branch``, traced on a coarser system of
     the same problem; or None.
@@ -644,9 +632,44 @@ def refine_degenerate(
     from the coarse trace, and ``newton_iterations`` counts both solves.
     """
     parity = _parity(branch.k)
-    coarse = _padded(report.coeffs, sys)
-    c = coarse[_modes(parity)]
+    coarse = _padded(report.point.coeffs, sys)
+    lam = report.point.lam
     v = _padded(report.kernel, sys, parity)
-    return _fold_report(branch, report.crossing_index, (c, report.lambda_star, v),
-                        [(coarse, report.lambda_star)], sigma_tol, sys, report.newton_iterations)
+    return _fold_report(branch, report.crossing_index, (coarse[_modes(parity)], lam, v),
+                        [(coarse, lam)], sigma_tol, sys, report.newton_iterations)
 
+
+def _trace_to_fold(k, sys, sigma_tol):
+    """Trace D_k^+ on ``sys`` until a crossing is located; returns the
+    branch and the report, or None for the report."""
+    report = None
+
+    def located(branch) -> bool:
+        # solve for each crossing once, as the trace records it; a failed
+        # candidate lets the trace go on to the next one
+        nonlocal report
+        report = locate_degenerate(branch, sigma_tol, sys, first=len(branch.points) - 2)
+        return report is not None
+
+    branch = trace_branch(k, 1, sys, stop=located)
+    return branch, report
+
+
+def find_degenerate(k: int, sys: DiscreteSystem, sigma_tol: float) -> tuple:
+    """(report, coarse report) of the degenerate point on D_k^+ at sys's N
+    and of the one at N_c it was solved from (see the module docstring);
+    the coarse report is None when the fold was located on a trace at N,
+    the report too when none was.  A ConvergenceError of the trace at N
+    propagates."""
+    N = sys.grid.N
+    coarse_N = max(COARSE_N_MIN, N // COARSE_N_DIVISOR)
+    if k <= coarse_N < N:
+        try:
+            branch, coarse = _trace_to_fold(
+                k, DiscreteSystem(build_grid(coarse_N), sys.params), sigma_tol)
+        except ConvergenceError:
+            coarse = None
+        report = None if coarse is None else _refine_degenerate(branch, coarse, sigma_tol, sys)
+        if report is not None:
+            return report, coarse
+    return _trace_to_fold(k, sys, sigma_tol)[1], None

@@ -212,17 +212,17 @@ def test_criterion_7_degenerate_construction(degenerate_runs, params, system96):
         # library-level report and branch invariants
         report = run["report"]
         assert report is not None
-        assert report.lambda_star < lam_k
-        assert abs(report.sigma_at_star) < 1e-6
-        assert report.u_min > 0
-        assert report.nodal_count == k
+        assert report.point.lam < lam_k
+        assert abs(report.point.sigma_min) < 1e-6
+        assert report.point.u_min > 0
+        assert report.point.nodal_count == k
         assert report.residual_norm < 1e-10
         assert report.newton_iterations <= 10
         assert all(pt.nodal_count == k for pt in run["branch"].points)
         # independent dense eigendecomposition at the reported point, from
         # the coefficients of the interpolant of its node values
-        c = system96.coefficients(lambda t: interpolate(system96.grid, report.phi_star, t))
-        J = assemble_jacobian(c, report.lambda_star, system96)
+        c = system96.coefficients(lambda t: interpolate(system96.grid, report.point.phi, t))
+        J = assemble_jacobian(c, report.point.lam, system96)
         assert np.min(np.abs(np.linalg.eigvals(J))) < 1e-6
         # the CLI report agrees
         payload = run["payload"]
@@ -234,12 +234,12 @@ def test_criterion_7_degenerate_construction(degenerate_runs, params, system96):
         assert payload["residual_norm"] < 1e-10
         assert payload["newton_iterations"] <= 10
         assert payload["lambda_star"] == pytest.approx(
-            report.lambda_star, rel=1e-8
+            report.point.lam, rel=1e-8
         )
     _report(
         "criterion 7 (degenerate solutions)",
-        f"k=2: lambda* = {runs[2]['report'].lambda_star:.6f} < 12, "
-        f"k=4: lambda* = {runs[4]['report'].lambda_star:.6f} < 40; "
+        f"k=2: lambda* = {runs[2]['report'].point.lam:.6f} < 12, "
+        f"k=4: lambda* = {runs[4]['report'].point.lam:.6f} < 40; "
         f"sigma, positivity, nodal counts, residuals all within tolerance "
         f"({runs[2]['elapsed']:.1f}s / {runs[4]['elapsed']:.1f}s)",
     )

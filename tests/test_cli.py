@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import spherebif
+import spherebif.continuation as continuation
 from spherebif.cli import (
     ConfigError,
     RunConfig,
@@ -178,6 +179,17 @@ class TestConfig:
         assert f"configuration error: cannot remove {tmp_path / 'verify.json'}: " in err
         assert "Traceback" not in err
         assert (tmp_path / "verify.json").is_dir()
+
+    def test_a_directory_in_place_of_a_profile_to_remove_exits_three(self, tmp_path, capsys):
+        (tmp_path / "degenerate_k2_profile.csv").mkdir()
+        argv = ["degenerate", "n=4", "q=2.05", "k=2", "N=32", f"output_dir={tmp_path}"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        path = tmp_path / "degenerate_k2_profile.csv"
+        assert f"configuration error: cannot remove {path}: " in err
+        assert "Traceback" not in err
+        assert path.is_dir()
+        assert json.loads((tmp_path / "degenerate_k2.json").read_text())["found"] is False
 
     def test_eigen_and_poly_take_any_k(self, tmp_path):
         # they do not discretize, so k > N is no error for them
@@ -412,8 +424,8 @@ class TestDegenerateAndVerify:
         assert len(full.points) == 400
         ref = locate_degenerate(full, 1e-6, system48)
         assert rep["crossing_index"] == ref.crossing_index
-        assert rep["lambda_star"] == pytest.approx(ref.lambda_star, rel=1e-12, abs=0)
-        np.testing.assert_allclose(rep["phi"], ref.phi_star, rtol=0, atol=1e-12)
+        assert rep["lambda_star"] == pytest.approx(ref.point.lam, rel=1e-12, abs=0)
+        np.testing.assert_allclose(rep["phi"], ref.point.phi, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("q,k", [(6.0, 6), (4.0, 4)])
     def test_hard_folds_are_located(self, tmp_path, q, k):
@@ -479,6 +491,16 @@ class TestDegenerateAndVerify:
         rep = json.loads((tmp_path / "degenerate_k1.json").read_text())
         assert rep["found"] is False
 
+    def test_a_degenerate_that_finds_nothing_removes_an_earlier_profile(self, tmp_path, capsys):
+        # q = 2.1 has a fold at N = 32; q = 2.05 has none
+        argv = ["degenerate", "n=4", "k=2", "N=32", f"output_dir={tmp_path}"]
+        assert main([*argv, "q=2.1"]) == 0
+        assert (tmp_path / "degenerate_k2_profile.csv").is_file()
+        assert main([*argv, "q=2.05"]) == 2
+        assert "no eigenvalue crossing found" in capsys.readouterr().err
+        assert json.loads((tmp_path / "degenerate_k2.json").read_text())["found"] is False
+        assert not (tmp_path / "degenerate_k2_profile.csv").exists()
+
 
 def _degenerate_outputs(tmp_path, capsys, overrides) -> tuple:
     """Run ``degenerate`` in a new directory under tmp_path; returns its
@@ -492,11 +514,9 @@ def _degenerate_outputs(tmp_path, capsys, overrides) -> tuple:
 
 def _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides) -> tuple:
     """The outputs of ``degenerate`` when it traces at N itself."""
-    import spherebif.cli as cli_mod
-
     with monkeypatch.context() as m:
         # N_c = max(32, N): never below N
-        m.setattr(cli_mod, "COARSE_N_DIVISOR", 1)
+        m.setattr(continuation, "COARSE_N_DIVISOR", 1)
         return _degenerate_outputs(tmp_path, capsys, overrides)
 
 
@@ -520,7 +540,7 @@ class TestCoarseFold:
         branch = trace_branch(k, 1, system, max_points=crossing_index + 2)
         ref = locate_degenerate(branch, 1e-6, system)
         assert ref.crossing_index == crossing_index
-        assert rep["lambda_star"] == pytest.approx(ref.lambda_star, rel=1e-10, abs=0)
+        assert rep["lambda_star"] == pytest.approx(ref.point.lam, rel=1e-10, abs=0)
         assert rep["residual_norm"] < 1e-10
         assert abs(rep["sigma_at_star"]) < cfg.sigma_tol
         assert rep["nodal_count"] == k and rep["u_min"] > 0
@@ -528,12 +548,10 @@ class TestCoarseFold:
 
     def test_small_N_traces_at_N(self, tmp_path, capsys, monkeypatch):
         # N_c = 32 is not below N = 32: the command runs as it always has
-        import spherebif.cli as cli_mod
-
         def unexpected(*args):
-            pytest.fail("refine_degenerate called at N = 32")
+            pytest.fail("_refine_degenerate called at N = 32")
 
-        monkeypatch.setattr(cli_mod.continuation, "refine_degenerate", unexpected)
+        monkeypatch.setattr(continuation, "_refine_degenerate", unexpected)
         overrides = ["k=2", "N=32"]
         code, files, err = _degenerate_outputs(tmp_path, capsys, overrides)
         assert code == 0 and "N_c" not in err
@@ -551,20 +569,21 @@ class TestCoarseFold:
             return build_grid(N)
 
         monkeypatch.setattr(cli_mod, "build_grid", recording_grid)
+        monkeypatch.setattr(continuation, "build_grid", recording_grid)
         cfg = parse_config(None, [f"output_dir={tmp_path}", "k=33", "N=48"])
         assert dispatch("degenerate", cfg) == 2
         assert json.loads((tmp_path / "degenerate_k33.json").read_text())["found"] is False
-        assert built == [48]
+        # the system at N, then the ladder of the trace at N, whose bottom
+        # rung is raised to k = 33; no grid at N_c = 32
+        assert built == [48, 33]
 
     @pytest.mark.parametrize("failure", ["refinement", "no crossing", "convergence"])
     def test_a_failed_coarse_fold_falls_back_to_a_trace_at_N(
         self, tmp_path, capsys, monkeypatch, failure
     ):
-        import spherebif.cli as cli_mod
-
         overrides = ["k=2", "N=48"]
         expected = _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides)
-        trace, locate = cli_mod.continuation.trace_branch, cli_mod.continuation.locate_degenerate
+        trace, locate = continuation.trace_branch, continuation.locate_degenerate
 
         def coarse_trace(k, direction, sys, **kwargs):
             if sys.grid.N == 32:
@@ -575,11 +594,11 @@ class TestCoarseFold:
             return None if sys.grid.N == 32 else locate(branch, sigma_tol, sys, **kwargs)
 
         patch = {
-            "refinement": ("refine_degenerate", lambda *args: None),
+            "refinement": ("_refine_degenerate", lambda *args: None),
             "no crossing": ("locate_degenerate", coarse_locate),
             "convergence": ("trace_branch", coarse_trace),
         }[failure]
-        monkeypatch.setattr(cli_mod.continuation, *patch)
+        monkeypatch.setattr(continuation, *patch)
         code, files, err = _degenerate_outputs(tmp_path, capsys, overrides)
         assert code == 0 and "N_c" not in err
         assert (code, files, err) == expected
@@ -596,6 +615,15 @@ class TestCoarseFold:
         assert f", N_c = 32, |lambda*(N) - lambda*(N_c)| = {change} -> OUT" in err
         assert float(change) >= 1e-9
         assert lam == pytest.approx(20.364737861326915, rel=1e-12, abs=0)
+
+    def test_N_c_is_a_third_of_a_large_N(self, tmp_path, capsys):
+        # N // 3 exceeds COARSE_N_MIN = 32 from N = 99 on: N = 120 traces at 40
+        code, files, err = _degenerate_outputs(tmp_path, capsys, ["q=3", "k=2", "N=120"])
+        assert code == 0
+        assert ", N_c = 40, |lambda*(N) - lambda*(N_c)| = " in err
+        rep = json.loads(files["degenerate_k2.json"])
+        assert rep["lambda_star"] == pytest.approx(11.223525580329053, rel=1e-12, abs=0)
+        assert len(rep["phi"]) == 121
 
 
 def _one_cpu(monkeypatch):

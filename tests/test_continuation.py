@@ -24,9 +24,9 @@ from spherebif.continuation import (
     StepRejected,
     arclength_step,
     branch_seed,
+    find_degenerate,
     locate_degenerate,
     newton_solve,
-    refine_degenerate,
     solve_at_s,
     trace_branch,
 )
@@ -260,17 +260,17 @@ class TestDegeneracy:
     def test_report_invariants(self, fold_report, system48, params):
         branch, report = fold_report
         assert report is not None
-        assert report.lambda_star < lambda_k(2, params)
-        assert abs(report.sigma_at_star) < 1e-6
-        assert report.u_min > 0
-        assert report.nodal_count == 2
+        assert report.point.lam < lambda_k(2, params)
+        assert abs(report.point.sigma_min) < 1e-6
+        assert report.point.u_min > 0
+        assert report.point.nodal_count == 2
         assert report.residual_norm < 1e-10
 
     def test_independent_eigendecomposition(self, fold_report, system48):
         # the full Jacobian at the reported profile, rebuilt from its node values
         _, report = fold_report
-        c = system48.coefficients(lambda t: interpolate(system48.grid, report.phi_star, t))
-        J = assemble_jacobian(c, report.lambda_star, system48)
+        c = system48.coefficients(lambda t: interpolate(system48.grid, report.point.phi, t))
+        J = assemble_jacobian(c, report.point.lam, system48)
         ev = np.linalg.eigvals(J)
         assert np.min(np.abs(ev)) < 1e-6
 
@@ -278,15 +278,15 @@ class TestDegeneracy:
         # no boundary rows: the regular limits at t = +/-1 of the model hold
         # for the Galerkin solution to its spectral accuracy
         _, report = fold_report
-        ends = zip((1, -1), report.phi_star[[0, -1]], report.endpoint_derivs)
+        ends = zip((1, -1), report.point.phi[[0, -1]], report.endpoint_derivs)
         for side, phi_end, dphi_end in ends:
-            res = endpoint_residual(side, phi_end, dphi_end, report.lambda_star, params)
-            assert abs(res) < 1e-9 * report.lambda_star
+            res = endpoint_residual(side, phi_end, dphi_end, report.point.lam, params)
+            assert abs(res) < 1e-9 * report.point.lam
 
     def test_crossing_near_lambda_minimum(self, fold_report):
         # the eigenvalue crossing sits at the fold, the branch lambda-min
         branch, report = fold_report
-        assert report.lambda_star == pytest.approx(report.branch_lambda_min, abs=1e-6)
+        assert report.point.lam == pytest.approx(report.branch_lambda_min, abs=1e-6)
 
     def test_sigma_zero_and_fold_events(self, fold_report):
         branch, _ = fold_report
@@ -334,7 +334,7 @@ class TestDegeneracy:
         counting(continuation, "arclength_step")
         counting(collocation, "sigma_min")
         again = locate_degenerate(branch, 1e-6, system48)
-        assert again.lambda_star == report.lambda_star
+        assert again.point.lam == report.point.lam
         assert calls == {"arclength_step": 0, "sigma_min": 1}
         assert 1 <= report.newton_iterations <= 10
 
@@ -424,7 +424,7 @@ class TestEvenSector:
             assert all(np.array_equal(pt.phi, pt.phi[::-1]) for pt in branch.points)
             assert all(not pt.coeffs[1::2].any() for pt in branch.points)
         _, report = fold_report
-        assert np.array_equal(report.phi_star, report.phi_star[::-1])
+        assert np.array_equal(report.point.phi, report.point.phi[::-1])
         # a start with odd modes keeps only its even ones
         c0 = 0.05 * system48.basis(2) + 1e-9 * system48.basis(1)
         pt = newton_solve(c0, lambda_k(2, params) - 0.1, system48, k=2)
@@ -441,7 +441,7 @@ class TestEvenSector:
         report = locate_degenerate(branch, 1e-6, system)
         assert report.residual_norm < 1e-10
         # the N=96 value of the acceptance tests
-        assert report.lambda_star == pytest.approx(11.223525580301466, rel=1e-10)
+        assert report.point.lam == pytest.approx(11.223525580301466, rel=1e-10)
 
     def test_odd_k_solves_the_full_system(self, system48, monkeypatch):
         calls = []
@@ -541,7 +541,7 @@ def test_no_jump_onto_the_trivial_solution(N):
         if direction == 1:
             report = locate_degenerate(branch, 1e-6, system)
             # the N=96 value, 20.364737861326915
-            assert report.lambda_star == pytest.approx(20.364737861326915, rel=1e-5)
+            assert report.point.lam == pytest.approx(20.364737861326915, rel=1e-5)
 
 
 def test_tail_flags_the_under_resolved_plus_branch():
@@ -551,11 +551,11 @@ def test_tail_flags_the_under_resolved_plus_branch():
     fine = DiscreteSystem(build_grid(96), params)
     branch = trace_branch(2, 1, fine, max_points=40)
     report = locate_degenerate(branch, 1e-6, fine)
-    assert report.lambda_star == pytest.approx(3.805826448682, rel=1e-10)
+    assert report.point.lam == pytest.approx(3.805826448682, rel=1e-10)
     pair = branch.points[report.crossing_index : report.crossing_index + 2]
-    nearest = min(pair, key=lambda pt: abs(pt.lam - report.lambda_star))
+    nearest = min(pair, key=lambda pt: abs(pt.lam - report.point.lam))
     assert nearest.tail < 1e-12
-    assert report.tail < 1e-12
+    assert report.point.tail < 1e-12
     coarse = DiscreteSystem(build_grid(48), params)
     under = trace_branch(2, 1, coarse)
     assert max(pt.tail for pt in under.points) > 1e-4
@@ -625,27 +625,59 @@ class TestRefineDegenerate:
     def test_matches_the_fold_located_at_N(self, coarse_fold, fold_report, system48):
         branch, coarse = coarse_fold
         _, ref = fold_report
-        assert coarse.coeffs.shape == (33,) and coarse.kernel.shape == (17,)
-        report = refine_degenerate(branch, coarse, 1e-6, system48)
-        assert report.lambda_star == pytest.approx(ref.lambda_star, rel=1e-12, abs=0)
-        assert_allclose(report.phi_star, ref.phi_star, rtol=0, atol=1e-12)
+        assert coarse.point.coeffs.shape == (33,) and coarse.kernel.shape == (17,)
+        report = continuation._refine_degenerate(branch, coarse, 1e-6, system48)
+        assert report.point.lam == pytest.approx(ref.point.lam, rel=1e-12, abs=0)
+        assert_allclose(report.point.phi, ref.point.phi, rtol=0, atol=1e-12)
         assert report.crossing_index == coarse.crossing_index == ref.crossing_index
         assert report.s_bracket == coarse.s_bracket
-        assert report.branch_lambda_min == report.lambda_star
+        assert report.branch_lambda_min == report.point.lam
         assert coarse.newton_iterations <= report.newton_iterations <= coarse.newton_iterations + 2
-        assert abs(report.sigma_at_star) < 1e-6 and report.residual_norm < 1e-10
+        assert abs(report.point.sigma_min) < 1e-6 and report.residual_norm < 1e-10
         # the kernel of the refined point, in the even sector of N = 48
-        J = assemble_jacobian(report.coeffs[::2], report.lambda_star, system48, 1)
+        J = assemble_jacobian(report.point.coeffs[::2], report.point.lam, system48, 1)
         assert report.kernel.shape == (25,)
         assert np.max(np.abs(J @ report.kernel)) < 1e-10
 
     def test_a_point_that_fails_a_check_is_not_reported(self, coarse_fold, system48):
         branch, coarse = coarse_fold
-        assert refine_degenerate(branch, coarse, 1e-30, system48) is None
+        assert continuation._refine_degenerate(branch, coarse, 1e-30, system48) is None
         # a start this far from the fold converges onto it, farther from the
         # start than the traced pair's chord
-        moved = dataclasses.replace(coarse, lambda_star=coarse.lambda_star + 1.0)
-        assert refine_degenerate(branch, moved, 1e-6, system48) is None
+        point = dataclasses.replace(coarse.point, lam=coarse.point.lam + 1.0)
+        moved = dataclasses.replace(coarse, point=point)
+        assert continuation._refine_degenerate(branch, moved, 1e-6, system48) is None
+
+
+class TestFindDegenerate:
+    """The degenerate command's search: a trace at N_c, the fold solved for
+    again at N, a trace at N when that fails."""
+
+    def test_a_fold_located_at_N_c_is_solved_for_at_N(self, fold_report, system48):
+        report, coarse = find_degenerate(2, system48, 1e-6)
+        assert (report.point.rung, coarse.point.rung) == (48, 32)
+        assert report.point.lam == pytest.approx(fold_report[1].point.lam, rel=1e-12, abs=0)
+        assert report.crossing_index == coarse.crossing_index
+        assert report.point.coeffs.shape == (49,) and report.kernel.shape == (25,)
+
+    def test_no_fold_returns_none(self, system48):
+        # k = 3 has no fold: neither the trace at N_c = 32 nor the one at 48
+        # locates a crossing
+        assert find_degenerate(3, system48, 1e-6) == (None, None)
+
+    def test_N_c_not_below_N_traces_at_N(self, monkeypatch, params):
+        # N_c = 32 is N itself: one trace at N = 32, and no other grid built
+        system = DiscreteSystem(build_grid(32), params)
+        built = []
+
+        def recording_grid(N):
+            built.append(N)
+            return build_grid(N)
+
+        monkeypatch.setattr(continuation, "build_grid", recording_grid)
+        report, coarse = find_degenerate(2, system, 1e-6)
+        assert coarse is None and report.point.rung == 32
+        assert built == []
 
 
 class TestPsiSmallness:
