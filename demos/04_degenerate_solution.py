@@ -4,9 +4,10 @@
 # Along the even-mode branch the smallest-magnitude eigenvalue of the
 # Jacobian changes sign at the fold in lambda; Newton on the extended
 # system F = 0, J v = 0, <ell, v> = 1 solves for the fold directly.
-# find_degenerate runs the degenerate command's search: it locates the
-# fold on a trace at N_c = 32 and solves for it again at N = 64.  The
-# resulting pair (u = phi + 1, lambda*) is a positive solution with
+# find_degenerate runs the degenerate command's search: one trace climbs
+# the sizes 32, 48, 64 only as far as its points need, the fold is located
+# on the size the trace reached and, below N = 64, solved for again at N.
+# The resulting pair (u = phi + 1, lambda*) is a positive solution with
 # exactly k sign changes that depends on both sphere factors.
 
 import numpy as np
@@ -19,7 +20,7 @@ params = ModelParams(n=2, delta=1.0, q=3.0)
 system = DiscreteSystem(build_grid(64), params)
 
 k = 2
-report, coarse = find_degenerate(k, system, sigma_tol=1e-6)
+report, rung = find_degenerate(k, system, sigma_tol=1e-6)
 star = report.point
 
 print(f"mode k = {k}: lambda_k = {lambda_k(k, params)}")
@@ -29,7 +30,10 @@ print(f"  nodal count    = {star.nodal_count}")
 print(f"  min of u       = {star.u_min:.6f}  (stays positive)")
 print(f"  residual norm  = {report.residual_norm:.3e}")
 print(f"  coefficient tail = {star.tail:.1e}  (resolved by N=64)")
-print(f"  change from N_c = {coarse.point.rung}: {abs(star.lam - coarse.point.lam):.1e}")
+if rung is None:
+    print(f"  located at N = {system.grid.N} itself")
+else:
+    print(f"  change from rung {rung.point.rung}: {abs(star.lam - rung.point.lam):.1e}")
 print(f"  s bracket      = ({report.s_bracket[0]:.6f}, {report.s_bracket[1]:.6f})")
 print(f"  branch lambda-min = {report.branch_lambda_min:.9f}")
 print(f"  newton iterations = {report.newton_iterations}")

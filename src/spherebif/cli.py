@@ -31,12 +31,13 @@ importing the package does not.
 
 ``branch`` traces each direction with N as a ceiling:
 ``continuation.trace_branch`` climbs a ladder of sizes from
-continuation.COARSE_N_MIN and solves each point at the smallest size that
+continuation.BOTTOM_RUNG and solves each point at the smallest size that
 resolves it, and every record is at N.
 
-``degenerate`` runs ``continuation.find_degenerate`` (a coarse trace, the
-fold solved for again at N, a trace at N as the fallback); the stderr line
-adds the coarse N and the change in lambda* as an error estimate.
+``degenerate`` runs ``continuation.find_degenerate``: one trace on the same
+ladder, each fold located on the rung the trace reached and solved for
+again at N; after a fold located below N the stderr line adds that rung
+and the change in lambda* as an error estimate.
 
 On two or more CPUs (Linux) ``branch`` traces D_k^+ in the calling process
 while one forked child traces D_k^- and writes its files; the child returns
@@ -390,7 +391,7 @@ def _cmd_branch(cfg: RunConfig) -> int:
 def _cmd_degenerate(cfg: RunConfig) -> int:
     system = cfg.system()
     try:
-        report, coarse = continuation.find_degenerate(cfg.k, system, cfg.sigma_tol)
+        report, rung = continuation.find_degenerate(cfg.k, system, cfg.sigma_tol)
     except ConvergenceError as exc:
         _log(f"degenerate k={cfg.k}: {exc}", err=True)
         return 2
@@ -428,9 +429,9 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
         _log(f"degenerate k={cfg.k}: no eigenvalue crossing found -> {path}", err=True)
         return 2
     _write_csv(profile, "t,phi", zip(system.grid.nodes.tolist(), star.phi.tolist()))
-    estimate = "" if coarse is None else (
-        f", N_c = {coarse.point.rung}, |lambda*(N) - lambda*(N_c)| = "
-        f"{abs(star.lam - coarse.point.lam):.1e}")
+    estimate = "" if rung is None else (
+        f", rung = {rung.point.rung}, |lambda*(N) - lambda*(rung)| = "
+        f"{abs(star.lam - rung.point.lam):.1e}")
     _log(
         f"degenerate k={cfg.k}: lambda* = {star.lam:.9g}, "
         f"sigma = {star.sigma_min:.3e}, tail = {star.tail:.1e}, "

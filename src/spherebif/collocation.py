@@ -63,8 +63,8 @@ NEWTON_TOL = 1e-10
 # of eigvalsh and the rounding of V^T W V = I
 _WEYL_MARGIN = 1e-10
 
-# relative tolerance of the chop test ``resolved``: machine precision, the
-# default of Aurentz and Trefethen's standardChop
+# default relative tolerance of the chop test ``resolved``: machine
+# precision, the default of Aurentz and Trefethen's standardChop
 CHOP_TOL = float(np.finfo(float).eps)
 
 __all__ = [
@@ -170,8 +170,8 @@ def _tables(N: int, n: int) -> tuple:
     dimension n (see there), built once per (N, n)."""
     rule = gauss_jacobi_rule(-(-3 * (N + 1) // 2) + 1, n)
     M = rule.nodes.size
-    # nodal_count's refinement grid: 8N - 1 equispaced interior points
-    fine = np.linspace(-1.0, 1.0, 8 * N + 1)[1:-1]
+    # nodal_count's refinement grid: 8N Chebyshev points, crowding toward +/-1
+    fine = np.cos(np.pi * (np.arange(8 * N) + 0.5) / (8 * N))
     # P[j] holds P_{j,n} at the rule nodes, the Lobatto nodes and the
     # refinement points, normalized in place
     P = gegenbauer_eval(N, n, np.concatenate([rule.nodes, build_grid(N).nodes, fine]),
@@ -359,9 +359,11 @@ def _radii(sys: DiscreteSystem, h, prior) -> tuple:
 def nodal_count(sys: DiscreteSystem, c, parity: int = 0) -> int:
     """Sign-change zeros of the expansion with coefficients c on (-1, 1).
 
-    Scans a refinement grid of 8N - 1 interior points and counts the sign
-    changes between consecutive samples outside the dead band
-    max(1e-9 * max|phi|, NEWTON_TOL) (tangential touches do not count).
+    Scans a refinement grid of the 8N Chebyshev points cos(pi (j + 1/2) / 8N)
+    and counts the sign changes between consecutive samples outside the
+    dead band max(1e-9 * max|phi|, NEWTON_TOL) (tangential touches do not
+    count).  The points crowd toward t = +/-1 as the zeros of P_{k,n} do,
+    so every mode k <= N reads k zeros.
     A profile with max|phi| <= NEWTON_TOL is the trivial solution u = 1 to
     the solver's tolerance and has no zeros, so a continuation step that
     falls onto it changes the nodal count.
@@ -375,14 +377,14 @@ def nodal_count(sys: DiscreteSystem, c, parity: int = 0) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
-def resolved(c) -> bool:
+def resolved(c, tol: float = CHOP_TOL) -> bool:
     """The chop test: whether the coefficients c of a profile reach a plateau.
 
     This is step 2 of the rule ``standardChop`` of Aurentz and Trefethen
     ("Chopping a Chebyshev series", ACM TOMS 43, 2017) at the relative
-    tolerance CHOP_TOL.  On the envelope e_j = max_{i >= j} |c_i| / max|c|
+    tolerance tol.  On the envelope e_j = max_{i >= j} |c_i| / max|c|
     (j from 1), a plateau starts at j when e_j = 0 or when e_j2 / e_j >
-    3 (1 - log e_j / log CHOP_TOL) at j2 = round(1.25 j + 5) <= len(c).  The
+    3 (1 - log e_j / log tol) at j2 = round(1.25 j + 5) <= len(c).  The
     coefficients beyond it are noise, so the series is resolved.  Fewer than
     17 coefficients never are, and an all-zero c is.  An even profile's odd
     coefficients are zero, which leaves the envelope as it is.
@@ -400,7 +402,7 @@ def resolved(c) -> bool:
         return True
     j = np.arange(2, top + 1)
     e2 = env[(5 * j + 22) // 4 - 1] / env[0]  # round(1.25 j + 5), halves up
-    return bool(np.any(e2 > e1 * (3.0 - 3.0 * np.log(e1) / np.log(CHOP_TOL))))
+    return bool(np.any(e2 > e1 * (3.0 - 3.0 * np.log(e1) / np.log(tol))))
 
 
 def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None, prior=None) -> "SolutionPoint":

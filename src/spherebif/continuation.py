@@ -17,18 +17,14 @@ point past the located crossing.
 In the orthonormal basis prolongation is zero-padding (``_padded``), so a
 trace can treat its system's N as a ceiling: ``trace_branch`` climbs a
 ladder of sizes, one rung whenever a point fails the chop test
-``collocation.resolved``, and records every point at N, so the fold search
-sees one N.  ``find_degenerate``, the ``degenerate`` command's search,
-traces at N_c = max(COARSE_N_MIN, N // COARSE_N_DIVISOR) instead when that
-lies in k..N-1, and ``_refine_degenerate`` pads the located point's
-coefficients and kernel with zeros and solves the extended system again at
-N, in a few Newton steps, with the checks of a candidate.  Only the fold
-itself must be resolved, which the solve at N does: for the four (q, k) of
-the perfbench fold hunt at N = 96 (N_c = 32, the bottom rung), the ladder
-took 11.1-14.7 ms to the located fold and the coarse trace 7.2-10.0 ms
-(medians, one BLAS thread, 2 shared vCPUs).  If the coarse trace stalls,
-locates nothing or the refined fold fails a check, ``find_degenerate``
-traces again with N as the ceiling and locates from its points at N.
+``collocation.resolved`` at the trace's tolerance, and records every point
+at N.  ``find_degenerate``, the ``degenerate`` command's search, runs one
+such trace at the looser tolerance PATH_TOL: the path only has to bracket
+each crossing, so it stays on low rungs.  Each candidate is solved on the
+system of the rung its pair reached, and a fold located below N is solved
+again at N by ``_refine_degenerate``, from its coefficients and kernel
+padded with zeros, in a few Newton steps and with the checks of a
+candidate; a fold that fails them lets the trace go on.
 
 Every Newton solve runs one damped loop, ``_newton``, converged to
 NEWTON_TOL, the tolerance that ``collocation.nodal_count`` also takes as its
@@ -64,6 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .collocation import (
+    CHOP_TOL,
     NEWTON_TOL,
     DiscreteSystem,
     SolutionPoint,
@@ -102,10 +99,13 @@ SEED_AMPLITUDE = 1e-2
 MAX_BACKTRACK = 20
 # branch event kinds that mark a candidate eigenvalue crossing
 CROSSING_EVENTS = ("fold", "sigma-zero")
-# the bottom rung of a trace's ladder of sizes; find_degenerate traces at
-# max(COARSE_N_MIN, N // COARSE_N_DIVISOR) when that lies in k..N-1
-COARSE_N_MIN = 32
-COARSE_N_DIVISOR = 3
+# the bottom rung of a trace's ladder of sizes
+BOTTOM_RUNG = 32
+# the chop tolerance of find_degenerate's trace, whose points only bracket
+# the crossings.  On 69 problems (n = 2..5, k <= 64, N <= 320) 1e-5 keeps the
+# folds, nodal counts and crossing indices of traces at CHOP_TOL; 1e-4 moved
+# three crossing indices and 1e-3 lost six folds.
+PATH_TOL = 1e-5
 
 
 class ConvergenceError(RuntimeError):
@@ -375,13 +375,21 @@ def _padded_point(pt: SolutionPoint, sys: DiscreteSystem, k) -> SolutionPoint:
 
 
 def _rungs(N: int, k: int) -> list:
-    """The sizes a trace of mode k climbs to reach N: COARSE_N_MIN * 1.5^i
-    below N, each raised to at least k, then N."""
-    rungs, r = [], COARSE_N_MIN
+    """The sizes a trace of mode k climbs to reach N: BOTTOM_RUNG * 1.5^i
+    below N, then N.  A size whose chop window (collocation.resolved) ends
+    at or before mode k, the seed's largest coefficient, is left out: no
+    seed passes the chop test there."""
+    rungs, r = [], BOTTOM_RUNG
     while r < N:
-        rungs.append(max(r, k))
+        if (4 * (r + 1) - 19) // 5 > k:  # the window's last index
+            rungs.append(r)
         r = r * 3 // 2
-    return sorted({r for r in rungs if r < N}) + [N]
+    return rungs + [N]
+
+
+def _system(sys: DiscreteSystem, N: int) -> DiscreteSystem:
+    """The system of sys's problem at size N."""
+    return sys if N == sys.grid.N else DiscreteSystem(build_grid(N), sys.params)
 
 
 def trace_branch(
@@ -390,6 +398,7 @@ def trace_branch(
     sys: DiscreteSystem,
     max_points: int = 400,
     stop: Callable[[Branch], bool] | None = None,
+    tol: float = CHOP_TOL,
 ) -> Branch:
     """Trace the branch D_k^+ (direction=+1) or D_k^- (direction=-1).
 
@@ -405,13 +414,14 @@ def trace_branch(
 
     The trace climbs a ladder of sizes (``_rungs``) that ends at sys's N
     and solves each point at the size it has reached.  When a point fails
-    the chop test (collocation.resolved) below N, the step is taken again
-    at the next size, from the previous point and the tangent zero-padded,
-    on the same arclength constraint; at N a failing point gets an
-    ``under-resolved`` event.  Sizes never fall.  Every point is recorded as
-    a point of sys (``_padded_point``), with the size it was solved at as
-    its ``rung``.  The first point at a new size has no Weyl bound to carry,
-    so its sigma_min evaluates both parity blocks.
+    the chop test (collocation.resolved) at the relative tolerance ``tol``
+    below N, the step is taken again at the next size, from the previous
+    point and the tangent zero-padded, on the same arclength constraint; at
+    N a point that fails it at CHOP_TOL gets an ``under-resolved`` event.
+    Sizes never fall.  Every point is recorded as a point of sys
+    (``_padded_point``), with the size it was solved at as its ``rung``.
+    The first point at a new size has no Weyl bound to carry, so its
+    sigma_min evaluates both parity blocks.
     """
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
@@ -424,19 +434,16 @@ def trace_branch(
     modes = _modes(parity)
     rungs = _rungs(sys.grid.N, k)
 
-    def at(N):
-        return sys if N == sys.grid.N else DiscreteSystem(build_grid(N), sys.params)
-
     def record(pt):
         branch.points.append(_padded_point(pt, sys, k))
         if pt.rung == sys.grid.N and not resolved(pt.coeffs):
             branch.events.append((len(branch.points) - 1, "under-resolved"))
 
     # solve_at_s starts from the tangent predictor at the seed
-    rsys = at(rungs.pop(0))
+    rsys = _system(sys, rungs.pop(0))
     first = solve_at_s(k, direction * SEED_AMPLITUDE, rsys)
-    while rungs and not resolved(first.coeffs):
-        rsys = at(rungs.pop(0))
+    while rungs and not resolved(first.coeffs, tol):
+        rsys = _system(sys, rungs.pop(0))
         first = solve_at_s(k, direction * SEED_AMPLITUDE, rsys)
     record(first)
 
@@ -449,8 +456,8 @@ def trace_branch(
     while len(branch.points) < max_points:
         try:
             nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k)
-            while rungs and not resolved(nxt.coeffs):
-                rsys = at(rungs.pop(0))
+            while rungs and not resolved(nxt.coeffs, tol):
+                rsys = _system(sys, rungs.pop(0))
                 current = _padded_point(current, rsys, k)
                 tc = _padded(tc, rsys, parity)
                 nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k)
@@ -490,26 +497,41 @@ def locate_degenerate(
 ) -> DegeneracyReport | None:
     """Find a degenerate point along a traced branch, or None.
 
-    Candidates are the point pairs (i, i + 1) with i >= ``first`` that end
-    at a ``fold`` or ``sigma-zero`` event of the trace.  Each is solved for
-    by Newton on the extended system F = 0, J v = 0, <ell, v> = 1 in
-    (c, lambda, v), started from point i, with one ``solution_point`` for
-    the diagnostics at the end.  A candidate is skipped when the solve
-    stalls or loses positivity, when its point lies farther from either end
-    of the pair than the pair's chord length, when |sigma_min| there is not
-    below sigma_tol (an absolute target, stricter than any operator
-    rescaling since the spectral scale exceeds one), or when its nodal
-    count differs from the branch's; a min-magnitude eigenvalue swap, not a
-    crossing, is skipped this way.  A caller locating each crossing as the
-    trace records it passes the newest pair's index as ``first``, so no
-    earlier candidate is solved twice.
+    Candidates are the point pairs (a, b) = points (i, i + 1) with
+    i >= ``first`` that end at a ``fold`` or ``sigma-zero`` event of the
+    trace.  Each is solved for by Newton on the extended system F = 0,
+    J v = 0, <ell, v> = 1 in (c, lambda, v) on ``sys``, the system of the
+    trace or of the rung the pair reached, to which the pair's coefficients
+    are truncated.  It starts at a, with v the coefficient part of the unit
+    tangent at a oriented along the chord to b, and ends with one
+    ``solution_point`` for the diagnostics.  A candidate is skipped when the
+    solve stalls or loses positivity, when its point lies farther from
+    either end of the pair than the pair's chord length, when |sigma_min|
+    there is not below sigma_tol (an absolute target, stricter than any
+    operator rescaling since the spectral scale exceeds one), or when its
+    nodal count differs from the branch's; a min-magnitude eigenvalue swap,
+    not a crossing, is skipped this way.  A caller locating each crossing
+    as the trace records it passes the newest pair's index as ``first``, so
+    no earlier candidate is solved twice.
     """
     candidates = sorted(
         {idx - 1 for idx, kind in branch.events
          if kind in CROSSING_EVENTS and idx - 1 >= first}
     )
+    rung = slice(sys.grid.N + 1)
+    modes = _modes(_parity(branch.k))
     for i in candidates:
-        report = _solve_fold(branch, i, sigma_tol, sys)
+        a, b = branch.points[i], branch.points[i + 1]
+        chord = _chord(a, b)
+        if chord is None:
+            continue
+        c = a.coeffs[rung][modes]
+        try:
+            v, _ = _tangent(sys, c, a.lam, chord[0][rung][modes], chord[1], k=branch.k)
+        except (ConvergenceError, PositivityError):
+            continue
+        refs = [(a.coeffs[rung], a.lam), (b.coeffs[rung], b.lam)]
+        report = _fold_report(branch, i, (c, a.lam, v), refs, sigma_tol, sys)
         if report is not None:
             return report
     return None
@@ -546,35 +568,25 @@ def _fold_matrix(sys, parity, c, lam, v, J, ell):
     return A
 
 
-def _fold_newton(sys, k, c, lam, v):
-    """Newton on the extended system from (c, lam, v), with ell = v / (v . v),
-    in the coefficients of the sector of mode k.  Returns the located
-    SolutionPoint, its kernel v and the number of Newton steps, or None when
-    the solve stalls or loses positivity."""
-    parity = _parity(k)
+def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
+    """Solve the extended system from start = (c, lam, v), with
+    ell = v / (v . v), and report the fold for the traced pair (i, i + 1),
+    or None: when the solve stalls or loses positivity, its point lies
+    farther from a reference (coefficients, lambda) in refs than the pair's
+    chord length, |sigma_min| there is not below sigma_tol or its nodal
+    count differs from the pair's.  earlier_steps is added to its Newton
+    steps."""
+    parity = _parity(branch.k)
+    c, lam, v = start
     ell = v / (v @ v)
     try:
-        pt, _, v, steps = _newton(
-            sys, k, c, lam, v,
+        star, _, v, steps = _newton(
+            sys, branch.k, c, lam, v,
             lambda c, lam, v, J: _fold_residual(sys, parity, c, lam, v, J, ell),
             lambda c, lam, v, J: _fold_matrix(sys, parity, c, lam, v, J, ell),
         )
     except (ConvergenceError, PositivityError):
         return None
-    return pt, v, steps
-
-
-def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
-    """Solve the extended system from start = (c, lam, v) and report the
-    fold for the traced pair (i, i + 1), or None: when the solve stalls or
-    loses positivity, its point lies farther from a reference (coefficients,
-    lambda) in refs than the pair's chord length, |sigma_min| there is not
-    below sigma_tol or its nodal count differs from the pair's.
-    earlier_steps is added to its Newton steps."""
-    solved = _fold_newton(sys, branch.k, *start)
-    if solved is None:
-        return None
-    star, v, steps = solved
     a, b = branch.points[i], branch.points[i + 1]
     gap = _chord(a, b)[2]
     for rc, rl in refs:
@@ -583,7 +595,6 @@ def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
             return None
     if abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count:
         return None
-    parity = _parity(branch.k)
     F = assemble_residual(star.coeffs[_modes(parity)], star.lam, sys, parity)
     return DegeneracyReport(
         point=star,
@@ -597,79 +608,50 @@ def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
     )
 
 
-def _solve_fold(branch, i, sigma_tol, sys):
-    """Newton on the extended system for the candidate pair (a, b) = points
-    (i, i + 1), or None (see locate_degenerate for when).
-
-    It starts at a, with v the coefficient part of the unit tangent at a
-    oriented along the chord to b.
-    """
-    k = branch.k
-    modes = _modes(_parity(k))
-    a, b = branch.points[i], branch.points[i + 1]
-    chord = _chord(a, b)
-    if chord is None:
-        return None
-    c = a.coeffs[modes]
-    try:
-        v, _ = _tangent(sys, c, a.lam, chord[0][modes], chord[1], k=k)
-    except (ConvergenceError, PositivityError):
-        return None
-    refs = [(a.coeffs, a.lam), (b.coeffs, b.lam)]
-    return _fold_report(branch, i, (c, a.lam, v), refs, sigma_tol, sys)
-
-
 def _refine_degenerate(branch, report, sigma_tol, sys):
-    """Solve again on the finer system ``sys`` for the degenerate point that
-    locate_degenerate reported on ``branch``, traced on a coarser system of
-    the same problem; or None.
+    """Solve again on ``sys`` for the degenerate point that locate_degenerate
+    reported on ``branch`` from the system of a lower rung of the same
+    problem; or None.
 
     Newton on the extended system starts from the report's coefficients and
     kernel v, padded with zeros to the sector of ``sys``, with
     ell = v / (v . v).  The result must pass the checks of a candidate in
     locate_degenerate, with the padded point in place of the traced pair's
     ends.  ``crossing_index``, ``s_bracket`` and ``branch_lambda_min`` come
-    from the coarse trace, and ``newton_iterations`` counts both solves.
+    from the trace, and ``newton_iterations`` counts both solves.
     """
     parity = _parity(branch.k)
-    coarse = _padded(report.point.coeffs, sys)
+    padded = _padded(report.point.coeffs, sys)
     lam = report.point.lam
     v = _padded(report.kernel, sys, parity)
-    return _fold_report(branch, report.crossing_index, (coarse[_modes(parity)], lam, v),
-                        [(coarse, lam)], sigma_tol, sys, report.newton_iterations)
-
-
-def _trace_to_fold(k, sys, sigma_tol):
-    """Trace D_k^+ on ``sys`` until a crossing is located; returns the
-    branch and the report, or None for the report."""
-    report = None
-
-    def located(branch) -> bool:
-        # solve for each crossing once, as the trace records it; a failed
-        # candidate lets the trace go on to the next one
-        nonlocal report
-        report = locate_degenerate(branch, sigma_tol, sys, first=len(branch.points) - 2)
-        return report is not None
-
-    branch = trace_branch(k, 1, sys, stop=located)
-    return branch, report
+    return _fold_report(branch, report.crossing_index, (padded[_modes(parity)], lam, v),
+                        [(padded, lam)], sigma_tol, sys, report.newton_iterations)
 
 
 def find_degenerate(k: int, sys: DiscreteSystem, sigma_tol: float) -> tuple:
-    """(report, coarse report) of the degenerate point on D_k^+ at sys's N
-    and of the one at N_c it was solved from (see the module docstring);
-    the coarse report is None when the fold was located on a trace at N,
-    the report too when none was.  A ConvergenceError of the trace at N
-    propagates."""
-    N = sys.grid.N
-    coarse_N = max(COARSE_N_MIN, N // COARSE_N_DIVISOR)
-    if k <= coarse_N < N:
-        try:
-            branch, coarse = _trace_to_fold(
-                k, DiscreteSystem(build_grid(coarse_N), sys.params), sigma_tol)
-        except ConvergenceError:
-            coarse = None
-        report = None if coarse is None else _refine_degenerate(branch, coarse, sigma_tol, sys)
-        if report is not None:
-            return report, coarse
-    return _trace_to_fold(k, sys, sigma_tol)[1], None
+    """(report, rung report) of the degenerate point on D_k^+ at sys's N and
+    of the one on the lower rung it was located on (see the module
+    docstring); the rung report is None when the fold was located at N, the
+    report too when none was.  D_k^+ is traced once, at PATH_TOL, and each
+    crossing is solved for as the trace records it.  A ConvergenceError of
+    the trace propagates."""
+    found, systems = (None, None), {}
+
+    def located(branch) -> bool:
+        # solve for each crossing once, as the trace records it, on the rung
+        # its pair reached; a failed candidate lets the trace go on
+        nonlocal found
+        r = branch.points[-1].rung
+        if r not in systems:
+            systems[r] = _system(sys, r)
+        rsys = systems[r]
+        rung = locate_degenerate(branch, sigma_tol, rsys, first=len(branch.points) - 2)
+        fold = rung
+        if rung is not None and rsys is not sys:
+            fold = _refine_degenerate(branch, rung, sigma_tol, sys)
+        if fold is not None:
+            found = (fold, None if rsys is sys else rung)
+        return fold is not None
+
+    trace_branch(k, 1, sys, stop=located, tol=PATH_TOL)
+    return found

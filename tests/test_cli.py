@@ -414,12 +414,14 @@ class TestDegenerateAndVerify:
         cfg = parse_config(None, [f"output_dir={tmp_path}", "k=2", "N=48"])
         assert dispatch("degenerate", cfg) == 0
         rep = json.loads((tmp_path / "degenerate_k2.json").read_text())
-        assert len(traced[0].points) == rep["crossing_index"] + 2
-        assert traced[0].points[0].coeffs.size == 33  # traced at N_c = 32
+        assert len(traced) == 1 and len(traced[0].points) == rep["crossing_index"] + 2
+        # recorded at N = 48, solved on the bottom rung
+        assert {pt.rung for pt in traced[0].points} == {32}
+        assert traced[0].points[0].coeffs.size == 49
 
         # the same answer as locating after a full-budget trace at N; the
-        # trace above ran at N_c = 32 and the fold was solved for again at
-        # N = 48, so lambda* and phi agree to rounding, not bit for bit
+        # trace above stayed on rung 32 and the fold was solved for again
+        # at N = 48, so lambda* and phi agree to rounding, not bit for bit
         full = trace_branch(2, 1, system48)
         assert len(full.points) == 400
         ref = locate_degenerate(full, 1e-6, system48)
@@ -512,17 +514,10 @@ def _degenerate_outputs(tmp_path, capsys, overrides) -> tuple:
     return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}, err
 
 
-def _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides) -> tuple:
-    """The outputs of ``degenerate`` when it traces at N itself."""
-    with monkeypatch.context() as m:
-        # N_c = max(32, N): never below N
-        m.setattr(continuation, "COARSE_N_DIVISOR", 1)
-        return _degenerate_outputs(tmp_path, capsys, overrides)
-
-
 class TestCoarseFold:
-    """``degenerate`` locates the fold on a trace at N_c = max(32, N // 3)
-    and solves for it again at N."""
+    """``degenerate`` traces once, locates each fold on the rung the trace
+    reached, coarser than N or N itself, and solves one below N for again
+    at N."""
 
     @pytest.mark.parametrize("n,q,k,crossing_index", [
         (2, 3.0, 2, 13), (2, 3.0, 4, 17), (2, 6.0, 6, 13), (2, 4.0, 4, 12), (3, 4.9, 2, 23),
@@ -546,84 +541,84 @@ class TestCoarseFold:
         assert rep["nodal_count"] == k and rep["u_min"] > 0
         assert len(rep["phi"]) == 97
 
+    @pytest.mark.parametrize("k,N,lambda_star", [
+        (3, 48, None), (24, 96, 1195.965305582562), (40, 320, 3273.9643527054145),
+    ])
+    def test_one_trace(self, tmp_path, capsys, monkeypatch, k, N, lambda_star):
+        # a fold located on a rung, one that needs a high rung, and no fold
+        traces = []
+        original = continuation.trace_branch
+
+        def counting(*args, **kwargs):
+            traces.append(original(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(continuation, "trace_branch", counting)
+        code, files, _ = _degenerate_outputs(tmp_path, capsys, [f"k={k}", f"N={N}"])
+        assert len(traces) == 1
+        rep = json.loads(files[f"degenerate_k{k}.json"])
+        if lambda_star is None:
+            assert code == 2 and rep["found"] is False
+            assert len(traces[0].points) == 400
+        else:
+            assert code == 0 and rep["nodal_count"] == k
+            assert rep["lambda_star"] == pytest.approx(lambda_star, rel=1e-10, abs=0)
+            assert len(traces[0].points) == rep["crossing_index"] + 2
+
     def test_small_N_traces_at_N(self, tmp_path, capsys, monkeypatch):
-        # N_c = 32 is not below N = 32: the command runs as it always has
+        # N = 32 is the bottom rung: the fold is located at N itself
+        from spherebif.collocation import DiscreteSystem, build_grid
+        from spherebif.model import ModelParams
+
         def unexpected(*args):
             pytest.fail("_refine_degenerate called at N = 32")
 
         monkeypatch.setattr(continuation, "_refine_degenerate", unexpected)
-        overrides = ["k=2", "N=32"]
-        code, files, err = _degenerate_outputs(tmp_path, capsys, overrides)
-        assert code == 0 and "N_c" not in err
-        assert (code, files, err) == _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides)
+        code, files, err = _degenerate_outputs(tmp_path, capsys, ["k=2", "N=32"])
+        assert code == 0 and "rung" not in err
+        system = DiscreteSystem(build_grid(32), ModelParams(n=2, delta=1.0, q=3.0))
+        ref = locate_degenerate(trace_branch(2, 1, system), 1e-6, system)
+        rep = json.loads(files["degenerate_k2.json"])
+        assert (rep["crossing_index"], rep["lambda_star"]) == (ref.crossing_index, ref.point.lam)
 
-    def test_k_above_N_c_traces_at_N(self, tmp_path, monkeypatch):
-        # N_c = 32 has no mode 33: the command traces at N = 48 itself
+    def test_k_33_solves_its_seed_once(self, tmp_path, monkeypatch):
+        # the seed of mode 33 cannot pass the chop test on a rung below 47:
+        # k = 33 at N = 48 builds no other grid and solves its seed at 48
         import spherebif.cli as cli_mod
         from spherebif.collocation import build_grid
 
-        built = []
+        built, seeds = [], []
+        original = continuation.solve_at_s
 
         def recording_grid(N):
             built.append(N)
             return build_grid(N)
 
+        def recording_seed(k, s, sys):
+            seeds.append(sys.grid.N)
+            return original(k, s, sys)
+
         monkeypatch.setattr(cli_mod, "build_grid", recording_grid)
         monkeypatch.setattr(continuation, "build_grid", recording_grid)
+        monkeypatch.setattr(continuation, "solve_at_s", recording_seed)
         cfg = parse_config(None, [f"output_dir={tmp_path}", "k=33", "N=48"])
         assert dispatch("degenerate", cfg) == 2
         assert json.loads((tmp_path / "degenerate_k33.json").read_text())["found"] is False
-        # the system at N, then the ladder of the trace at N, whose bottom
-        # rung is raised to k = 33; no grid at N_c = 32
-        assert built == [48, 33]
+        assert built == [48] and seeds == [48]
 
-    @pytest.mark.parametrize("failure", ["refinement", "no crossing", "convergence"])
-    def test_a_failed_coarse_fold_falls_back_to_a_trace_at_N(
-        self, tmp_path, capsys, monkeypatch, failure
-    ):
-        overrides = ["k=2", "N=48"]
-        expected = _full_trace_outputs(tmp_path, capsys, monkeypatch, overrides)
-        trace, locate = continuation.trace_branch, continuation.locate_degenerate
-
-        def coarse_trace(k, direction, sys, **kwargs):
-            if sys.grid.N == 32:
-                raise ConvergenceError("stalled")
-            return trace(k, direction, sys, **kwargs)
-
-        def coarse_locate(branch, sigma_tol, sys, **kwargs):
-            return None if sys.grid.N == 32 else locate(branch, sigma_tol, sys, **kwargs)
-
-        patch = {
-            "refinement": ("_refine_degenerate", lambda *args: None),
-            "no crossing": ("locate_degenerate", coarse_locate),
-            "convergence": ("trace_branch", coarse_trace),
-        }[failure]
-        monkeypatch.setattr(continuation, *patch)
-        code, files, err = _degenerate_outputs(tmp_path, capsys, overrides)
-        assert code == 0 and "N_c" not in err
-        assert (code, files, err) == expected
-
-    def test_the_log_line_gives_N_c_and_the_change_in_lambda_star(self, tmp_path, capsys):
-        # (6,6) is the fold-hunt case that N = 32 resolves least well
+    def test_the_log_line_gives_the_rung_and_the_change_in_lambda_star(self, tmp_path, capsys):
+        # (6,6) is the fold-hunt case that climbs highest: its N = 96 trace
+        # locates the fold on rung 72, as the N = 72 trace does, bit for bit
         problem = ["q=6", "k=6"]
-        _, coarse, _ = _degenerate_outputs(tmp_path, capsys, [*problem, "N=32"])
+        _, rung, err72 = _degenerate_outputs(tmp_path, capsys, [*problem, "N=72"])
         code, fine, err = _degenerate_outputs(tmp_path, capsys, [*problem, "N=96"])
-        assert code == 0
-        lam_c = json.loads(coarse["degenerate_k6.json"])["lambda_star"]
+        assert code == 0 and "rung" not in err72
+        lam_r = json.loads(rung["degenerate_k6.json"])["lambda_star"]
         lam = json.loads(fine["degenerate_k6.json"])["lambda_star"]
-        change = f"{abs(lam - lam_c):.1e}"
-        assert f", N_c = 32, |lambda*(N) - lambda*(N_c)| = {change} -> OUT" in err
-        assert float(change) >= 1e-9
+        change = f"{abs(lam - lam_r):.1e}"
+        assert f", rung = 72, |lambda*(N) - lambda*(rung)| = {change} -> OUT" in err
+        assert float(change) > 0
         assert lam == pytest.approx(20.364737861326915, rel=1e-12, abs=0)
-
-    def test_N_c_is_a_third_of_a_large_N(self, tmp_path, capsys):
-        # N // 3 exceeds COARSE_N_MIN = 32 from N = 99 on: N = 120 traces at 40
-        code, files, err = _degenerate_outputs(tmp_path, capsys, ["q=3", "k=2", "N=120"])
-        assert code == 0
-        assert ", N_c = 40, |lambda*(N) - lambda*(N_c)| = " in err
-        rep = json.loads(files["degenerate_k2.json"])
-        assert rep["lambda_star"] == pytest.approx(11.223525580329053, rel=1e-12, abs=0)
-        assert len(rep["phi"]) == 121
 
 
 def _one_cpu(monkeypatch):

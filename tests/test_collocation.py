@@ -619,7 +619,7 @@ class TestBlockSkip:
 
     def test_a_distant_prior_evaluates_both_blocks(self, system48, monkeypatch):
         # a trace pinned to N = 48, so that every point is solved there
-        monkeypatch.setattr(continuation, "COARSE_N_MIN", 48)
+        monkeypatch.setattr(continuation, "BOTTOM_RUNG", 48)
         branch = trace_branch(2, 1, system48, max_points=201)
         seed, before, point = branch.points[0], branch.points[199], branch.points[200]
         calls = []
@@ -665,6 +665,16 @@ class TestNodalCount:
         assert nodal_count(system96, system96.basis(2)) == 2
         assert nodal_count(system96, system96.basis(7)) == 7
         assert nodal_count(system96, system96.basis(2)[::2], 1) == 2
+
+    @pytest.mark.parametrize("n,q", [(2, 3.0), (3, 3.0), (5, 2.2)])
+    @pytest.mark.parametrize("N", [32, 48, 96, 192, 320])
+    def test_every_mode_up_to_N(self, n, q, N):
+        # the outermost zeros of P_{k,n} lie within about (2.4 / k)^2 / 2 of
+        # t = +/-1; an equispaced scan missed them from k = 19 at N = 32 on
+        system = DiscreteSystem(build_grid(N), ModelParams(n, 1.0, q))
+        assert [nodal_count(system, system.basis(k)) for k in range(N + 1)] == list(range(N + 1))
+        even = range(0, N + 1, 2)
+        assert [nodal_count(system, system.basis(k)[::2], 1) for k in even] == list(even)
 
     def test_constants(self, system48):
         assert nodal_count(system48, 0.4 * system48.basis(0)) == 0

@@ -574,16 +574,34 @@ class TestLadder:
         assert continuation._rungs(96, 3) == [32, 48, 72, 96]
         assert continuation._rungs(32, 2) == continuation._rungs(32, 32) == [32]
         assert continuation._rungs(20, 2) == [20]
-        # raised to at least k
-        assert continuation._rungs(96, 40) == [40, 48, 72, 96]
-        assert continuation._rungs(96, 60) == [60, 72, 96]
+        # no size whose chop window ends at or before mode k: the seed's
+        # largest coefficient is mode k's, so it fails the chop test there
+        assert continuation._rungs(96, 40) == [72, 96]
+        assert continuation._rungs(96, 60) == continuation._rungs(96, 96) == [96]
+        assert continuation._rungs(48, 33) == [48]
+
+    @pytest.mark.parametrize("k,N,solved_at", [(33, 48, [48]), (40, 96, [72, 96])])
+    def test_no_seed_solve_on_a_rung_it_cannot_pass(self, monkeypatch, k, N, solved_at):
+        # mode k tops the seed's coefficients, so the seed fails the chop
+        # test on the sizes below 1.25 k + 5, which the ladder leaves out
+        system = DiscreteSystem(build_grid(N), ModelParams(2, 1.0, 3.0))
+        solved = []
+        original = continuation.solve_at_s
+
+        def recording(k, s, sys):
+            solved.append(sys.grid.N)
+            return original(k, s, sys)
+
+        monkeypatch.setattr(continuation, "solve_at_s", recording)
+        branch = trace_branch(k, 1, system, max_points=1)
+        assert solved == solved_at and branch.points[0].rung == solved_at[-1]
 
     @pytest.mark.parametrize("q,k,direction,max_points",
                              [(3.0, 2, 1, 170), (3.0, 2, -1, 90), (3.0, 3, 1, 100), (4.0, 4, 1, 40)])
     def test_matches_a_trace_pinned_to_N(self, monkeypatch, q, k, direction, max_points):
         system = DiscreteSystem(build_grid(96), ModelParams(2, 1.0, q))
         ladder = trace_branch(k, direction, system, max_points=max_points)
-        monkeypatch.setattr(continuation, "COARSE_N_MIN", 96)
+        monkeypatch.setattr(continuation, "BOTTOM_RUNG", 96)
         pinned = trace_branch(k, direction, system, max_points=max_points)
         assert {pt.rung for pt in pinned.points} == {96}
         rungs = [pt.rung for pt in ladder.points]
@@ -650,23 +668,45 @@ class TestRefineDegenerate:
 
 
 class TestFindDegenerate:
-    """The degenerate command's search: a trace at N_c, the fold solved for
-    again at N, a trace at N when that fails."""
+    """The degenerate command's search: one trace, each fold located on the
+    rung the trace reached and solved for again at N."""
 
-    def test_a_fold_located_at_N_c_is_solved_for_at_N(self, fold_report, system48):
-        report, coarse = find_degenerate(2, system48, 1e-6)
-        assert (report.point.rung, coarse.point.rung) == (48, 32)
+    def test_a_fold_located_below_N_is_solved_for_at_N(self, fold_report, system48):
+        report, rung = find_degenerate(2, system48, 1e-6)
+        assert (report.point.rung, rung.point.rung) == (48, 32)
         assert report.point.lam == pytest.approx(fold_report[1].point.lam, rel=1e-12, abs=0)
-        assert report.crossing_index == coarse.crossing_index
+        assert report.crossing_index == rung.crossing_index == fold_report[1].crossing_index
         assert report.point.coeffs.shape == (49,) and report.kernel.shape == (25,)
+        assert rung.point.coeffs.shape == (33,) and rung.kernel.shape == (17,)
 
-    def test_no_fold_returns_none(self, system48):
-        # k = 3 has no fold: neither the trace at N_c = 32 nor the one at 48
-        # locates a crossing
+    @staticmethod
+    def recorded_traces(monkeypatch) -> list:
+        """The branches that continuation.trace_branch returns from now on."""
+        traces = []
+        original = continuation.trace_branch
+
+        def recording(*args, **kwargs):
+            traces.append(original(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(continuation, "trace_branch", recording)
+        return traces
+
+    def test_no_fold_returns_none(self, system48, monkeypatch):
+        # k = 3 has no fold: its one trace locates no crossing
+        traces = self.recorded_traces(monkeypatch)
         assert find_degenerate(3, system48, 1e-6) == (None, None)
+        assert len(traces) == 1 and len(traces[0].points) == 400
 
-    def test_N_c_not_below_N_traces_at_N(self, monkeypatch, params):
-        # N_c = 32 is N itself: one trace at N = 32, and no other grid built
+    def test_a_fold_that_fails_at_N_lets_the_trace_go_on(self, system48, monkeypatch):
+        monkeypatch.setattr(continuation, "_refine_degenerate", lambda *args: None)
+        traces = self.recorded_traces(monkeypatch)
+        assert find_degenerate(2, system48, 1e-6) == (None, None)
+        # every candidate of the trace was tried, and none stopped it
+        assert len(traces) == 1 and len(traces[0].points) == 400
+
+    def test_N_at_the_bottom_rung_builds_no_other_grid(self, monkeypatch, params):
+        # N = 32 is the bottom rung: one trace at N = 32, and no other grid
         system = DiscreteSystem(build_grid(32), params)
         built = []
 
@@ -675,8 +715,8 @@ class TestFindDegenerate:
             return build_grid(N)
 
         monkeypatch.setattr(continuation, "build_grid", recording_grid)
-        report, coarse = find_degenerate(2, system, 1e-6)
-        assert coarse is None and report.point.rung == 32
+        report, rung = find_degenerate(2, system, 1e-6)
+        assert rung is None and report.point.rung == 32
         assert built == []
 
 
