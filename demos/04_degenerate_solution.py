@@ -5,8 +5,9 @@
 # Jacobian changes sign at the fold in lambda; Newton on the extended
 # system F = 0, J v = 0, <ell, v> = 1 solves for the fold directly.
 # find_degenerate runs the degenerate command's search: one trace climbs
-# the sizes 32, 48, 64 only as far as its points need, the fold is located
-# on the size the trace reached and, below N = 64, solved for again at N.
+# the sizes 32, 48, 64 only as far as its points need and stops at the
+# first located fold, which is solved for on the size the trace reached
+# and, below N = 64, again at N; it returns the report and the trace.
 # The resulting pair (u = phi + 1, lambda*) is a positive solution with
 # exactly k sign changes that depends on both sphere factors.
 
@@ -20,8 +21,8 @@ params = ModelParams(n=2, delta=1.0, q=3.0)
 system = DiscreteSystem(build_grid(64), params)
 
 k = 2
-report, rung = find_degenerate(k, system, sigma_tol=1e-6)
-star = report.point
+report, trace = find_degenerate(k, system, sigma_tol=1e-6)
+star, rung = report.point, report.rung_point
 
 print(f"mode k = {k}: lambda_k = {lambda_k(k, params)}")
 print(f"  lambda*        = {star.lam:.9f}")
@@ -33,7 +34,8 @@ print(f"  coefficient tail = {star.tail:.1e}  (resolved by N=64)")
 if rung is None:
     print(f"  located at N = {system.grid.N} itself")
 else:
-    print(f"  change from rung {rung.point.rung}: {abs(star.lam - rung.point.lam):.1e}")
+    print(f"  change from rung {rung.rung}: {abs(star.lam - rung.lam):.1e}")
+print(f"  traced points  = {len(trace.points)}  (crossing index {report.crossing_index})")
 print(f"  s bracket      = ({report.s_bracket[0]:.6f}, {report.s_bracket[1]:.6f})")
 print(f"  branch lambda-min = {report.branch_lambda_min:.9f}")
 print(f"  newton iterations = {report.newton_iterations}")

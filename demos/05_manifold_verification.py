@@ -23,7 +23,8 @@ print("(errors drop ~4x per halving: second-order differencing)")
 
 params = ModelParams(n=n, delta=delta, q=3.0)
 system = DiscreteSystem(build_grid(64), params)
-star = find_degenerate(2, system, 1e-6)[0].point
+report, _ = find_degenerate(2, system, 1e-6)
+star = report.point
 
 res = lifted_residual(
     system.grid, star.phi, star.lam, params,

@@ -35,9 +35,12 @@ continuation.BOTTOM_RUNG and solves each point at the smallest size that
 resolves it, and every record is at N.
 
 ``degenerate`` runs ``continuation.find_degenerate``: one trace on the same
-ladder, each fold located on the rung the trace reached and solved for
-again at N; after a fold located below N the stderr line adds that rung
-and the change in lambda* as an error estimate.
+ladder that stops at the first located fold, which is solved for on the
+rung the trace reached and again at N.  After a fold located below N the
+stderr line adds that rung (the report's ``rung_point``) and the change in
+lambda* as an error estimate; when nothing is located it names the trace:
+its point count, its first and last lambda and what ended it (the point
+budget, ``lambda-floor`` or ``step-failure``).
 
 On two or more CPUs (Linux) ``branch`` traces D_k^+ in the calling process
 while one forked child traces D_k^- and writes its files; the child returns
@@ -391,7 +394,7 @@ def _cmd_branch(cfg: RunConfig) -> int:
 def _cmd_degenerate(cfg: RunConfig) -> int:
     system = cfg.system()
     try:
-        report, rung = continuation.find_degenerate(cfg.k, system, cfg.sigma_tol)
+        report, trace = continuation.find_degenerate(cfg.k, system, cfg.sigma_tol)
     except ConvergenceError as exc:
         _log(f"degenerate k={cfg.k}: {exc}", err=True)
         return 2
@@ -426,12 +429,16 @@ def _cmd_degenerate(cfg: RunConfig) -> int:
     _write_file(path, [json.dumps(payload, indent=2), "\n"])
     if report is None:
         _remove_stale(profile)
-        _log(f"degenerate k={cfg.k}: no eigenvalue crossing found -> {path}", err=True)
+        ended = next((kind for _, kind in trace.events
+                      if kind in ("lambda-floor", "step-failure")), "the point budget")
+        _log(f"degenerate k={cfg.k}: no degenerate point located in {len(trace.points)} "
+             f"traced points, lambda {trace.points[0].lam:.6g} -> {trace.points[-1].lam:.6g}, "
+             f"ended by {ended} -> {path}", err=True)
         return 2
     _write_csv(profile, "t,phi", zip(system.grid.nodes.tolist(), star.phi.tolist()))
+    rung = report.rung_point
     estimate = "" if rung is None else (
-        f", rung = {rung.point.rung}, |lambda*(N) - lambda*(rung)| = "
-        f"{abs(star.lam - rung.point.lam):.1e}")
+        f", rung = {rung.rung}, |lambda*(N) - lambda*(rung)| = {abs(star.lam - rung.lam):.1e}")
     _log(
         f"degenerate k={cfg.k}: lambda* = {star.lam:.9g}, "
         f"sigma = {star.sigma_min:.3e}, tail = {star.tail:.1e}, "

@@ -377,6 +377,12 @@ def nodal_count(sys: DiscreteSystem, c, parity: int = 0) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
+def _chop_window_end(size: int) -> int:
+    """The last index j of resolved's chop window on ``size`` coefficients:
+    the largest j with round(1.25 j + 5) <= size."""
+    return (4 * size - 19) // 5
+
+
 def resolved(c, tol: float = CHOP_TOL) -> bool:
     """The chop test: whether the coefficients c of a profile reach a plateau.
 
@@ -396,7 +402,7 @@ def resolved(c, tol: float = CHOP_TOL) -> bool:
     env = np.maximum.accumulate(b[::-1])[::-1]
     if env[0] == 0:
         return True
-    top = (4 * n - 19) // 5  # the largest j with j2 <= n
+    top = _chop_window_end(n)
     e1 = env[1:top] / env[0]  # e_j for j = 2..top
     if e1[-1] == 0:
         return True

@@ -6,25 +6,24 @@ dlambda/ds(0) seed the first corrector, and pseudo-arclength continuation
 follows the branch through folds.  A solution is degenerate where the
 linearization acquires a kernel, i.e. where the smallest-magnitude
 eigenvalue of the Jacobian crosses zero; along even-k branches this
-happens at the fold in lambda.  Each candidate crossing is solved for
-directly by Newton on the minimally extended system of Moore and Spence
-(SIAM J. Numer. Anal. 17, 1980), F(phi, lambda) = 0, J v = 0,
-<ell, v> = 1, started from the traced point just before it.  A caller that
-only wants the degenerate point passes trace_branch a ``stop`` predicate
-that locates each crossing as the trace records it, so the trace ends one
-point past the located crossing.
+happens at the fold in lambda.  A crossing is solved for directly by
+Newton on the minimally extended system of Moore and Spence (SIAM J.
+Numer. Anal. 17, 1980), F(phi, lambda) = 0, J v = 0, <ell, v> = 1, started
+from the traced point just before it.
 
 In the orthonormal basis prolongation is zero-padding (``_padded``), so a
 trace can treat its system's N as a ceiling: ``trace_branch`` climbs a
 ladder of sizes, one rung whenever a point fails the chop test
 ``collocation.resolved`` at the trace's tolerance, and records every point
 at N.  ``find_degenerate``, the ``degenerate`` command's search, runs one
-such trace at the looser tolerance PATH_TOL: the path only has to bracket
-each crossing, so it stays on low rungs.  Each candidate is solved on the
-system of the rung its pair reached, and a fold located below N is solved
-again at N by ``_refine_degenerate``, from its coefficients and kernel
-padded with zeros, in a few Newton steps and with the checks of a
-candidate; a fold that fails them lets the trace go on.
+such trace at the looser tolerance PATH_TOL, since the path only has to
+bracket each crossing and so stays on low rungs, with ``locate_degenerate``
+as its ``stop`` predicate: each time the trace records a crossing event,
+the newest pair is solved for on the system of the rung it reached, and a
+fold located below N is solved for again at N from its coefficients and
+kernel padded with zeros, in a few Newton steps and with the same checks.
+A pair that fails them lets the trace go on; the first that passes ends
+it, one point past the crossing.
 
 Every Newton solve runs one damped loop, ``_newton``, converged to
 NEWTON_TOL, the tolerance that ``collocation.nodal_count`` also takes as its
@@ -64,6 +63,7 @@ from .collocation import (
     NEWTON_TOL,
     DiscreteSystem,
     SolutionPoint,
+    _chop_window_end,
     _jacobian_derivatives,
     _modes,
     _parity,
@@ -152,7 +152,10 @@ class DegeneracyReport:
     point past it), so the relation between the eigenvalue crossing and the
     minimal-lambda point stays observable.  ``endpoint_derivs`` reports
     phi'(+1), phi'(-1) of the profile, and ``newton_iterations`` counts the
-    Newton steps on the extended system that located it.
+    Newton steps on the extended system that located it, on a lower rung
+    and at N together.  ``rung_point`` is the SolutionPoint of the fold on
+    the rung the traced pair reached when that rung is below N (see
+    locate_degenerate), and None when the fold was solved for at N alone.
     """
 
     point: SolutionPoint
@@ -163,6 +166,7 @@ class DegeneracyReport:
     crossing_index: int
     endpoint_derivs: tuple
     newton_iterations: int
+    rung_point: SolutionPoint | None = None
 
 
 def _solve(A, b):
@@ -381,7 +385,7 @@ def _rungs(N: int, k: int) -> list:
     seed passes the chop test there."""
     rungs, r = [], BOTTOM_RUNG
     while r < N:
-        if (4 * (r + 1) - 19) // 5 > k:  # the window's last index
+        if _chop_window_end(r + 1) > k:
             rungs.append(r)
         r = r * 3 // 2
     return rungs + [N]
@@ -493,102 +497,85 @@ def locate_degenerate(
     branch: Branch,
     sigma_tol: float,
     sys: DiscreteSystem,
-    first: int = 0,
 ) -> DegeneracyReport | None:
-    """Find a degenerate point along a traced branch, or None.
+    """The degenerate point of a trace's newest pair, at sys's N, or None.
 
-    Candidates are the point pairs (a, b) = points (i, i + 1) with
-    i >= ``first`` that end at a ``fold`` or ``sigma-zero`` event of the
-    trace.  Each is solved for by Newton on the extended system F = 0,
-    J v = 0, <ell, v> = 1 in (c, lambda, v) on ``sys``, the system of the
-    trace or of the rung the pair reached, to which the pair's coefficients
-    are truncated.  It starts at a, with v the coefficient part of the unit
-    tangent at a oriented along the chord to b, and ends with one
-    ``solution_point`` for the diagnostics.  A candidate is skipped when the
-    solve stalls or loses positivity, when its point lies farther from
-    either end of the pair than the pair's chord length, when |sigma_min|
-    there is not below sigma_tol (an absolute target, stricter than any
-    operator rescaling since the spectral scale exceeds one), or when its
-    nodal count differs from the branch's; a min-magnitude eigenvalue swap,
-    not a crossing, is skipped this way.  A caller locating each crossing
-    as the trace records it passes the newest pair's index as ``first``, so
-    no earlier candidate is solved twice.
+    The pair (a, b) is the branch's last two points; it is solved for only
+    when b carries a ``fold`` or ``sigma-zero`` event, as it does when
+    trace_branch offers the branch to its ``stop`` predicate right after
+    recording b.  Newton on the extended system F = 0, J v = 0, <ell, v> = 1
+    in (c, lambda, v) runs on the system of the rung b was solved at (sys
+    itself when that is sys's N), from a's coefficients truncated to that
+    rung, with v the coefficient part of the unit tangent at a oriented
+    along the chord to b.  A fold located below N is solved for again on
+    sys, from its coefficients and kernel padded with zeros, in a few Newton
+    steps; ``rung_point`` keeps the rung's solution.  A solve fails the pair
+    when it stalls or loses positivity, when its point lies farther from
+    either end of the pair (at N, from the padded rung fold) than the pair's
+    chord length, when |sigma_min| there is not below sigma_tol (an absolute
+    target, stricter than any operator rescaling since the spectral scale
+    exceeds one), or when its nodal count differs from the branch's; a
+    min-magnitude eigenvalue swap, not a crossing, fails this way.
     """
-    candidates = sorted(
-        {idx - 1 for idx, kind in branch.events
-         if kind in CROSSING_EVENTS and idx - 1 >= first}
-    )
-    rung = slice(sys.grid.N + 1)
-    modes = _modes(_parity(branch.k))
-    for i in candidates:
-        a, b = branch.points[i], branch.points[i + 1]
-        chord = _chord(a, b)
-        if chord is None:
-            continue
-        c = a.coeffs[rung][modes]
-        try:
-            v, _ = _tangent(sys, c, a.lam, chord[0][rung][modes], chord[1], k=branch.k)
-        except (ConvergenceError, PositivityError):
-            continue
-        refs = [(a.coeffs[rung], a.lam), (b.coeffs[rung], b.lam)]
-        report = _fold_report(branch, i, (c, a.lam, v), refs, sigma_tol, sys)
-        if report is not None:
-            return report
-    return None
-
-
-def _chord(a, b):
-    """Unit chord from point a to point b in (coefficients, lambda) and its
-    length, or None if they coincide."""
-    dc = b.coeffs - a.coeffs
-    dlam = b.lam - a.lam
-    gap = np.sqrt(dc @ dc + dlam**2)
+    last = len(branch.points) - 1
+    if not any(idx == last and kind in CROSSING_EVENTS for idx, kind in branch.events):
+        return None
+    a, b = branch.points[-2:]
+    dc, dlam = b.coeffs - a.coeffs, b.lam - a.lam
+    gap = np.sqrt(dc @ dc + dlam**2)  # the pair's chord length
     if gap == 0:
         return None
-    return dc / gap, dlam / gap, gap
-
-
-def _fold_residual(sys, parity, c, lam, v, J, ell):
-    """The residual (F, J v, <ell, v> - 1) of the extended system in the
-    unknowns (c, lambda, v), J being the Jacobian at (c, lambda)."""
-    F = assemble_residual(c, lam, sys, parity)
-    return np.concatenate([F, J @ v, [ell @ v - 1.0]])
-
-
-def _fold_matrix(sys, parity, c, lam, v, J, ell):
-    """The (2m+1)-square Newton matrix [[J, F_lambda, 0],
-    [(J v)_c, (J v)_lambda, J], [0, 0, ell]] of the extended system."""
-    m = len(J)
-    A = np.zeros((2 * m + 1, 2 * m + 1))
-    A[:m, :m] = J
-    A[:m, m] = dresidual_dlambda(c, lam, sys, parity)
-    A[m:-1, :m], A[m:-1, m] = _jacobian_derivatives(c, lam, v, sys, parity)
-    A[m:-1, m + 1:] = J
-    A[-1, m + 1:] = ell
-    return A
-
-
-def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
-    """Solve the extended system from start = (c, lam, v), with
-    ell = v / (v . v), and report the fold for the traced pair (i, i + 1),
-    or None: when the solve stalls or loses positivity, its point lies
-    farther from a reference (coefficients, lambda) in refs than the pair's
-    chord length, |sigma_min| there is not below sigma_tol or its nodal
-    count differs from the pair's.  earlier_steps is added to its Newton
-    steps."""
     parity = _parity(branch.k)
-    c, lam, v = start
-    ell = v / (v @ v)
+    modes = _modes(parity)
+    rsys = _system(sys, b.rung)
+    rung = slice(b.rung + 1)
+    c = a.coeffs[rung][modes]
     try:
-        star, _, v, steps = _newton(
-            sys, branch.k, c, lam, v,
-            lambda c, lam, v, J: _fold_residual(sys, parity, c, lam, v, J, ell),
-            lambda c, lam, v, J: _fold_matrix(sys, parity, c, lam, v, J, ell),
-        )
+        v, _ = _tangent(rsys, c, a.lam, (dc / gap)[rung][modes], dlam / gap, k=branch.k)
     except (ConvergenceError, PositivityError):
         return None
-    a, b = branch.points[i], branch.points[i + 1]
-    gap = _chord(a, b)[2]
+    refs = [(a.coeffs[rung], a.lam), (b.coeffs[rung], b.lam)]
+    found = _fold_report(branch, rsys, (c, a.lam, v), refs, gap, sigma_tol)
+    if found is None or rsys is sys:
+        return found
+    star = found.point
+    padded = _padded(star.coeffs, sys)
+    start = (padded[modes], star.lam, _padded(found.kernel, sys, parity))
+    report = _fold_report(branch, sys, start, [(padded, star.lam)], gap, sigma_tol,
+                          found.newton_iterations)
+    return None if report is None else replace(report, rung_point=star)
+
+
+def _fold_report(branch, sys, start, refs, gap, sigma_tol, earlier_steps=0):
+    """Solve the extended system on sys from start = (c, lam, v), with
+    ell = v / (v . v), and report the fold for the branch's newest pair, or
+    None: when the solve stalls or loses positivity, its point lies farther
+    from a reference (coefficients, lambda) in refs than the pair's chord
+    length gap, |sigma_min| there is not below sigma_tol or its nodal count
+    differs from the pair's.  earlier_steps is added to its Newton steps."""
+    parity = _parity(branch.k)
+    c, lam, v = start
+    m = c.size
+    ell = v / (v @ v)
+
+    def residual(c, lam, v, J):
+        return np.concatenate([assemble_residual(c, lam, sys, parity), J @ v, [ell @ v - 1.0]])
+
+    def matrix(c, lam, v, J):
+        # [[J, F_lambda, 0], [(J v)_c, (J v)_lambda, J], [0, 0, ell]]
+        A = np.zeros((2 * m + 1, 2 * m + 1))
+        A[:m, :m] = J
+        A[:m, m] = dresidual_dlambda(c, lam, sys, parity)
+        A[m:-1, :m], A[m:-1, m] = _jacobian_derivatives(c, lam, v, sys, parity)
+        A[m:-1, m + 1:] = J
+        A[-1, m + 1:] = ell
+        return A
+
+    try:
+        star, _, v, steps = _newton(sys, branch.k, c, lam, v, residual, matrix)
+    except (ConvergenceError, PositivityError):
+        return None
+    a, b = branch.points[-2:]
     for rc, rl in refs:
         dc = star.coeffs - rc
         if np.sqrt(dc @ dc + (star.lam - rl) ** 2) > gap:
@@ -602,56 +589,22 @@ def _fold_report(branch, i, start, refs, sigma_tol, sys, earlier_steps=0):
         s_bracket=(a.s_coord, b.s_coord),
         residual_norm=float(np.max(np.abs(F))),
         branch_lambda_min=min([p.lam for p in branch.points] + [star.lam]),
-        crossing_index=i,
+        crossing_index=len(branch.points) - 2,
         endpoint_derivs=sys.endpoint_derivatives(star.coeffs),
         newton_iterations=earlier_steps + steps,
     )
 
 
-def _refine_degenerate(branch, report, sigma_tol, sys):
-    """Solve again on ``sys`` for the degenerate point that locate_degenerate
-    reported on ``branch`` from the system of a lower rung of the same
-    problem; or None.
-
-    Newton on the extended system starts from the report's coefficients and
-    kernel v, padded with zeros to the sector of ``sys``, with
-    ell = v / (v . v).  The result must pass the checks of a candidate in
-    locate_degenerate, with the padded point in place of the traced pair's
-    ends.  ``crossing_index``, ``s_bracket`` and ``branch_lambda_min`` come
-    from the trace, and ``newton_iterations`` counts both solves.
-    """
-    parity = _parity(branch.k)
-    padded = _padded(report.point.coeffs, sys)
-    lam = report.point.lam
-    v = _padded(report.kernel, sys, parity)
-    return _fold_report(branch, report.crossing_index, (padded[_modes(parity)], lam, v),
-                        [(padded, lam)], sigma_tol, sys, report.newton_iterations)
-
-
 def find_degenerate(k: int, sys: DiscreteSystem, sigma_tol: float) -> tuple:
-    """(report, rung report) of the degenerate point on D_k^+ at sys's N and
-    of the one on the lower rung it was located on (see the module
-    docstring); the rung report is None when the fold was located at N, the
-    report too when none was.  D_k^+ is traced once, at PATH_TOL, and each
-    crossing is solved for as the trace records it.  A ConvergenceError of
-    the trace propagates."""
-    found, systems = (None, None), {}
+    """(report, trace): D_k^+ traced once at PATH_TOL, with locate_degenerate
+    as the trace's ``stop`` predicate, and the report at sys's N of the fold
+    that stopped it, or None when the trace ended without one.  A
+    ConvergenceError of the trace propagates."""
+    found = [None]
 
     def located(branch) -> bool:
-        # solve for each crossing once, as the trace records it, on the rung
-        # its pair reached; a failed candidate lets the trace go on
-        nonlocal found
-        r = branch.points[-1].rung
-        if r not in systems:
-            systems[r] = _system(sys, r)
-        rsys = systems[r]
-        rung = locate_degenerate(branch, sigma_tol, rsys, first=len(branch.points) - 2)
-        fold = rung
-        if rung is not None and rsys is not sys:
-            fold = _refine_degenerate(branch, rung, sigma_tol, sys)
-        if fold is not None:
-            found = (fold, None if rsys is sys else rung)
-        return fold is not None
+        found[0] = locate_degenerate(branch, sigma_tol, sys)
+        return found[0] is not None
 
-    trace_branch(k, 1, sys, stop=located, tol=PATH_TOL)
-    return found
+    trace = trace_branch(k, 1, sys, stop=located, tol=PATH_TOL)
+    return found[0], trace

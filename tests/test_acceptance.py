@@ -18,7 +18,7 @@ from spherebif.collocation import (
     interpolate,
     sigma_min,
 )
-from spherebif.continuation import locate_degenerate, solve_at_s, trace_branch
+from spherebif.continuation import find_degenerate, solve_at_s
 from spherebif.gegenbauer import (
     cube_integral,
     gauss_jacobi_rule,
@@ -40,8 +40,7 @@ def degenerate_runs(tmp_path_factory, system96):
     runs = {}
     for k in (2, 4):
         t0 = time.perf_counter()
-        branch = trace_branch(k, 1, system96)
-        report = locate_degenerate(branch, 1e-6, system96)
+        report, branch = find_degenerate(k, system96, 1e-6)
         cfg = parse_config(None, [f"output_dir={out}", f"k={k}", "N=96"])
         code = dispatch("degenerate", cfg)
         elapsed = time.perf_counter() - t0

@@ -419,11 +419,11 @@ class TestDegenerateAndVerify:
         assert {pt.rung for pt in traced[0].points} == {32}
         assert traced[0].points[0].coeffs.size == 49
 
-        # the same answer as locating after a full-budget trace at N; the
-        # trace above stayed on rung 32 and the fold was solved for again
-        # at N = 48, so lambda* and phi agree to rounding, not bit for bit
-        full = trace_branch(2, 1, system48)
-        assert len(full.points) == 400
+        # the same answer as locating the same pair of a trace at the default
+        # chop tolerance; the trace above stayed on rung 32 and the fold was
+        # solved for again at N = 48, so lambda* and phi agree to rounding,
+        # not bit for bit
+        full = trace_branch(2, 1, system48, max_points=rep["crossing_index"] + 2)
         ref = locate_degenerate(full, 1e-6, system48)
         assert rep["crossing_index"] == ref.crossing_index
         assert rep["lambda_star"] == pytest.approx(ref.point.lam, rel=1e-12, abs=0)
@@ -499,7 +499,7 @@ class TestDegenerateAndVerify:
         assert main([*argv, "q=2.1"]) == 0
         assert (tmp_path / "degenerate_k2_profile.csv").is_file()
         assert main([*argv, "q=2.05"]) == 2
-        assert "no eigenvalue crossing found" in capsys.readouterr().err
+        assert "no degenerate point located" in capsys.readouterr().err
         assert json.loads((tmp_path / "degenerate_k2.json").read_text())["found"] is False
         assert not (tmp_path / "degenerate_k2_profile.csv").exists()
 
@@ -565,21 +565,30 @@ class TestCoarseFold:
             assert rep["lambda_star"] == pytest.approx(lambda_star, rel=1e-10, abs=0)
             assert len(traces[0].points) == rep["crossing_index"] + 2
 
-    def test_small_N_traces_at_N(self, tmp_path, capsys, monkeypatch):
-        # N = 32 is the bottom rung: the fold is located at N itself
+    def test_small_N_traces_at_N(self, tmp_path, capsys):
+        # N = 32 is the bottom rung: the fold is located at N itself, as on a
+        # trace at the default chop tolerance, which has no rung to climb
         from spherebif.collocation import DiscreteSystem, build_grid
         from spherebif.model import ModelParams
 
-        def unexpected(*args):
-            pytest.fail("_refine_degenerate called at N = 32")
-
-        monkeypatch.setattr(continuation, "_refine_degenerate", unexpected)
         code, files, err = _degenerate_outputs(tmp_path, capsys, ["k=2", "N=32"])
         assert code == 0 and "rung" not in err
-        system = DiscreteSystem(build_grid(32), ModelParams(n=2, delta=1.0, q=3.0))
-        ref = locate_degenerate(trace_branch(2, 1, system), 1e-6, system)
         rep = json.loads(files["degenerate_k2.json"])
+        system = DiscreteSystem(build_grid(32), ModelParams(n=2, delta=1.0, q=3.0))
+        trace = trace_branch(2, 1, system, max_points=rep["crossing_index"] + 2)
+        ref = locate_degenerate(trace, 1e-6, system)
+        assert ref.rung_point is None
         assert (rep["crossing_index"], rep["lambda_star"]) == (ref.crossing_index, ref.point.lam)
+
+    @pytest.mark.parametrize("k,delta,line", [
+        (3, 1.0, "in 400 traced points, lambda 24.0007 -> 63.2725, ended by the point budget"),
+        (2, 1e-6, "in 4 traced points, lambda 5.98308e+06 -> 5.98308e+06, ended by step-failure"),
+    ], ids=["point-budget", "step-failure"])
+    def test_the_exit_2_line_names_the_trace(self, tmp_path, capsys, k, delta, line):
+        # k = 3 has no fold; at delta = 1e-6 the trace fails its fourth step
+        code, files, err = _degenerate_outputs(tmp_path, capsys, [f"k={k}", "N=48", f"delta={delta}"])
+        assert code == 2 and json.loads(files[f"degenerate_k{k}.json"])["found"] is False
+        assert err == f"degenerate k={k}: no degenerate point located {line} -> OUT/degenerate_k{k}.json\n"
 
     def test_k_33_solves_its_seed_once(self, tmp_path, monkeypatch):
         # the seed of mode 33 cannot pass the chop test on a rung below 47:

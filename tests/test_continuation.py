@@ -39,6 +39,13 @@ def _crossings(branch):
     return [event for event in branch.events if event[1] != "under-resolved"]
 
 
+def _cut(branch, n):
+    """The first n points of a branch and their events: the branch as its
+    stop predicate saw it right after point n - 1 was recorded."""
+    return continuation.Branch(branch.k, branch.direction, branch.points[:n],
+                               [event for event in branch.events if event[0] < n])
+
+
 def _assert_under_resolved_marks(branch):
     """Exactly the points that the branch's N does not resolve are marked."""
     marked = [idx for idx, kind in branch.events if kind == "under-resolved"]
@@ -251,9 +258,9 @@ class TestTraceBranch:
 
 @pytest.fixture(scope="module")
 def fold_report(system48):
-    branch = trace_branch(2, 1, system48, max_points=60)
-    report = locate_degenerate(branch, 1e-6, system48)
-    return branch, report
+    """(trace, report) of the degenerate command's search for k = 2 at N = 48."""
+    report, trace = find_degenerate(2, system48, 1e-6)
+    return trace, report
 
 
 class TestDegeneracy:
@@ -288,13 +295,16 @@ class TestDegeneracy:
         branch, report = fold_report
         assert report.point.lam == pytest.approx(report.branch_lambda_min, abs=1e-6)
 
-    def test_sigma_zero_and_fold_events(self, fold_report):
-        branch, _ = fold_report
-        kinds = {kind for _, kind in branch.events}
-        assert "sigma-zero" in kinds
-        assert "fold" in kinds
+    def test_sigma_zero_and_fold_events(self, fold_report, system48):
+        # the search's trace stops at the sigma-zero event of its pair; the
+        # fold in lambda comes a point or two later
+        branch, report = fold_report
+        assert (report.crossing_index + 1, "sigma-zero") in branch.events
+        kinds = {kind for _, kind in trace_branch(2, 1, system48, max_points=60).events}
+        assert {"sigma-zero", "fold"} <= kinds
 
     def test_never_stopping_predicate_changes_nothing(self, fold_report, system48):
+        # the search's trace, run again to as many points without stopping
         branch, _ = fold_report
         offered = []
 
@@ -302,7 +312,8 @@ class TestDegeneracy:
             offered.append(len(b.points) - 1)
             return False
 
-        again = trace_branch(2, 1, system48, max_points=60, stop=never)
+        again = trace_branch(2, 1, system48, max_points=len(branch.points), stop=never,
+                             tol=continuation.PATH_TOL)
         assert again.events == branch.events
         assert len(again.points) == len(branch.points)
         for p, q in zip(again.points, branch.points):
@@ -317,8 +328,8 @@ class TestDegeneracy:
         crossings = {idx for idx, kind in branch.events if kind in ("fold", "sigma-zero")}
         assert report.crossing_index + 1 in crossings
 
-    def test_fold_costs_one_sigma_min_and_no_arclength_step(self, fold_report, system48,
-                                                            monkeypatch):
+    def test_fold_costs_one_sigma_min_per_solve_and_no_arclength_step(
+            self, fold_report, system48, monkeypatch):
         branch, report = fold_report
         calls = {"arclength_step": 0, "sigma_min": 0}
 
@@ -335,7 +346,9 @@ class TestDegeneracy:
         counting(collocation, "sigma_min")
         again = locate_degenerate(branch, 1e-6, system48)
         assert again.point.lam == report.point.lam
-        assert calls == {"arclength_step": 0, "sigma_min": 1}
+        # one solve on rung 32, one at N = 48
+        assert again.rung_point.rung == 32
+        assert calls == {"arclength_step": 0, "sigma_min": 2}
         assert 1 <= report.newton_iterations <= 10
 
     @pytest.mark.parametrize("k,direction,max_points,index",
@@ -347,20 +360,21 @@ class TestDegeneracy:
         branch = trace_branch(k, direction, system48, max_points=max_points)
         assert _crossings(branch) == [(index, "sigma-zero")]
         _assert_under_resolved_marks(branch)
-        assert locate_degenerate(branch, 1e-6, system48) is None
+        assert locate_degenerate(_cut(branch, index + 1), 1e-6, system48) is None
 
     def test_swap_candidate_stops_at_the_first_rise(self, system48, monkeypatch):
         # the extended system's residual rises on the way to the bifurcation
         # point, so the solve stops there instead of converging onto it
-        branch = trace_branch(3, 1, system48, max_points=70)
+        branch = trace_branch(3, 1, system48, max_points=60)
         calls = []
-        original = continuation._fold_residual
+        original = continuation.assemble_residual
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(continuation, "_fold_residual", counting)
+        # one residual per iteration of the extended system
+        monkeypatch.setattr(continuation, "assemble_residual", counting)
         assert locate_degenerate(branch, 1e-6, system48) is None
         assert 1 <= len(calls) <= 3
 
@@ -381,21 +395,19 @@ class TestDegeneracy:
 @pytest.mark.parametrize("q", [3.0, 4.0])
 @pytest.mark.parametrize("k", [2, 3])
 def test_extended_system_derivatives(k, q):
-    # central differences of the J v block in the sector's coefficients and lambda
+    # central differences of J v, the extended system's middle block, in the
+    # sector's coefficients and lambda
     system = DiscreteSystem(build_grid(48), ModelParams(2, 1.0, q))
     pt = solve_at_s(k, 0.2, system)
     c0 = pt.coeffs[::2] if k == 2 else pt.coeffs
     m = c0.size
     assert m == (25 if k == 2 else 49)
     v = np.random.default_rng(1).standard_normal(m)
-    ell = v / (v @ v)
     parity = 1 if k == 2 else 0
-    J0 = assemble_jacobian(c0, pt.lam, system, parity)
-    A = continuation._fold_matrix(system, parity, c0, pt.lam, v, J0, ell)
+    block, column = collocation._jacobian_derivatives(c0, pt.lam, v, system, parity)
 
     def jv(c, lam):
-        J = assemble_jacobian(c, lam, system, parity)
-        return continuation._fold_residual(system, parity, c, lam, v, J, ell)[m:-1]
+        return assemble_jacobian(c, lam, system, parity) @ v
 
     h = 1e-4
     dphi = np.empty((m, m))
@@ -404,7 +416,6 @@ def test_extended_system_derivatives(k, q):
         e[j] = h
         dphi[:, j] = (jv(c0 + e, pt.lam) - jv(c0 - e, pt.lam)) / (2 * h)
     dlam = (jv(c0, pt.lam + h) - jv(c0, pt.lam - h)) / (2 * h)
-    block, column = A[m:-1, :m], A[m:-1, m]
     assert np.linalg.norm(dphi - block) <= 1e-6 * np.linalg.norm(block)
     assert np.linalg.norm(dlam - column) <= 1e-6 * np.linalg.norm(column)
 
@@ -438,7 +449,8 @@ class TestEvenSector:
         assert len(branch.points) == 60
         assert all(pt.nodal_count == 2 for pt in branch.points)
         assert all(np.array_equal(pt.phi, pt.phi[::-1]) for pt in branch.points)
-        report = locate_degenerate(branch, 1e-6, system)
+        report, _ = find_degenerate(2, system, 1e-6)
+        assert report.point.rung == 33 and report.point.coeffs.shape == (34,)
         assert report.residual_norm < 1e-10
         # the N=96 value of the acceptance tests
         assert report.point.lam == pytest.approx(11.223525580301466, rel=1e-10)
@@ -456,9 +468,8 @@ class TestEvenSector:
         calls = []
         monkeypatch.setattr(continuation, "assemble_jacobian", _recording(calls))
         monkeypatch.setattr(collocation, "assemble_jacobian", _recording(calls))
-        branch = trace_branch(2, 1, system48, max_points=20)
-        assert len(branch.points) == 20
-        assert locate_degenerate(branch, 1e-6, system48) is not None
+        report, branch = find_degenerate(2, system48, 1e-6)
+        assert report is not None
         # the even block for the solves, the odd block for sigma_min only,
         # and only where the Weyl bound from the previous point cannot
         # show that the even block holds the eigenvalue nearest zero
@@ -539,7 +550,7 @@ def test_no_jump_onto_the_trivial_solution(N):
         assert min(np.max(np.abs(pt.phi)) for pt in branch.points) > 1e-8
         assert all(pt.nodal_count == 6 for pt in branch.points)
         if direction == 1:
-            report = locate_degenerate(branch, 1e-6, system)
+            report, _ = find_degenerate(6, system, 1e-6)
             # the N=96 value, 20.364737861326915
             assert report.point.lam == pytest.approx(20.364737861326915, rel=1e-5)
 
@@ -549,8 +560,10 @@ def test_tail_flags_the_under_resolved_plus_branch():
     # and the N=48 profiles lose their resolution
     params = ModelParams(3, 1.0, 4.9)
     fine = DiscreteSystem(build_grid(96), params)
-    branch = trace_branch(2, 1, fine, max_points=40)
+    # the fold is the crossing of the pair (23, 24)
+    branch = trace_branch(2, 1, fine, max_points=25)
     report = locate_degenerate(branch, 1e-6, fine)
+    assert report.crossing_index == 23
     assert report.point.lam == pytest.approx(3.805826448682, rel=1e-10)
     pair = branch.points[report.crossing_index : report.crossing_index + 2]
     nearest = min(pair, key=lambda pt: abs(pt.lam - report.point.lam))
@@ -631,79 +644,59 @@ class TestLadder:
         assert collocation._tables.cache_info().misses == misses
 
 
-class TestRefineDegenerate:
-    """A fold located at N = 32, solved for again at N = 48."""
+class TestFindDegenerate:
+    """The degenerate command's search: one trace that stops at the first
+    located fold, solved for on the rung the trace reached and again at N."""
 
-    @pytest.fixture(scope="class")
-    def coarse_fold(self, params):
-        coarse = DiscreteSystem(build_grid(32), params)
-        branch = trace_branch(2, 1, coarse, max_points=20)
-        return branch, locate_degenerate(branch, 1e-6, coarse)
-
-    def test_matches_the_fold_located_at_N(self, coarse_fold, fold_report, system48):
-        branch, coarse = coarse_fold
-        _, ref = fold_report
-        assert coarse.point.coeffs.shape == (33,) and coarse.kernel.shape == (17,)
-        report = continuation._refine_degenerate(branch, coarse, 1e-6, system48)
-        assert report.point.lam == pytest.approx(ref.point.lam, rel=1e-12, abs=0)
-        assert_allclose(report.point.phi, ref.point.phi, rtol=0, atol=1e-12)
-        assert report.crossing_index == coarse.crossing_index == ref.crossing_index
+    def test_a_fold_located_below_N_is_solved_for_at_N(self, fold_report, system48, params,
+                                                       monkeypatch):
+        # a fold located on rung 32 of an N = 48 trace comes back at N
+        trace, report = fold_report
+        rung = report.rung_point
+        assert (report.point.rung, rung.rung) == (48, 32)
+        assert report.point.coeffs.shape == (49,) and report.kernel.shape == (25,)
+        assert rung.coeffs.shape == (33,)
+        assert len(trace.points) == report.crossing_index + 2
+        # the rung's fold is the fold of the same trace at N = 32, bit for bit
+        coarse, _ = find_degenerate(2, DiscreteSystem(build_grid(32), params), 1e-6)
+        assert coarse.rung_point is None and coarse.point.rung == 32
+        assert rung.lam == coarse.point.lam and np.array_equal(rung.coeffs, coarse.point.coeffs)
+        assert report.crossing_index == coarse.crossing_index
         assert report.s_bracket == coarse.s_bracket
-        assert report.branch_lambda_min == report.point.lam
         assert coarse.newton_iterations <= report.newton_iterations <= coarse.newton_iterations + 2
+        # and the fold at N agrees with the one of a trace that never leaves N
+        monkeypatch.setattr(continuation, "BOTTOM_RUNG", 48)
+        pinned, _ = find_degenerate(2, system48, 1e-6)
+        assert pinned.rung_point is None and pinned.crossing_index == report.crossing_index
+        assert report.point.lam == pytest.approx(pinned.point.lam, rel=1e-12, abs=0)
+        assert_allclose(report.point.phi, pinned.point.phi, rtol=0, atol=1e-12)
+        assert report.branch_lambda_min == report.point.lam
         assert abs(report.point.sigma_min) < 1e-6 and report.residual_norm < 1e-10
-        # the kernel of the refined point, in the even sector of N = 48
+        # the kernel at N, in the even sector of N = 48
         J = assemble_jacobian(report.point.coeffs[::2], report.point.lam, system48, 1)
-        assert report.kernel.shape == (25,)
         assert np.max(np.abs(J @ report.kernel)) < 1e-10
 
-    def test_a_point_that_fails_a_check_is_not_reported(self, coarse_fold, system48):
-        branch, coarse = coarse_fold
-        assert continuation._refine_degenerate(branch, coarse, 1e-30, system48) is None
-        # a start this far from the fold converges onto it, farther from the
-        # start than the traced pair's chord
-        point = dataclasses.replace(coarse.point, lam=coarse.point.lam + 1.0)
-        moved = dataclasses.replace(coarse, point=point)
-        assert continuation._refine_degenerate(branch, moved, 1e-6, system48) is None
+    def test_a_fold_that_fails_a_check_is_not_reported(self, fold_report, system48):
+        trace, report = fold_report
+        assert locate_degenerate(trace, 1e-30, system48) is None
+        # nor is a pair whose newer point carries no crossing event
+        assert locate_degenerate(_cut(trace, len(trace.points) - 1), 1e-6, system48) is None
 
-
-class TestFindDegenerate:
-    """The degenerate command's search: one trace, each fold located on the
-    rung the trace reached and solved for again at N."""
-
-    def test_a_fold_located_below_N_is_solved_for_at_N(self, fold_report, system48):
-        report, rung = find_degenerate(2, system48, 1e-6)
-        assert (report.point.rung, rung.point.rung) == (48, 32)
-        assert report.point.lam == pytest.approx(fold_report[1].point.lam, rel=1e-12, abs=0)
-        assert report.crossing_index == rung.crossing_index == fold_report[1].crossing_index
-        assert report.point.coeffs.shape == (49,) and report.kernel.shape == (25,)
-        assert rung.point.coeffs.shape == (33,) and rung.kernel.shape == (17,)
-
-    @staticmethod
-    def recorded_traces(monkeypatch) -> list:
-        """The branches that continuation.trace_branch returns from now on."""
-        traces = []
-        original = continuation.trace_branch
-
-        def recording(*args, **kwargs):
-            traces.append(original(*args, **kwargs))
-            return traces[-1]
-
-        monkeypatch.setattr(continuation, "trace_branch", recording)
-        return traces
-
-    def test_no_fold_returns_none(self, system48, monkeypatch):
+    def test_no_fold_returns_none(self, system48):
         # k = 3 has no fold: its one trace locates no crossing
-        traces = self.recorded_traces(monkeypatch)
-        assert find_degenerate(3, system48, 1e-6) == (None, None)
-        assert len(traces) == 1 and len(traces[0].points) == 400
+        report, trace = find_degenerate(3, system48, 1e-6)
+        assert report is None and len(trace.points) == 400
 
     def test_a_fold_that_fails_at_N_lets_the_trace_go_on(self, system48, monkeypatch):
-        monkeypatch.setattr(continuation, "_refine_degenerate", lambda *args: None)
-        traces = self.recorded_traces(monkeypatch)
-        assert find_degenerate(2, system48, 1e-6) == (None, None)
-        # every candidate of the trace was tried, and none stopped it
-        assert len(traces) == 1 and len(traces[0].points) == 400
+        original = continuation._fold_report
+
+        def failing_at_N(branch, sys, *args):
+            return None if sys is system48 else original(branch, sys, *args)
+
+        monkeypatch.setattr(continuation, "_fold_report", failing_at_N)
+        report, trace = find_degenerate(2, system48, 1e-6)
+        # every crossing of the trace was tried, and none stopped it
+        assert report is None and len(trace.points) == 400
 
     def test_N_at_the_bottom_rung_builds_no_other_grid(self, monkeypatch, params):
         # N = 32 is the bottom rung: one trace at N = 32, and no other grid
@@ -715,9 +708,20 @@ class TestFindDegenerate:
             return build_grid(N)
 
         monkeypatch.setattr(continuation, "build_grid", recording_grid)
-        report, rung = find_degenerate(2, system, 1e-6)
-        assert rung is None and report.point.rung == 32
+        report, _ = find_degenerate(2, system, 1e-6)
+        assert report.rung_point is None and report.point.rung == 32
         assert built == []
+
+    def test_mu_star_does_not_depend_on_delta(self):
+        # lambda enters only as mu = lambda / (1 + 1/delta); delta = 0.01
+        # already locates at crossing index 383 of the 400-point budget
+        mu = []
+        for delta in (0.01, 1.0, 100.0):
+            system = DiscreteSystem(build_grid(48), ModelParams(2, delta, 3.0))
+            report, _ = find_degenerate(2, system, 1e-6)
+            mu.append(report.point.lam / (1 + 1 / delta))
+        assert mu[0] == pytest.approx(mu[1], rel=1e-12, abs=0)
+        assert mu[2] == pytest.approx(mu[1], rel=1e-12, abs=0)
 
 
 class TestPsiSmallness:
