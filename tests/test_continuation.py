@@ -644,12 +644,31 @@ class TestLadder:
         assert collocation._tables.cache_info().misses == misses
 
 
+class TestRefineDegenerate:
+    """A fold located on rung 32 of an N = 48 trace, solved for again at N = 48
+    from the rung's fold and kernel padded with zeros."""
+
+    def test_matches_the_fold_located_at_N(self, fold_report, system48, monkeypatch):
+        _, report = fold_report
+        assert report.rung_point.rung == 32
+        # the fold at N agrees with the one of a trace that never leaves N
+        monkeypatch.setattr(continuation, "BOTTOM_RUNG", 48)
+        pinned, _ = find_degenerate(2, system48, 1e-6)
+        assert pinned.rung_point is None and pinned.crossing_index == report.crossing_index
+        assert report.point.lam == pytest.approx(pinned.point.lam, rel=1e-12, abs=0)
+        assert_allclose(report.point.phi, pinned.point.phi, rtol=0, atol=1e-12)
+        assert report.branch_lambda_min == report.point.lam
+        assert abs(report.point.sigma_min) < 1e-6 and report.residual_norm < 1e-10
+        # the kernel at N, in the even sector of N = 48
+        J = assemble_jacobian(report.point.coeffs[::2], report.point.lam, system48, 1)
+        assert np.max(np.abs(J @ report.kernel)) < 1e-10
+
+
 class TestFindDegenerate:
     """The degenerate command's search: one trace that stops at the first
     located fold, solved for on the rung the trace reached and again at N."""
 
-    def test_a_fold_located_below_N_is_solved_for_at_N(self, fold_report, system48, params,
-                                                       monkeypatch):
+    def test_a_fold_located_below_N_is_solved_for_at_N(self, fold_report, params):
         # a fold located on rung 32 of an N = 48 trace comes back at N
         trace, report = fold_report
         rung = report.rung_point
@@ -664,17 +683,6 @@ class TestFindDegenerate:
         assert report.crossing_index == coarse.crossing_index
         assert report.s_bracket == coarse.s_bracket
         assert coarse.newton_iterations <= report.newton_iterations <= coarse.newton_iterations + 2
-        # and the fold at N agrees with the one of a trace that never leaves N
-        monkeypatch.setattr(continuation, "BOTTOM_RUNG", 48)
-        pinned, _ = find_degenerate(2, system48, 1e-6)
-        assert pinned.rung_point is None and pinned.crossing_index == report.crossing_index
-        assert report.point.lam == pytest.approx(pinned.point.lam, rel=1e-12, abs=0)
-        assert_allclose(report.point.phi, pinned.point.phi, rtol=0, atol=1e-12)
-        assert report.branch_lambda_min == report.point.lam
-        assert abs(report.point.sigma_min) < 1e-6 and report.residual_norm < 1e-10
-        # the kernel at N, in the even sector of N = 48
-        J = assemble_jacobian(report.point.coeffs[::2], report.point.lam, system48, 1)
-        assert np.max(np.abs(J @ report.kernel)) < 1e-10
 
     def test_a_fold_that_fails_a_check_is_not_reported(self, fold_report, system48):
         trace, report = fold_report
