@@ -15,19 +15,20 @@ command-line overrides take precedence.  The keys are the problem data
 (n, delta, q, k), the resolution N, the degeneracy target sigma_tol, the
 verify sample count and seed, and output_dir; the solver's tolerances and
 step sizes are constants of the modules that use them; ``branch`` and
-``degenerate`` also need k <= N.  Exit codes: 0 success, 2 solver
-non-convergence, no degenerate point found (``degenerate``, which then
-writes found: false and removes an earlier profile CSV) or a stored profile
-whose lift is not positive (``verify``, which then writes nothing and
-removes an earlier verify.json), 3 configuration error (also an output_dir
-that cannot be created, an output file that cannot be written or removed,
-and a lambda_k that overflows).  Output files
-are byte-identical across runs for a fixed config and seed on one platform,
-and for a fixed CPU count once a trace has 321 unknowns; floats are written
-with 17 significant digits so values round-trip exactly.  ``main`` sets
-numpy's OpenBLAS to one thread, except for traces of 321 or more unknowns
-(``blas_threads``), for the whole calling process and after it returns;
-importing the package does not.
+``degenerate`` also need N >= ceil((5k + 20) / 4), for the chop window of
+``collocation.resolved`` on N + 1 coefficients to end past mode k.  Exit
+codes: 0 success, 2 solver non-convergence, no degenerate point found
+(``degenerate``, which then writes found: false and removes an earlier
+profile CSV) or a stored profile whose lift is not positive (``verify``,
+which then writes nothing and removes an earlier verify.json), 3
+configuration error (also an output_dir that cannot be created, an output
+file that cannot be written or removed, and a lambda_k that overflows).
+Output files are byte-identical across runs for a fixed config and seed on
+one platform, and for a fixed CPU count once a trace has 321 unknowns;
+floats are written with 17 significant digits so values round-trip exactly.
+``main`` sets numpy's OpenBLAS to one thread, except for traces of 321 or
+more unknowns (``blas_threads``), for the whole calling process and after
+it returns; importing the package does not.
 
 ``branch`` traces each direction with N as a ceiling:
 ``continuation.trace_branch`` climbs a ladder of sizes from
@@ -64,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from . import continuation, manifold
-from .collocation import DiscreteSystem, build_grid
+from .collocation import DiscreteSystem, _chop_window_end, build_grid
 from .continuation import ConvergenceError
 from .gegenbauer import (
     cube_integral,
@@ -547,8 +548,9 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     """Run one command; returns the process exit code."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
-    if command in ("branch", "degenerate") and cfg.k > cfg.N:
-        raise ConfigError(f"mode index k={cfg.k} exceeds the resolution N={cfg.N}")
+    if command in ("branch", "degenerate") and _chop_window_end(cfg.N + 1) <= cfg.k:
+        raise ConfigError(f"mode k={cfg.k} needs N >= {-(-(5 * cfg.k + 20) // 4)}, got N={cfg.N}"
+                          ": a smaller N ends the chop window at or before mode k")
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:  # a file of that name, or no writable parent

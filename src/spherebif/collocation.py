@@ -51,7 +51,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .gegenbauer import gauss_jacobi_rule, gegenbauer_eval
+from .gegenbauer import _check_t, gauss_jacobi_rule, gegenbauer_eval
 from .model import ModelParams, PositivityError, reduction_factor
 
 # residual max-norm tolerance of the Newton solves; a profile this small is
@@ -110,23 +110,14 @@ def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
     Clenshaw's recurrence b_k = a_k + 2t b_{k+1} - b_{k+2} sums the series
     at all targets at once.  Every value is computed elementwise, so it
     rounds the same whether its target comes alone or among others.  The
-    targets are checked and clipped to [-1, 1]; a target within 1e-14 of a
-    node (only its nearest node, found by one ``searchsorted`` on the
-    midpoints between the increasing nodes, can be so close) returns that
-    node's value exactly.
+    targets are checked and clipped to [-1, 1] as gegenbauer's are.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (grid.N + 1,):
         raise ValueError(f"phi must hold the {grid.N + 1} node values of the grid, "
                          f"got shape {phi.shape}")
     scalar = np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.abs(t) <= 1 + 1e-12):
-        raise ValueError("interpolation targets must lie in [-1, 1]")
-    t = np.clip(t, -1.0, 1.0)
-    rising = grid.nodes[::-1]
-    near = grid.N - np.searchsorted(0.5 * (rising[1:] + rising[:-1]), t)
-    hit = np.abs(t - grid.nodes[near]) < 1e-14
+    t = np.atleast_1d(_check_t(t))
     # numpy imports its fft module on this first use, not at package import
     a = np.fft.rfft(np.concatenate([phi, phi[-2:0:-1]])).real / grid.N
     a[[0, -1]] *= 0.5
@@ -142,7 +133,6 @@ def interpolate(grid: SpectralGrid, phi: np.ndarray, t):
     np.multiply(t, b1, out=work)
     work -= b2
     work += a[0]
-    work[hit] = phi[near[hit]]
     return float(work[0]) if scalar else work
 
 
@@ -195,7 +185,7 @@ def _tables(N: int, n: int) -> tuple:
     refinement = {0: P[:, M + N + 1 :], 1: P[::2, M + N + 1 :]}
     for table in refinement.values():
         table.setflags(write=False)
-    return rule, _frozen(norms), sectors[0][2], sectors, output, refinement
+    return rule, _frozen(norms), sectors, output, refinement
 
 
 @dataclass(frozen=True)
@@ -215,13 +205,12 @@ class DiscreteSystem:
     params: ModelParams
     _rule: object = field(init=False, repr=False)
     _norms: np.ndarray = field(init=False, repr=False)
-    _eig: np.ndarray = field(init=False, repr=False)
     _sectors: dict = field(init=False, repr=False)
     _output: dict = field(init=False, repr=False)
     _fine: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        names = ("_rule", "_norms", "_eig", "_sectors", "_output", "_fine")
+        names = ("_rule", "_norms", "_sectors", "_output", "_fine")
         for name, table in zip(names, _tables(self.grid.N, self.params.n)):
             object.__setattr__(self, name, table)
 
@@ -254,7 +243,7 @@ class DiscreteSystem:
         The regular limit of the operator at t = +/-1 gives
         P_{j,n}'(1) = j(j + n - 1) / n, and P_{j,n}'(-1) = (-1)^(j+1) P_{j,n}'(1).
         """
-        d = self._eig * np.asarray(c, dtype=float) / (self._norms * self.params.n)
+        d = self._sectors[0][2] * np.asarray(c, dtype=float) / (self._norms * self.params.n)
         return float(d.sum()), float(d[1::2].sum() - d[::2].sum())
 
 
@@ -348,11 +337,11 @@ def _radii(sys: DiscreteSystem, h, prior) -> tuple:
     the even profile whose blocks have the diagonal h = mu(lambda) g'(u) at
     the folded rule nodes: those of ``prior`` less max|h - h_prior| and
     _WEYL_MARGIN times the scale of J; -inf without a prior of this N."""
-    if prior is None or prior.gap_bounds is None or prior.rung != sys.grid.N:
+    if prior is None or prior.rung != sys.grid.N:
         return (-np.inf, -np.inf)
     dh = np.abs(h - prior.h).max()
     # max|h_prior| <= max|h| + dh
-    shift = dh + _WEYL_MARGIN * (sys._eig[-1] + np.abs(h).max() + dh)
+    shift = dh + _WEYL_MARGIN * (sys._sectors[0][2][-1] + np.abs(h).max() + dh)
     return tuple(bound - shift for bound in prior.gap_bounds)
 
 

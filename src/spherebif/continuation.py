@@ -300,8 +300,8 @@ def solve_at_s(
 
 
 def _tangent(sys, c, lam, ref, ref_lam, k=None, J=None):
-    """Unit tangent at (c, lam), in the sector's coefficients, oriented
-    along the reference (ref, ref_lam).
+    """Unit tangent at (c, lam), in the sector's coefficients, oriented along
+    (ref, ref_lam), its bordered row: that row's right-hand side 1 keeps it so.
 
     J, when given, is the sector's Jacobian at (c, lam).
     """
@@ -312,10 +312,7 @@ def _tangent(sys, c, lam, ref, ref_lam, k=None, J=None):
     z = _solve(_bordered(J, flam, ref, ref_lam), np.append(np.zeros(c.size), 1.0))
     tc, tlam = z[:-1], z[-1]
     nrm = np.sqrt(tc @ tc + tlam**2)
-    tc, tlam = tc / nrm, tlam / nrm
-    if tc @ ref + tlam * ref_lam < 0:
-        tc, tlam = -tc, -tlam
-    return tc, tlam
+    return tc / nrm, tlam / nrm
 
 
 def arclength_step(
@@ -523,8 +520,6 @@ def locate_degenerate(
     a, b = branch.points[-2:]
     dc, dlam = b.coeffs - a.coeffs, b.lam - a.lam
     gap = np.sqrt(dc @ dc + dlam**2)  # the pair's chord length
-    if gap == 0:
-        return None
     parity = _parity(branch.k)
     modes = _modes(parity)
     rsys = _system(sys, b.rung)

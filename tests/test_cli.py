@@ -119,8 +119,9 @@ class TestConfig:
 
     def test_exit_code_for_config_error(self, tmp_path, capsys):
         assert main(["eigen", "n=3", "q=6"]) == 3
-        # branch and degenerate discretize P_{k,n}, which needs k <= N; a
-        # sigma_tol of nan would switch off the |sigma_min| test of a fold
+        # branch and degenerate need mode k inside the chop window of N + 1
+        # coefficients (N >= 55 for k = 40); a sigma_tol of nan would switch
+        # off the |sigma_min| test of a fold
         for argv in (["branch", "k=40", "N=32"], ["degenerate", "k=40", "N=32"],
                      ["degenerate", "sigma_tol=nan", "N=32"],
                      ["degenerate", "sigma_tol=inf", "N=32"],
@@ -135,6 +136,31 @@ class TestConfig:
         assert f"lambda_{10**200} overflows a float" in err
         assert "lambda_2 overflows a float at delta=1e-308, q=3.0" in err
         assert "lambda_2 overflows a float at delta=1e-320, q=3.0" in err
+
+    @pytest.mark.parametrize("k,N_min", [(2, 8), (33, 47), (64, 85)])
+    def test_N_below_the_chop_window_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                       k, N_min):
+        # below N_min = ceil((5k + 20) / 4) the chop window of N + 1
+        # coefficients ends at or before mode k: no point could be judged
+        import spherebif.cli as cli_mod
+
+        out = tmp_path / "out"
+        for command in ("branch", "degenerate"):
+            assert main([command, f"k={k}", f"N={N_min - 1}", f"output_dir={out}"]) == 3
+            err = capsys.readouterr().err
+            assert f"mode k={k} needs N >= {N_min}, got N={N_min - 1}" in err
+        assert not out.exists()
+        for command in ("branch", "degenerate"):
+            monkeypatch.setitem(cli_mod._HANDLERS, command, lambda cfg: 0)
+            cfg = parse_config(None, [f"k={k}", f"N={N_min}", f"output_dir={out}"])
+            assert dispatch(command, cfg) == 0
+
+    def test_degenerate_at_the_smallest_N(self, tmp_path, capsys):
+        # k = 2 at N = 8 still runs and locates the fold to 1e-8
+        code, files, _ = _degenerate_outputs(tmp_path, capsys, ["k=2", "N=8"])
+        assert code == 0
+        rep = json.loads(files["degenerate_k2.json"])
+        assert rep["lambda_star"] == pytest.approx(11.223525580329053, rel=1e-8, abs=0)
 
     def test_output_dir_that_cannot_be_created_exits_three(self, tmp_path, capsys):
         taken = tmp_path / "taken"

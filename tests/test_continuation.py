@@ -536,6 +536,23 @@ class TestEvenSector:
         again, _ = arclength_step(a, tangent, 0.05, system48, k=k)
         assert np.array_equal(again.phi, pt.phi) and again.lam == pt.lam
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tangent_points_along_its_reference(self, system48, k):
+        # the bordered row (ref, ref_lam) has right-hand side 1, so the
+        # tangent needs no sign flip: -ref gives the opposite tangent
+        branch = trace_branch(k, 1, system48, max_points=4)
+        a, b = branch.points[-2], branch.points[-1]
+        sector = slice(None, None, 2) if k == 2 else slice(None)
+        ref, ref_lam = (b.coeffs - a.coeffs)[sector], b.lam - a.lam
+        tangents = [continuation._tangent(system48, a.coeffs[sector], a.lam,
+                                          sign * ref, sign * ref_lam, k=k)
+                    for sign in (1, -1)]
+        for sign, (tc, tlam) in zip((1, -1), tangents):
+            assert tc @ tc + tlam**2 == pytest.approx(1.0, rel=1e-14)
+            assert sign * (tc @ ref + tlam * ref_lam) > 0
+        (tc, tlam), (uc, ulam) = tangents
+        assert_allclose(np.append(uc, ulam), -np.append(tc, tlam), rtol=0, atol=1e-13)
+
 
 @pytest.mark.parametrize("N", [32, 48])
 def test_no_jump_onto_the_trivial_solution(N):
