@@ -120,24 +120,21 @@ class RunConfig:
         return DiscreteSystem(build_grid(self.N), self.params())
 
 
-def _parse_value(key: str, kind: type, raw: str):
-    raw = raw.strip().strip("'\"")
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from exc
+_KINDS = typing.get_type_hints(RunConfig)  # int, float or str per key
 
 
 def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     """Build a RunConfig from an optional file plus key=value overrides."""
-    kinds = typing.get_type_hints(RunConfig)  # int, float or str per key
     values: dict = {}
 
     def set_kv(key, raw, where):
-        key = key.strip()
-        if key not in kinds:
+        key, raw = key.strip(), raw.strip().strip("'\"")
+        if key not in _KINDS:
             raise ConfigError(f"unknown configuration key {key!r} ({where})")
-        values[key] = _parse_value(key, kinds[key], raw)
+        try:
+            values[key] = _KINDS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from exc
 
     if path is not None:
         try:

@@ -428,6 +428,8 @@ def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None, prior=None) -> "
     coeffs[_modes(parity)] = c
     phi = sys.node_values(c, parity)
     scale = np.max(np.abs(c))
+    # the last four modes of the sector, less those within the chop window
+    last = coeffs[max(sys.grid.N - 3 - 4 * parity, _chop_window_end(coeffs.size) + 1):]
     return SolutionPoint(
         phi=phi,
         lam=float(lam),
@@ -436,7 +438,7 @@ def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None, prior=None) -> "
         sigma_min=sigma,
         u_min=float(1.0 + phi.min()),
         coeffs=coeffs,
-        tail=float(np.max(np.abs(c[-4:])) / scale) if scale > 0 else 0.0,
+        tail=float(np.max(np.abs(last)) / scale) if scale > 0 else 0.0,
         gap_bounds=bounds,
         rung=sys.grid.N,
         h=h,
@@ -450,16 +452,17 @@ class SolutionPoint:
     ``phi`` holds the profile on the Lobatto nodes and ``coeffs`` its N + 1
     Galerkin coefficients.  ``tail`` estimates how well N resolves it: the
     largest magnitude among the last four coefficients of its sector over
-    the largest coefficient.  ``gap_bounds`` holds a lower bound on
-    min|eigenvalue| of each block of the Jacobian (even then odd for even
-    k, one for the full Jacobian otherwise): the exact value for a block
-    whose spectrum was evaluated.  ``rung`` is the N of the system the
-    point was solved on, which a trace may keep below the N of its
-    ``coeffs`` and ``phi`` (see continuation.trace_branch); ``gap_bounds``
-    and every diagnostic but ``phi`` and ``u_min`` come from that system,
-    and so does ``h``, the diagonal mu g'(u) of both blocks at its folded
-    rule nodes for even k (None otherwise).  These three are written to no
-    output file.
+    the largest coefficient, leaving out those within the chop window of
+    ``resolved``, which the last four even modes reach below N = 20.
+    ``gap_bounds`` holds a lower bound on min|eigenvalue| of each block of
+    the Jacobian (even then odd for even k, one for the full Jacobian
+    otherwise): the exact value for a block whose spectrum was evaluated.
+    ``rung`` is the N of the system the point was solved on, which a trace
+    may keep below the N of its ``coeffs`` and ``phi`` (see
+    continuation.trace_branch); ``gap_bounds`` and every diagnostic but
+    ``phi`` and ``u_min`` come from that system, and so does ``h``, the
+    diagonal mu g'(u) of both blocks at its folded rule nodes for even k
+    (None otherwise).  These three are written to no output file.
     """
 
     phi: np.ndarray

@@ -38,8 +38,16 @@ F(c, lambda) = 0 of ``collocation`` plus one linear equation in
 (``newton_solve``), the projection onto P_{k,n} (``solve_at_s``) or the
 pseudo-arclength equation (``arclength_step``).  A fold is solved for on
 the extended system in (c, lambda, v).  The coefficients are
-orthonormal coordinates, so inner products, norms and arclength are plain
-dot products.  Even k is traced in the even sector: P_{k,n} is even in t,
+orthonormal coordinates, so a trace measures every length (its arclength,
+its tangent's norm and orientation, the fold search's chord test) in the
+inner product c.c' + w lambda lambda', w being its weight of lambda, as in
+Keller's pseudo-arclength and AUTO's THL/THU.  ``find_degenerate`` takes
+w = k(k+n-1)/lambda_k^2 (``model.lambda_weight``): 1 - lambda*/lambda_k is
+about C/k, so in units of lambda_k/sqrt(k(k+n-1)) the fold is O(1) away for
+every (n, q, k, delta), while lambda_k is unbounded as q -> 2 or delta -> 0.
+``branch`` keeps w = 1: weighted, its 400 points would run far past where
+N resolves the profile (to lambda ~ 470 for k=2 at N=192).  Even k is
+traced in the even sector: P_{k,n} is even in t,
 and so is every point of the branch, so the corrector, the tangent and the
 fold solve work on the even modes and their block of the Jacobian (about
 half the unknowns), and every recorded profile is exactly even.  Odd k, and
@@ -74,7 +82,7 @@ from .collocation import (
     resolved,
     solution_point,
 )
-from .model import PositivityError, dlambda_ds0, lambda_k
+from .model import PositivityError, dlambda_ds0, lambda_k, lambda_weight
 
 __all__ = [
     "ConvergenceError",
@@ -129,13 +137,14 @@ class Branch:
     step-failure}, plus ``nodal-change`` markers for rejected steps (a
     persistent one terminates the branch as a step failure) and an
     ``under-resolved`` marker on each point that the trace's N does not
-    resolve (collocation.resolved).
+    resolve (collocation.resolved).  ``weight`` is trace_branch's weight of lambda.
     """
 
     k: int
     direction: int
     points: list = field(default_factory=list)
     events: list = field(default_factory=list)
+    weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -299,9 +308,10 @@ def solve_at_s(
     return pt
 
 
-def _tangent(sys, c, lam, ref, ref_lam, k=None, J=None):
-    """Unit tangent at (c, lam), in the sector's coefficients, oriented along
-    (ref, ref_lam), its bordered row: that row's right-hand side 1 keeps it so.
+def _tangent(sys, c, lam, ref, ref_lam, k=None, J=None, weight=1.0):
+    """Unit tangent at (c, lam) in the sector's coefficients and the inner
+    product c.c' + weight lam lam', oriented along (ref, ref_lam): its
+    bordered row (ref, weight ref_lam) has the right-hand side 1.
 
     J, when given, is the sector's Jacobian at (c, lam).
     """
@@ -309,9 +319,9 @@ def _tangent(sys, c, lam, ref, ref_lam, k=None, J=None):
     if J is None:
         J = assemble_jacobian(c, lam, sys, parity)
     flam = dresidual_dlambda(c, lam, sys, parity)
-    z = _solve(_bordered(J, flam, ref, ref_lam), np.append(np.zeros(c.size), 1.0))
+    z = _solve(_bordered(J, flam, ref, weight * ref_lam), np.append(np.zeros(c.size), 1.0))
     tc, tlam = z[:-1], z[-1]
-    nrm = np.sqrt(tc @ tc + tlam**2)
+    nrm = np.sqrt(tc @ tc + weight * tlam**2)
     return tc / nrm, tlam / nrm
 
 
@@ -321,27 +331,28 @@ def arclength_step(
     ds: float,
     sys: DiscreteSystem,
     k: int | None = None,
+    weight: float = 1.0,
 ):
     """One pseudo-arclength step of length ds from a converged point.
 
     The tangent (t_c, t_lambda) holds the coefficients of the sector of mode
     k (the even modes for even k).  The corrector solves F = 0 together with
-    the affine constraint <c - c_0, t_c> + (lambda - lambda_0) t_lambda = ds
-    to NEWTON_TOL.  The new point is accepted only if its nodal count
-    matches the current one; otherwise StepRejected carries the reason
-    ``nodal-change``.  A corrector that stalls or loses positivity (u <= 0)
-    raises StepRejected with the reason ``step-failure`` and the corrector's
-    message, so every accepted point has u > 0.  Returns the pair (point,
-    Jacobian of the sector at the point).  ``current`` is the new point's
-    prior in solution_point: for even k its ``gap_bounds`` and the Weyl
-    bound can spare the spectrum of one parity block.
+    the affine constraint <c - c_0, t_c> + weight (lambda - lambda_0)
+    t_lambda = ds to NEWTON_TOL.  The new point is accepted only if its
+    nodal count matches the current one; otherwise StepRejected carries the
+    reason ``nodal-change``.  A corrector that stalls or loses positivity
+    (u <= 0) raises StepRejected with the reason ``step-failure`` and the
+    corrector's message, so every accepted point has u > 0.  Returns the
+    pair (point, Jacobian of the sector at the point).  ``current`` is the
+    new point's prior in solution_point: for even k its ``gap_bounds`` and
+    the Weyl bound can spare the spectrum of one parity block.
     """
     tc, tlam = tangent
     c0, lam0 = current.coeffs[_modes(_parity(k))], current.lam
     try:
         pt, J = _correct(
-            sys, k, c0 + ds * tc, lam0 + ds * tlam, tc, tlam,
-            lambda c, lam: (c - c0) @ tc + (lam - lam0) * tlam - ds,
+            sys, k, c0 + ds * tc, lam0 + ds * tlam, tc, weight * tlam,
+            lambda c, lam: (c - c0) @ tc + weight * (lam - lam0) * tlam - ds,
             prior=current,
         )
     except (ConvergenceError, PositivityError) as exc:
@@ -400,6 +411,7 @@ def trace_branch(
     max_points: int = 400,
     stop: Callable[[Branch], bool] | None = None,
     tol: float = CHOP_TOL,
+    weight: float = 1.0,
 ) -> Branch:
     """Trace the branch D_k^+ (direction=+1) or D_k^- (direction=-1).
 
@@ -411,7 +423,7 @@ def trace_branch(
     diagnostics and the branch keeps a constant nodal count.  ``stop`` is
     called once after each accepted point, after that point's fold and
     sigma-zero events are recorded, so it sees every crossing event exactly
-    once.
+    once.  Lengths are in the inner product c.c' + weight lambda lambda'.
 
     The trace climbs a ladder of sizes (``_rungs``) that ends at sys's N
     and solves each point at the size it has reached.  When a point fails
@@ -430,7 +442,7 @@ def trace_branch(
         raise ValueError(f"direction must be -1 or +1, got {direction}")
     lam_k = lambda_k(k, sys.params)
     lambda_floor = 1e-3 * lambda_k(1, sys.params)
-    branch = Branch(k=k, direction=direction)
+    branch = Branch(k=k, direction=direction, weight=weight)
     parity = _parity(k)
     modes = _modes(parity)
     rungs = _rungs(sys.grid.N, k)
@@ -450,18 +462,18 @@ def trace_branch(
 
     # reference direction: the secant back to the bifurcation point
     c = first.coeffs[modes]
-    tc, tlam = _tangent(rsys, c, first.lam, c, first.lam - lam_k, k=k)
+    tc, tlam = _tangent(rsys, c, first.lam, c, first.lam - lam_k, k=k, weight=weight)
     ds = DS_INIT
     prev_dlam = first.lam - lam_k
     current = first
     while len(branch.points) < max_points:
         try:
-            nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k)
+            nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k, weight=weight)
             while rungs and not resolved(nxt.coeffs, tol):
                 rsys = _system(sys, rungs.pop(0))
                 current = _padded_point(current, rsys, k)
                 tc = _padded(tc, rsys, parity)
-                nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k)
+                nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k, weight=weight)
         except StepRejected as exc:
             idx = len(branch.points) - 1
             if exc.reason == "nodal-change":
@@ -484,7 +496,7 @@ def trace_branch(
         if nxt.lam < lambda_floor:
             branch.events.append((idx, "lambda-floor"))
             break
-        tc, tlam = _tangent(rsys, nxt.coeffs[modes], nxt.lam, tc, tlam, k=k, J=J)
+        tc, tlam = _tangent(rsys, nxt.coeffs[modes], nxt.lam, tc, tlam, k=k, J=J, weight=weight)
         ds = min(ds * 1.3, DS_MAX)
         current = nxt
     return branch
@@ -519,14 +531,15 @@ def locate_degenerate(
         return None
     a, b = branch.points[-2:]
     dc, dlam = b.coeffs - a.coeffs, b.lam - a.lam
-    gap = np.sqrt(dc @ dc + dlam**2)  # the pair's chord length
+    w = branch.weight
+    gap = np.sqrt(dc @ dc + w * dlam**2)  # the pair's chord length
     parity = _parity(branch.k)
     modes = _modes(parity)
     rsys = _system(sys, b.rung)
     rung = slice(b.rung + 1)
     c = a.coeffs[rung][modes]
     try:
-        v, _ = _tangent(rsys, c, a.lam, (dc / gap)[rung][modes], dlam / gap, k=branch.k)
+        v, _ = _tangent(rsys, c, a.lam, (dc / gap)[rung][modes], dlam / gap, k=branch.k, weight=w)
     except (ConvergenceError, PositivityError):
         return None
     refs = [(a.coeffs[rung], a.lam), (b.coeffs[rung], b.lam)]
@@ -573,7 +586,7 @@ def _fold_report(branch, sys, start, refs, gap, sigma_tol, earlier_steps=0):
     a, b = branch.points[-2:]
     for rc, rl in refs:
         dc = star.coeffs - rc
-        if np.sqrt(dc @ dc + (star.lam - rl) ** 2) > gap:
+        if np.sqrt(dc @ dc + branch.weight * (star.lam - rl) ** 2) > gap:
             return None
     if abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count:
         return None
@@ -601,5 +614,6 @@ def find_degenerate(k: int, sys: DiscreteSystem, sigma_tol: float) -> tuple:
         found[0] = locate_degenerate(branch, sigma_tol, sys)
         return found[0] is not None
 
-    trace = trace_branch(k, 1, sys, stop=located, tol=PATH_TOL)
+    trace = trace_branch(k, 1, sys, stop=located, tol=PATH_TOL,
+                         weight=lambda_weight(k, sys.params))
     return found[0], trace

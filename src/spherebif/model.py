@@ -35,6 +35,7 @@ __all__ = [
     "ModelParams",
     "PositivityError",
     "lambda_k",
+    "lambda_weight",
     "yamabe_lambda",
     "reduction_factor",
     "dlambda_ds0",
@@ -82,6 +83,11 @@ def lambda_k(k: int, params: ModelParams) -> float:
     if k < 0:
         raise ValueError(f"mode index must be >= 0, got {k}")
     return k * (k + params.n - 1) * (1 + 1 / params.delta) / (params.q - 2)
+
+
+def lambda_weight(k: int, params: ModelParams) -> float:
+    """Weight k(k+n-1)/lambda_k^2 of lambda in a trace's arclength (see continuation)."""
+    return (params.q - 2) / ((1 + 1 / params.delta) * lambda_k(k, params))
 
 
 def yamabe_lambda(n: int, delta: float) -> float:

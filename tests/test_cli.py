@@ -26,6 +26,7 @@ from spherebif.cli import (
 )
 from spherebif.collocation import SolutionPoint
 from spherebif.continuation import ConvergenceError, locate_degenerate, trace_branch
+from spherebif.model import lambda_weight
 
 
 class TestConfig:
@@ -207,15 +208,16 @@ class TestConfig:
         assert (tmp_path / "verify.json").is_dir()
 
     def test_a_directory_in_place_of_a_profile_to_remove_exits_three(self, tmp_path, capsys):
-        (tmp_path / "degenerate_k2_profile.csv").mkdir()
-        argv = ["degenerate", "n=4", "q=2.05", "k=2", "N=32", f"output_dir={tmp_path}"]
+        # k = 3 has no fold, so the run removes an earlier profile
+        (tmp_path / "degenerate_k3_profile.csv").mkdir()
+        argv = ["degenerate", "k=3", "N=48", f"output_dir={tmp_path}"]
         assert main(argv) == 3
         err = capsys.readouterr().err
-        path = tmp_path / "degenerate_k2_profile.csv"
+        path = tmp_path / "degenerate_k3_profile.csv"
         assert f"configuration error: cannot remove {path}: " in err
         assert "Traceback" not in err
         assert path.is_dir()
-        assert json.loads((tmp_path / "degenerate_k2.json").read_text())["found"] is False
+        assert json.loads((tmp_path / "degenerate_k3.json").read_text())["found"] is False
 
     def test_eigen_and_poly_take_any_k(self, tmp_path):
         # they do not discretize, so k > N is no error for them
@@ -287,6 +289,21 @@ def degen_outdir(tmp_path_factory):
 
 
 class TestBranchCommand:
+    def test_lambda_is_unweighted(self, tmp_path, monkeypatch):
+        # branch measures arclength with weight 1; degenerate weights lambda
+        _one_cpu(monkeypatch)
+        original, calls = continuation.trace_branch, []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **{**kwargs, "max_points": 5})
+
+        monkeypatch.setattr(continuation, "trace_branch", recording)
+        assert dispatch("branch", parse_config(None, [f"output_dir={tmp_path}", "N=32"])) == 0
+        assert dispatch("degenerate", parse_config(None, [f"output_dir={tmp_path}", "N=32"])) == 2
+        weight = lambda_weight(2, RunConfig().params())
+        assert [kw.get("weight", 1.0) for kw in calls] == [1.0, 1.0, weight]
+
     def test_files_exist(self, branch_outdir):
         for tag in ("plus", "minus"):
             assert (branch_outdir / f"branch_k2_{tag}.jsonl").exists()
@@ -449,7 +466,8 @@ class TestDegenerateAndVerify:
         # chop tolerance; the trace above stayed on rung 32 and the fold was
         # solved for again at N = 48, so lambda* and phi agree to rounding,
         # not bit for bit
-        full = trace_branch(2, 1, system48, max_points=rep["crossing_index"] + 2)
+        full = trace_branch(2, 1, system48, max_points=rep["crossing_index"] + 2,
+                            weight=lambda_weight(2, system48.params))
         ref = locate_degenerate(full, 1e-6, system48)
         assert rep["crossing_index"] == ref.crossing_index
         assert rep["lambda_star"] == pytest.approx(ref.point.lam, rel=1e-12, abs=0)
@@ -484,7 +502,22 @@ class TestDegenerateAndVerify:
         assert dispatch("degenerate", cfg) == 0
         rep = json.loads((tmp_path / f"degenerate_k{k}.json").read_text())
         assert rep["lambda_star"] == pytest.approx(lambda_star, rel=1e-10, abs=0)
-        assert rep["crossing_index"] == {(3.0, 2): 13, (3.0, 4): 17, (6.0, 6): 13, (4.0, 4): 12}[q, k]
+        assert rep["crossing_index"] == {(3.0, 2): 9, (3.0, 4): 7, (6.0, 6): 8, (4.0, 4): 7}[q, k]
+
+    @pytest.mark.parametrize("overrides,lambda_star", [
+        (["n=5", "q=2.2", "k=4", "N=96"], 275.14240186281114),
+        (["k=2", "N=48", "delta=1e-3"], 5617.374552954693),
+        (["n=4", "q=2.05", "k=2", "N=32"], 347.21078076505955),
+    ])
+    def test_folds_of_a_large_lambda_k_are_located(self, tmp_path, overrides, lambda_star):
+        # lambda_k is 320, 6006 and 400; with lambda unweighted in the
+        # arclength, 400 points covered about 40 units of lambda, short of
+        # each of these folds
+        cfg = parse_config(None, [f"output_dir={tmp_path}", *overrides])
+        assert dispatch("degenerate", cfg) == 0
+        rep = json.loads((tmp_path / f"degenerate_k{cfg.k}.json").read_text())
+        assert rep["lambda_star"] == pytest.approx(lambda_star, rel=1e-10, abs=0)
+        assert rep["nodal_count"] == cfg.k and rep["residual_norm"] < 1e-10
 
     @pytest.mark.parametrize("N", [32, 48])
     def test_q6_k6_located_at_low_resolution(self, tmp_path, N):
@@ -520,14 +553,13 @@ class TestDegenerateAndVerify:
         assert rep["found"] is False
 
     def test_a_degenerate_that_finds_nothing_removes_an_earlier_profile(self, tmp_path, capsys):
-        # q = 2.1 has a fold at N = 32; q = 2.05 has none
-        argv = ["degenerate", "n=4", "k=2", "N=32", f"output_dir={tmp_path}"]
-        assert main([*argv, "q=2.1"]) == 0
-        assert (tmp_path / "degenerate_k2_profile.csv").is_file()
-        assert main([*argv, "q=2.05"]) == 2
+        # k = 3 has no fold; its profile is left from an earlier run
+        profile = tmp_path / "degenerate_k3_profile.csv"
+        profile.write_text("t,phi\n1,0.5\n")
+        assert main(["degenerate", "k=3", "N=48", f"output_dir={tmp_path}"]) == 2
         assert "no degenerate point located" in capsys.readouterr().err
-        assert json.loads((tmp_path / "degenerate_k2.json").read_text())["found"] is False
-        assert not (tmp_path / "degenerate_k2_profile.csv").exists()
+        assert json.loads((tmp_path / "degenerate_k3.json").read_text())["found"] is False
+        assert not profile.exists()
 
 
 def _degenerate_outputs(tmp_path, capsys, overrides) -> tuple:
@@ -545,23 +577,31 @@ class TestCoarseFold:
     reached, coarser than N or N itself, and solves one below N for again
     at N."""
 
-    @pytest.mark.parametrize("n,q,k,crossing_index", [
+    @pytest.mark.parametrize("n,q,k,unweighted_index", [
         (2, 3.0, 2, 13), (2, 3.0, 4, 17), (2, 6.0, 6, 13), (2, 4.0, 4, 12), (3, 4.9, 2, 23),
     ])
-    def test_lambda_star_matches_a_trace_at_N(self, tmp_path, n, q, k, crossing_index):
+    def test_lambda_star_matches_a_trace_at_N(self, tmp_path, n, q, k, unweighted_index):
+        # a trace at N with the search's weight of lambda crosses the fold at
+        # the search's index; one with weight 1 crosses it later, at the same
+        # lambda*
         from spherebif.collocation import DiscreteSystem, build_grid
         from spherebif.model import ModelParams
 
         cfg = parse_config(None, [f"output_dir={tmp_path}", f"n={n}", f"q={q}", f"k={k}", "N=96"])
         assert dispatch("degenerate", cfg) == 0
         rep = json.loads((tmp_path / f"degenerate_k{k}.json").read_text())
+        crossing_index = {
+            (2, 3.0, 2): 9, (2, 3.0, 4): 7, (2, 6.0, 6): 8, (2, 4.0, 4): 7, (3, 4.9, 2): 16,
+        }[n, q, k]
         assert rep["crossing_index"] == crossing_index
 
         system = DiscreteSystem(build_grid(96), ModelParams(n=n, delta=1.0, q=q))
-        branch = trace_branch(k, 1, system, max_points=crossing_index + 2)
-        ref = locate_degenerate(branch, 1e-6, system)
-        assert ref.crossing_index == crossing_index
-        assert rep["lambda_star"] == pytest.approx(ref.point.lam, rel=1e-10, abs=0)
+        weighted = lambda_weight(k, system.params)
+        for weight, index in ((weighted, crossing_index), (1.0, unweighted_index)):
+            branch = trace_branch(k, 1, system, max_points=index + 2, weight=weight)
+            ref = locate_degenerate(branch, 1e-6, system)
+            assert ref.crossing_index == index
+            assert rep["lambda_star"] == pytest.approx(ref.point.lam, rel=1e-10, abs=0)
         assert rep["residual_norm"] < 1e-10
         assert abs(rep["sigma_at_star"]) < cfg.sigma_tol
         assert rep["nodal_count"] == k and rep["u_min"] > 0
@@ -584,8 +624,10 @@ class TestCoarseFold:
         assert len(traces) == 1
         rep = json.loads(files[f"degenerate_k{k}.json"])
         if lambda_star is None:
+            # past lambda = 190 at N = 48 u_min falls below 2e-6 and the corrector fails
             assert code == 2 and rep["found"] is False
-            assert len(traces[0].points) == 400
+            assert len(traces[0].points) == 260
+            assert traces[0].events[-1] == (259, "step-failure")
         else:
             assert code == 0 and rep["nodal_count"] == k
             assert rep["lambda_star"] == pytest.approx(lambda_star, rel=1e-10, abs=0)
@@ -601,20 +643,28 @@ class TestCoarseFold:
         assert code == 0 and "rung" not in err
         rep = json.loads(files["degenerate_k2.json"])
         system = DiscreteSystem(build_grid(32), ModelParams(n=2, delta=1.0, q=3.0))
-        trace = trace_branch(2, 1, system, max_points=rep["crossing_index"] + 2)
+        trace = trace_branch(2, 1, system, max_points=rep["crossing_index"] + 2,
+                             weight=lambda_weight(2, system.params))
         ref = locate_degenerate(trace, 1e-6, system)
         assert ref.rung_point is None
         assert (rep["crossing_index"], rep["lambda_star"]) == (ref.crossing_index, ref.point.lam)
 
-    @pytest.mark.parametrize("k,delta,line", [
-        (3, 1.0, "in 400 traced points, lambda 24.0007 -> 63.2725, ended by the point budget"),
-        (2, 1e-6, "in 4 traced points, lambda 5.98308e+06 -> 5.98308e+06, ended by step-failure"),
+    @pytest.mark.parametrize("k,N,line", [
+        (3, 96, "in 400 traced points, lambda 24.0007 -> 294.806, ended by the point budget"),
+        (3, 48, "in 260 traced points, lambda 24.0007 -> 190.749, ended by step-failure"),
     ], ids=["point-budget", "step-failure"])
-    def test_the_exit_2_line_names_the_trace(self, tmp_path, capsys, k, delta, line):
-        # k = 3 has no fold; at delta = 1e-6 the trace fails its fourth step
-        code, files, err = _degenerate_outputs(tmp_path, capsys, [f"k={k}", "N=48", f"delta={delta}"])
+    def test_the_exit_2_line_names_the_trace(self, tmp_path, capsys, k, N, line):
+        # k = 3 has no fold; at N = 48 the trace fails its step where u_min
+        # falls below 2e-6, and at N = 96 it runs to the point budget
+        code, files, err = _degenerate_outputs(tmp_path, capsys, [f"k={k}", f"N={N}"])
         assert code == 2 and json.loads(files[f"degenerate_k{k}.json"])["found"] is False
         assert err == f"degenerate k={k}: no degenerate point located {line} -> OUT/degenerate_k{k}.json\n"
+
+    def test_the_tail_at_small_N_leaves_out_mode_k(self, tmp_path, capsys):
+        # at N = 8 the last four even modes include mode 2 itself, inside the
+        # chop window; the tail is that of modes 4, 6 and 8, not 1.0
+        code, _, err = _degenerate_outputs(tmp_path, capsys, ["k=2", "N=8"])
+        assert code == 0 and ", tail = 7.4e-02, " in err
 
     def test_k_33_solves_its_seed_once(self, tmp_path, monkeypatch):
         # the seed of mode 33 cannot pass the chop test on a rung below 47:
@@ -643,15 +693,15 @@ class TestCoarseFold:
 
     def test_the_log_line_gives_the_rung_and_the_change_in_lambda_star(self, tmp_path, capsys):
         # (6,6) is the fold-hunt case that climbs highest: its N = 96 trace
-        # locates the fold on rung 72, as the N = 72 trace does, bit for bit
+        # locates the fold on rung 48, as the N = 48 trace does, bit for bit
         problem = ["q=6", "k=6"]
-        _, rung, err72 = _degenerate_outputs(tmp_path, capsys, [*problem, "N=72"])
+        _, rung, err48 = _degenerate_outputs(tmp_path, capsys, [*problem, "N=48"])
         code, fine, err = _degenerate_outputs(tmp_path, capsys, [*problem, "N=96"])
-        assert code == 0 and "rung" not in err72
+        assert code == 0 and "rung" not in err48
         lam_r = json.loads(rung["degenerate_k6.json"])["lambda_star"]
         lam = json.loads(fine["degenerate_k6.json"])["lambda_star"]
         change = f"{abs(lam - lam_r):.1e}"
-        assert f", rung = 72, |lambda*(N) - lambda*(rung)| = {change} -> OUT" in err
+        assert f", rung = 48, |lambda*(N) - lambda*(rung)| = {change} -> OUT" in err
         assert float(change) > 0
         assert lam == pytest.approx(20.364737861326915, rel=1e-12, abs=0)
 

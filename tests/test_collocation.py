@@ -790,3 +790,12 @@ def test_tail_is_the_relative_size_of_the_last_modes(system48):
     # on the even sector the last four modes are the last four even ones
     even = solution_point(system48, c[::2], 5.0, k=2)
     assert even.tail == pytest.approx(1e-3 * system48.basis(44)[44] / system48.basis(0)[0])
+
+
+def test_tail_leaves_out_the_chop_window(params):
+    # at N = 8 the last four even modes 2, 4, 6, 8 reach into the chop
+    # window (modes 0..3), which holds mode 2 itself
+    system = DiscreteSystem(build_grid(8), params)
+    c = 0.01 * (system.basis(2) + 1e-3 * system.basis(4))
+    pt = solution_point(system, c[::2], 5.0, k=2)
+    assert pt.tail == pytest.approx(1e-3 * system.basis(4)[4] / system.basis(2)[2])

@@ -31,7 +31,7 @@ from spherebif.continuation import (
     trace_branch,
 )
 from spherebif.gegenbauer import gegenbauer_eval
-from spherebif.model import ModelParams, PositivityError, dlambda_ds0, lambda_k
+from spherebif.model import ModelParams, PositivityError, dlambda_ds0, lambda_k, lambda_weight
 
 
 def _crossings(branch):
@@ -313,7 +313,7 @@ class TestDegeneracy:
             return False
 
         again = trace_branch(2, 1, system48, max_points=len(branch.points), stop=never,
-                             tol=continuation.PATH_TOL)
+                             tol=continuation.PATH_TOL, weight=lambda_weight(2, system48.params))
         assert again.events == branch.events
         assert len(again.points) == len(branch.points)
         for p, q in zip(again.points, branch.points):
@@ -708,9 +708,11 @@ class TestFindDegenerate:
         assert locate_degenerate(_cut(trace, len(trace.points) - 1), 1e-6, system48) is None
 
     def test_no_fold_returns_none(self, system48):
-        # k = 3 has no fold: its one trace locates no crossing
+        # k = 3 has no fold: its one trace locates no crossing, and ends where
+        # u_min falls below 2e-6 near lambda = 191 and the corrector fails
         report, trace = find_degenerate(3, system48, 1e-6)
-        assert report is None and len(trace.points) == 400
+        assert report is None and len(trace.points) == 260
+        assert trace.events[-1] == (259, "step-failure")
 
     def test_a_fold_that_fails_at_N_lets_the_trace_go_on(self, system48, monkeypatch):
         original = continuation._fold_report
@@ -720,8 +722,10 @@ class TestFindDegenerate:
 
         monkeypatch.setattr(continuation, "_fold_report", failing_at_N)
         report, trace = find_degenerate(2, system48, 1e-6)
-        # every crossing of the trace was tried, and none stopped it
-        assert report is None and len(trace.points) == 400
+        # every crossing of the trace was tried, and none stopped it: the
+        # trace ends where u_min nears 0 past lambda = 177 and its step fails
+        assert report is None and len(trace.points) == 360
+        assert trace.events[-1] == (359, "step-failure")
 
     def test_N_at_the_bottom_rung_builds_no_other_grid(self, monkeypatch, params):
         # N = 32 is the bottom rung: one trace at N = 32, and no other grid
@@ -738,15 +742,17 @@ class TestFindDegenerate:
         assert built == []
 
     def test_mu_star_does_not_depend_on_delta(self):
-        # lambda enters only as mu = lambda / (1 + 1/delta); delta = 0.01
-        # already locates at crossing index 383 of the 400-point budget
+        # lambda enters only as mu = lambda / (1 + 1/delta), and the weight
+        # of lambda scales with it; delta = 1e-3 has lambda_2 = 6006, whose
+        # fold an unweighted trace of 400 points did not reach
         mu = []
-        for delta in (0.01, 1.0, 100.0):
+        for delta in (1e-3, 0.01, 1.0, 100.0):
             system = DiscreteSystem(build_grid(48), ModelParams(2, delta, 3.0))
             report, _ = find_degenerate(2, system, 1e-6)
             mu.append(report.point.lam / (1 + 1 / delta))
-        assert mu[0] == pytest.approx(mu[1], rel=1e-12, abs=0)
-        assert mu[2] == pytest.approx(mu[1], rel=1e-12, abs=0)
+        for other in (mu[0], mu[1], mu[3]):
+            assert other == pytest.approx(mu[2], rel=1e-12, abs=0)
+        assert mu[2] == pytest.approx(5.6117627901645, rel=1e-12, abs=0)
 
 
 class TestPsiSmallness:

@@ -14,6 +14,7 @@ from spherebif.model import (
     PositivityError,
     dlambda_ds0,
     lambda_k,
+    lambda_weight,
     reduction_factor,
     yamabe_lambda,
 )
@@ -72,6 +73,15 @@ class TestLambdaLadder:
         assert lambda_k(1, ModelParams(2, 1.0, 3.0)) == pytest.approx(4.0)
         assert lambda_k(2, ModelParams(3, 2.0, 4.0)) == pytest.approx(6.0)
         assert lambda_k(0, ModelParams(4, 0.7, 2.5)) == 0.0
+
+    @pytest.mark.parametrize("k,params", [
+        (1, ModelParams(2, 1.0, 3.0)), (4, ModelParams(5, 1.0, 2.2)),
+        (2, ModelParams(2, 1e-3, 3.0)), (64, ModelParams(3, 10.0, 4.5)),
+    ])
+    def test_weight_is_k_k_plus_n_minus_1_over_lambda_k_squared(self, k, params):
+        # the weight of lambda in find_degenerate's arclength
+        expected = k * (k + params.n - 1) / lambda_k(k, params) ** 2
+        assert lambda_weight(k, params) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_strictly_increasing(self):
         for params in (ModelParams(2, 1.0, 3.0), ModelParams(3, 0.5, 4.5)):
