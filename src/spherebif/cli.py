@@ -250,6 +250,24 @@ def _point_record(pt, event: str = "") -> dict:
     }
 
 
+def _record_line(pt, event: str = "") -> str:
+    """json.dumps(_point_record(pt, event)) + newline, built directly: json
+    writes a finite float as its repr, and a profile that mirrors itself bit
+    for bit (as even k's do) has only its first half formatted.  A non-finite
+    field falls back to the encoder."""
+    phi, fields = pt.phi, (pt.s_coord, pt.lam, pt.sigma_min, pt.u_min)
+    if not (np.isfinite(fields).all() and np.isfinite(phi).all()):
+        return json.dumps(_point_record(pt, event)) + "\n"
+    bits, m = phi.view(np.uint64), phi.size
+    mirror = np.array_equal(bits, bits[::-1])
+    values = list(map(repr, phi[: (m + 1) // 2 if mirror else m].tolist()))
+    values += values[m // 2 - 1 :: -1] if mirror else []
+    s, lam, sigma, u_min = map(float.__repr__, fields)
+    return (f'{{"s_coord": {s}, "lambda": {lam}, "nodal_count": {pt.nodal_count!r}, '
+            f'"sigma_min": {sigma}, "u_min": {u_min}, "phi": [{", ".join(values)}], '
+            f'"event": {json.dumps(event)}}}\n')
+
+
 def _branch_files(cfg, tag) -> tuple:
     """The JSON-lines and the CSV file of the branch of direction tag."""
     stem = os.path.join(cfg.output_dir, f"branch_k{cfg.k}_{tag}")
@@ -261,8 +279,7 @@ def _write_branch(branch, cfg, tag):
     for idx, kind in branch.events:
         events[idx] = events.get(idx, "") + (";" if idx in events else "") + kind
     jsonl, csv = _branch_files(cfg, tag)
-    _write_file(jsonl, (json.dumps(_point_record(pt, events.get(i, ""))) + "\n"
-                        for i, pt in enumerate(branch.points)))
+    _write_file(jsonl, (_record_line(pt, events.get(i, "")) for i, pt in enumerate(branch.points)))
     _write_csv(
         csv,
         "s,lambda,sigma_min",

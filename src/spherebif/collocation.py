@@ -13,9 +13,11 @@ rule for w of ceil(1.5 (N+1)) + 1 points and W its weights.  The Jacobian
 J = -Lambda + mu V^T W diag(g'(V c)) V is symmetric, so the stability
 diagnostic ``sigma_min`` (the eigenvalue of J nearest zero) comes from
 ``numpy.linalg.eigvalsh``, and every ``eigvalsh`` runs inside ``sigma_min``.
-Coefficient vectors are orthonormal
-coordinates: the weighted inner product of two profiles is the dot product
-of their coefficients.
+Coefficient vectors are orthonormal coordinates: the weighted inner product
+of two profiles is the dot product of their coefficients.  J, F and
+F_lambda = V^T W g(V c) / (1 + 1/delta) share u = 1 + V c at the rule nodes
+and the bracket V^T W (u^(q-1) - u): ``assemble_jacobian(..., parts=True)``
+gives them and ``solution_point``'s diagonals from one pass over u.
 
 Even k is traced in the even sector: the branch of an even mode is even in
 t, so only the even j are unknowns, and at an even profile J splits into
@@ -46,6 +48,7 @@ share a single read-only set of them, built on first use.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -71,6 +74,7 @@ __all__ = [
     "SpectralGrid",
     "DiscreteSystem",
     "SolutionPoint",
+    "Linearization",
     "build_grid",
     "interpolate",
     "assemble_residual",
@@ -262,6 +266,18 @@ def _sector_u(c, sys: DiscreteSystem, parity: int):
     return V, w, eig, u
 
 
+# J, F, F_lambda, h = mu g'(u) and J's diagonal d = mu W g'(u) (assemble_jacobian)
+Linearization = namedtuple("Linearization", "J F F_lam h d")
+
+
+def _block(sys: DiscreteSystem, parity: int, d) -> np.ndarray:
+    """-Lambda + V^T diag(d) V on the modes of the sector of parity."""
+    V, _, eig = sys._sectors[parity]
+    J = (V.T * d) @ V
+    J.ravel()[:: len(eig) + 1] -= eig
+    return J
+
+
 def assemble_residual(c, lam: float, sys: DiscreteSystem, parity: int = 0) -> np.ndarray:
     """Galerkin residual -Lambda c + mu V^T W g(V c) in the sector's modes."""
     V, w, eig, u = _sector_u(c, sys, parity)
@@ -269,18 +285,23 @@ def assemble_residual(c, lam: float, sys: DiscreteSystem, parity: int = 0) -> np
     return mu * (V.T @ (w * (u ** (sys.params.q - 1) - u))) - eig * c
 
 
-def assemble_jacobian(c, lam: float, sys: DiscreteSystem, parity: int = 0) -> np.ndarray:
+def assemble_jacobian(c, lam: float, sys: DiscreteSystem, parity: int = 0, parts: bool = False):
     """Symmetric Jacobian -Lambda + mu V^T W diag(g'(V c)) V of the sector.
 
     Parity -1 gives the block of the odd modes at the even profile whose
-    even-mode coefficients are c.
+    even-mode coefficients are c, with the even block's diagonal d.  For
+    parity 0 or 1, ``parts=True`` returns the Linearization at (c, lam):
+    its F and F_lam are bit for bit assemble_residual's and dresidual_dlambda's.
     """
     V, w, eig, u = _sector_u(c, sys, parity)
-    q = sys.params.q
-    d = reduction_factor(lam, sys.params) * w * ((q - 1) * u ** (q - 2) - 1.0)
-    J = (V.T * d) @ V
-    J.ravel()[:: len(eig) + 1] -= eig
-    return J
+    q, mu = sys.params.q, reduction_factor(lam, sys.params)
+    gp = (q - 1) * u ** (q - 2) - 1.0
+    d = mu * w * gp
+    J = _block(sys, parity, d)
+    if not parts:
+        return J
+    r = V.T @ (w * (u ** (q - 1) - u))  # the bracket of F and F_lambda
+    return Linearization(J, mu * r - eig * c, r / (1 + 1 / sys.params.delta), mu * gp, d)
 
 
 def _jacobian_derivatives(c, lam: float, v, sys: DiscreteSystem, parity: int):
@@ -400,30 +421,28 @@ def resolved(c, tol: float = CHOP_TOL) -> bool:
     return bool(np.any(e2 > e1 * (3.0 - 3.0 * np.log(e1) / np.log(tol))))
 
 
-def solution_point(sys: DiscreteSystem, c, lam, k=None, J=None, prior=None) -> "SolutionPoint":
+def solution_point(sys: DiscreteSystem, c, lam, k=None, lin=None, prior=None) -> "SolutionPoint":
     """Assemble the standard diagnostics for a converged profile.
 
     c holds the coefficients of the sector mode k is traced in: the even
-    modes for even k, all N + 1 otherwise.  J, when given, is the Jacobian
-    of that sector at (c, lam).  For even k ``sigma_min`` runs on the even
-    and the odd block; ``prior``, the previous point of the same trace at
-    the same N, lets it skip the block that the prior's ``gap_bounds`` and
-    the Weyl bound (see the module docstring) rule out, and a skipped odd
-    block is not assembled.  Without such a prior both blocks are evaluated.
+    modes for even k, all N + 1 otherwise.  lin, when given, is its
+    Linearization at (c, lam).  For even k ``sigma_min`` runs on the even
+    and the odd block, built from lin's d; ``prior``, the previous point of
+    the same trace at the same N, lets it skip the block that the prior's
+    ``gap_bounds`` and the Weyl bound (see the module docstring) rule out,
+    and a skipped odd block is not built.  Without such a prior both blocks
+    are evaluated.
     """
     parity = _parity(k)
     c = np.asarray(c, dtype=float)
     nodes = nodal_count(sys, c, parity)
-    if J is None:
-        J = assemble_jacobian(c, lam, sys, parity)
-    odd = h = None
-    radii = (-np.inf,)
+    if lin is None:
+        lin = assemble_jacobian(c, lam, sys, parity, parts=True)
+    odd, h, radii = None, None, (-np.inf,)
     if parity:
-        odd = partial(assemble_jacobian, c, lam, sys, -1)
-        V, q = sys._sectors[1][0], sys.params.q
-        h = reduction_factor(lam, sys.params) * ((q - 1) * (1.0 + V @ c) ** (q - 2) - 1.0)
+        odd, h = partial(_block, sys, -1, lin.d), lin.h
         radii = _radii(sys, h, prior)
-    sigma, bounds = sigma_min(J, odd, radii)
+    sigma, bounds = sigma_min(lin.J, odd, radii)
     coeffs = np.zeros(sys.grid.N + 1)
     coeffs[_modes(parity)] = c
     phi = sys.node_values(c, parity)

@@ -30,18 +30,19 @@ NEWTON_TOL, the tolerance that ``collocation.nodal_count`` also takes as its
 trivial-profile floor.  It stops when its residual max-norm fails to fall
 from the third iteration on, after MAX_ITER iterations, on a singular
 system, or when halving the step MAX_BACKTRACK times keeps u = phi + 1
-nonpositive at the rule nodes, which the assembly of the Jacobian at each
-trial point checks.  Its callers supply the residual and the
-Newton matrix.  Every point comes from the Galerkin residual
-F(c, lambda) = 0 of ``collocation`` plus one linear equation in
-(c, lambda), solved as a bordered system: the equation holds lambda fixed
-(``newton_solve``), the projection onto P_{k,n} (``solve_at_s``) or the
-pseudo-arclength equation (``arclength_step``).  A fold is solved for on
-the extended system in (c, lambda, v).  The coefficients are
-orthonormal coordinates, so a trace measures every length (its arclength,
-its tangent's norm and orientation, the fold search's chord test) in the
-inner product c.c' + w lambda lambda', w being its weight of lambda, as in
-Keller's pseudo-arclength and AUTO's THL/THU.  ``find_degenerate`` takes
+nonpositive at the rule nodes.  One pass over u per iterate checks this and
+gives J, F and F_lambda there (collocation.Linearization), from which its
+callers build the residual and the Newton matrix.  Every point comes from
+the Galerkin residual F(c, lambda) = 0 of ``collocation`` plus one linear
+equation in (c, lambda), solved as a bordered system: the equation holds
+lambda fixed (``newton_solve``), the projection onto P_{k,n}
+(``solve_at_s``) or the pseudo-arclength equation (``arclength_step``).  A
+fold is solved for on the extended system in (c, lambda, v).  The
+coefficients are orthonormal coordinates, so a trace measures every length
+(its arclength, its tangent's norm and orientation, the fold search's chord
+test) in the inner product c.c' + w lambda lambda', w being its weight of
+lambda, as in Keller's pseudo-arclength and AUTO's THL/THU.
+``find_degenerate`` takes
 w = k(k+n-1)/lambda_k^2 (``model.lambda_weight``): 1 - lambda*/lambda_k is
 about C/k, so in units of lambda_k/sqrt(k(k+n-1)) the fold is O(1) away for
 every (n, q, k, delta), while lambda_k is unbounded as q -> 2 or delta -> 0.
@@ -198,16 +199,16 @@ def _bordered(J, flam, wrow, wlam):
 
 
 def _newton(sys, k, c, lam, v, residual, matrix, prior=None):
-    """Damped Newton on G = residual(c, lam, v, J) = 0 from (c, lam, v), J
-    being the Jacobian of the sector of mode k at (c, lam); v holds unknowns
-    after lambda, or is None.  Each step solves matrix(c, lam, v, J) z = -G
-    and assembles J at the trial point; the step is halved while that
-    assembly raises PositivityError (u = phi + 1 not positive at the rule
-    nodes).  J is assembled once per iterate and once per rejected trial,
-    plus once more at the last point when MAX_ITER iterations run out.
-    ``prior``, the previous point of a trace, goes to solution_point.
+    """Damped Newton on G = residual(c, lam, v, lin) = 0 from (c, lam, v);
+    v holds unknowns after lambda, or is None.  lin, the sector's J, F and
+    F_lambda at (c, lam) for mode k with the diagonals of solution_point,
+    comes from one pass over u = phi + 1, assemble_jacobian(parts=True).
+    Each step solves matrix(c, lam, v, lin) z = -G and assembles lin at the
+    trial point, halving the step while that raises PositivityError (u not
+    positive): once per iterate, once per rejected trial, and once more
+    when MAX_ITER iterations run out.  ``prior`` goes to solution_point.
 
-    Returns (point, J, v, steps) once max|G| < NEWTON_TOL; raises
+    Returns (point, lin, v, steps) once max|G| < NEWTON_TOL; raises
     PositivityError when the start or the converged u is not positive, and
     ConvergenceError when max|G| fails to fall from iteration 2 on, after
     MAX_ITER iterations, on a singular matrix or when backtracking fails.
@@ -215,24 +216,24 @@ def _newton(sys, k, c, lam, v, residual, matrix, prior=None):
     parity = _parity(k)
     m = c.size
     prev = np.inf
-    J = assemble_jacobian(c, lam, sys, parity)
+    lin = assemble_jacobian(c, lam, sys, parity, parts=True)
     for it in range(MAX_ITER):
-        G = residual(c, lam, v, J)
+        G = residual(c, lam, v, lin)
         err = np.max(np.abs(G))
         if it >= 2 and err >= prev:
             raise ConvergenceError(f"residual rose from {prev:.1e} to {err:.1e} at iteration {it}")
         prev = err
         if err < NEWTON_TOL:
-            pt = solution_point(sys, c, lam, k=k, J=J, prior=prior)
+            pt = solution_point(sys, c, lam, k=k, lin=lin, prior=prior)
             if pt.u_min <= 0:
                 raise PositivityError(f"u = phi + 1 reaches {pt.u_min} on the grid")
-            return pt, J, v, it
-        z = _solve(matrix(c, lam, v, J), -G)
+            return pt, lin, v, it
+        z = _solve(matrix(c, lam, v, lin), -G)
         step = 1.0
         for _ in range(MAX_BACKTRACK):
             trial, trial_lam = c + step * z[:m], lam + step * z[m]
             try:
-                J = assemble_jacobian(trial, trial_lam, sys, parity)
+                lin = assemble_jacobian(trial, trial_lam, sys, parity, parts=True)
                 break
             except PositivityError:
                 step *= 0.5
@@ -247,15 +248,14 @@ def _newton(sys, k, c, lam, v, residual, matrix, prior=None):
 def _correct(sys, k, c, lam, wrow, wlam, constraint, prior=None):
     """Newton on F = 0 and g = constraint(c, lam) = 0, g having gradient
     (wrow, wlam), in the coefficients of the sector of mode k.  Returns the
-    SolutionPoint and the Jacobian at it; ``prior`` goes to _newton."""
-    parity = _parity(k)
-    pt, J, _, _ = _newton(
+    SolutionPoint and the Linearization at it; ``prior`` goes to _newton."""
+    pt, lin, _, _ = _newton(
         sys, k, c, lam, None,
-        lambda c, lam, v, J: np.append(assemble_residual(c, lam, sys, parity), constraint(c, lam)),
-        lambda c, lam, v, J: _bordered(J, dresidual_dlambda(c, lam, sys, parity), wrow, wlam),
+        lambda c, lam, v, lin: np.append(lin.F, constraint(c, lam)),
+        lambda c, lam, v, lin: _bordered(lin.J, lin.F_lam, wrow, wlam),
         prior,
     )
-    return pt, J
+    return pt, lin
 
 
 def newton_solve(
@@ -308,17 +308,18 @@ def solve_at_s(
     return pt
 
 
-def _tangent(sys, c, lam, ref, ref_lam, k=None, J=None, weight=1.0):
+def _tangent(sys, c, lam, ref, ref_lam, k=None, lin=None, weight=1.0):
     """Unit tangent at (c, lam) in the sector's coefficients and the inner
     product c.c' + weight lam lam', oriented along (ref, ref_lam): its
     bordered row (ref, weight ref_lam) has the right-hand side 1.
 
-    J, when given, is the sector's Jacobian at (c, lam).
+    lin, when given, is the sector's Linearization at (c, lam).
     """
-    parity = _parity(k)
-    if J is None:
-        J = assemble_jacobian(c, lam, sys, parity)
-    flam = dresidual_dlambda(c, lam, sys, parity)
+    if lin is None:
+        parity = _parity(k)
+        J, flam = assemble_jacobian(c, lam, sys, parity), dresidual_dlambda(c, lam, sys, parity)
+    else:
+        J, flam = lin.J, lin.F_lam
     z = _solve(_bordered(J, flam, ref, weight * ref_lam), np.append(np.zeros(c.size), 1.0))
     tc, tlam = z[:-1], z[-1]
     nrm = np.sqrt(tc @ tc + weight * tlam**2)
@@ -343,14 +344,15 @@ def arclength_step(
     reason ``nodal-change``.  A corrector that stalls or loses positivity
     (u <= 0) raises StepRejected with the reason ``step-failure`` and the
     corrector's message, so every accepted point has u > 0.  Returns the
-    pair (point, Jacobian of the sector at the point).  ``current`` is the
+    pair (point, collocation.Linearization of the sector at the point), the
+    latter for the next tangent.  ``current`` is the
     new point's prior in solution_point: for even k its ``gap_bounds`` and
     the Weyl bound can spare the spectrum of one parity block.
     """
     tc, tlam = tangent
     c0, lam0 = current.coeffs[_modes(_parity(k))], current.lam
     try:
-        pt, J = _correct(
+        pt, lin = _correct(
             sys, k, c0 + ds * tc, lam0 + ds * tlam, tc, weight * tlam,
             lambda c, lam: (c - c0) @ tc + weight * (lam - lam0) * tlam - ds,
             prior=current,
@@ -362,7 +364,7 @@ def arclength_step(
             "nodal-change",
             f"nodal count {pt.nodal_count} != {current.nodal_count}",
         )
-    return pt, J
+    return pt, lin
 
 
 def _padded(c, sys: DiscreteSystem, parity: int = 0) -> np.ndarray:
@@ -468,12 +470,12 @@ def trace_branch(
     current = first
     while len(branch.points) < max_points:
         try:
-            nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k, weight=weight)
+            nxt, lin = arclength_step(current, (tc, tlam), ds, rsys, k=k, weight=weight)
             while rungs and not resolved(nxt.coeffs, tol):
                 rsys = _system(sys, rungs.pop(0))
                 current = _padded_point(current, rsys, k)
                 tc = _padded(tc, rsys, parity)
-                nxt, J = arclength_step(current, (tc, tlam), ds, rsys, k=k, weight=weight)
+                nxt, lin = arclength_step(current, (tc, tlam), ds, rsys, k=k, weight=weight)
         except StepRejected as exc:
             idx = len(branch.points) - 1
             if exc.reason == "nodal-change":
@@ -496,7 +498,7 @@ def trace_branch(
         if nxt.lam < lambda_floor:
             branch.events.append((idx, "lambda-floor"))
             break
-        tc, tlam = _tangent(rsys, nxt.coeffs[modes], nxt.lam, tc, tlam, k=k, J=J, weight=weight)
+        tc, tlam = _tangent(rsys, nxt.coeffs[modes], nxt.lam, tc, tlam, lin=lin, weight=weight)
         ds = min(ds * 1.3, DS_MAX)
         current = nxt
     return branch
@@ -566,16 +568,15 @@ def _fold_report(branch, sys, start, refs, gap, sigma_tol, earlier_steps=0):
     m = c.size
     ell = v / (v @ v)
 
-    def residual(c, lam, v, J):
-        return np.concatenate([assemble_residual(c, lam, sys, parity), J @ v, [ell @ v - 1.0]])
+    def residual(c, lam, v, lin):
+        return np.concatenate([lin.F, lin.J @ v, [ell @ v - 1.0]])
 
-    def matrix(c, lam, v, J):
+    def matrix(c, lam, v, lin):
         # [[J, F_lambda, 0], [(J v)_c, (J v)_lambda, J], [0, 0, ell]]
         A = np.zeros((2 * m + 1, 2 * m + 1))
-        A[:m, :m] = J
-        A[:m, m] = dresidual_dlambda(c, lam, sys, parity)
+        A[:m, :m] = A[m:-1, m + 1:] = lin.J
+        A[:m, m] = lin.F_lam
         A[m:-1, :m], A[m:-1, m] = _jacobian_derivatives(c, lam, v, sys, parity)
-        A[m:-1, m + 1:] = J
         A[-1, m + 1:] = ell
         return A
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,15 +136,17 @@ def gegenbauer_zeros(k: int, n: int) -> np.ndarray:
     return gauss_jacobi_rule(k, n).nodes.copy()
 
 
+@lru_cache(maxsize=64)
 def gegenbauer_norm2(k: int, n: int) -> float:
-    """Squared weighted norm of P_{k,n} (quadrature-exact)."""
+    """Squared weighted norm of P_{k,n} (quadrature-exact), cached per (k, n)."""
     rule = gauss_jacobi_rule(k + 1, n)
     v = gegenbauer_eval(k, n, rule.nodes)
     return float(np.dot(rule.weights, v * v))
 
 
+@lru_cache(maxsize=64)
 def cube_integral(k: int, n: int) -> float:
-    """int P_{k,n}^3 (1-t^2)^((n-2)/2) dt.
+    """int P_{k,n}^3 (1-t^2)^((n-2)/2) dt, cached per (k, n).
 
     Vanishes for odd k by parity and is strictly positive for even k.
     """

@@ -1,5 +1,6 @@
 """Tests for configuration parsing, dispatch, and file outputs."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -18,6 +19,9 @@ import spherebif.continuation as continuation
 from spherebif.cli import (
     ConfigError,
     RunConfig,
+    _point_record,
+    _record_line,
+    _write_branch,
     blas_threads,
     dispatch,
     main,
@@ -342,6 +346,36 @@ class TestBranchCommand:
         for line in lines[1:3]:
             for tok in line.split(","):
                 assert format(float(tok), ".17g") == tok
+
+
+class TestBranchRecords:
+    @pytest.mark.parametrize("k, q, merged", [(2, 4.0, "fold;sigma-zero;under-resolved"),
+                                              (3, 3.0, "sigma-zero;under-resolved")])
+    def test_each_line_is_the_encoders(self, tmp_path, k, q, merged):
+        # the lines are built directly, an even profile's from its first half
+        cfg = parse_config(None, [f"output_dir={tmp_path}", f"k={k}", f"q={q}", "N=48"])
+        branch = trace_branch(k, 1, cfg.system(), max_points=60)
+        jsonl, _ = _write_branch(branch, cfg, "plus")
+        with open(jsonl, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        assert len(lines) == len(branch.points) == 60
+        events = [";".join(kind for j, kind in branch.events if j == i) for i in range(60)]
+        assert merged in events and "under-resolved" in events and "" in events
+        for line, pt, event in zip(lines, branch.points, events):
+            assert line == json.dumps(_point_record(pt, event)) + "\n"
+
+    def test_non_finite_fields_and_signed_zeros_read_as_the_encoder_writes(self, system48):
+        pt = trace_branch(2, 1, system48, max_points=2).points[-1]
+        phi = pt.phi.copy()
+        phi[0] = phi[-1] = np.inf
+        for odd in (dataclasses.replace(pt, sigma_min=math.nan),
+                    dataclasses.replace(pt, phi=phi),
+                    # a mirror image, but not bit for bit
+                    dataclasses.replace(pt, phi=np.array([0.0, 0.5, -0.0]))):
+            line = _record_line(odd, "fold")
+            assert line == json.dumps(_point_record(odd, "fold")) + "\n"
+        assert "NaN" in _record_line(dataclasses.replace(pt, sigma_min=math.nan))
+        assert "[Infinity, " in _record_line(dataclasses.replace(pt, phi=phi))
 
 
 class TestDegenerateAndVerify:

@@ -799,3 +799,47 @@ def test_tail_leaves_out_the_chop_window(params):
     c = 0.01 * (system.basis(2) + 1e-3 * system.basis(4))
     pt = solution_point(system, c[::2], 5.0, k=2)
     assert pt.tail == pytest.approx(1e-3 * system.basis(4)[4] / system.basis(2)[2])
+
+
+def _separate_assemblies(c, lam, system, parity):
+    """J, F, F_lambda, h and the odd block at (c, lam) by the expressions
+    that assemble each of them on its own pass over u."""
+    V, w, eig = system._sectors[parity]
+    q, mu = system.params.q, lam / (1 + 1 / system.params.delta)
+    u = 1.0 + system._sectors[1 if parity else 0][0] @ c
+    F = mu * (V.T @ (w * (u ** (q - 1) - u))) - eig * c
+    F_lam = V.T @ (w * (u ** (q - 1) - u)) / (1 + 1 / system.params.delta)
+    blocks = []
+    for p in (parity, -1) if parity else (0,):
+        Vp, wp, eigp = system._sectors[p]
+        B = (Vp.T * (mu * wp * ((q - 1) * u ** (q - 2) - 1.0))) @ Vp
+        B.ravel()[:: len(eigp) + 1] -= eigp
+        blocks.append(B)
+    h = mu * ((q - 1) * (1.0 + V @ c) ** (q - 2) - 1.0) if parity else None
+    return blocks, F, F_lam, h
+
+
+@pytest.mark.parametrize("N", [32, 108])
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 10.0])
+@pytest.mark.parametrize("n, q", [(2, 2.2), (2, 3.0), (3, 2.2), (3, 3.0), (3, 4.9), (5, 2.2)])
+def test_one_pass_over_u_gives_the_separate_assemblies_bit_for_bit(n, q, delta, N):
+    system = DiscreteSystem(build_grid(N), ModelParams(n, delta, q))
+    even = trace_branch(2, 1, system, max_points=5).points
+    odd = trace_branch(3, -1, system, max_points=5).points
+    # the even profiles in their sector and on all modes
+    for pt, parity in [(pt, 1) for pt in even] + [(pt, 0) for pt in even + odd]:
+        c = pt.coeffs[collocation._modes(parity)]
+        lin = assemble_jacobian(c, pt.lam, system, parity, parts=True)
+        blocks, F, F_lam, h = _separate_assemblies(c, pt.lam, system, parity)
+        assert np.array_equal(lin.J, blocks[0])
+        assert np.array_equal(lin.J, assemble_jacobian(c, pt.lam, system, parity))
+        assert np.array_equal(lin.F, F)
+        assert np.array_equal(lin.F, assemble_residual(c, pt.lam, system, parity))
+        assert np.array_equal(lin.F_lam, F_lam)
+        assert np.array_equal(lin.F_lam, dresidual_dlambda(c, pt.lam, system, parity))
+        if parity:
+            odd = assemble_jacobian(c, pt.lam, system, -1)
+            assert np.array_equal(odd, blocks[1])
+            assert np.array_equal(collocation._block(system, -1, lin.d), odd)
+            assert np.array_equal(lin.h, h)
+            assert np.array_equal(solution_point(system, c, pt.lam, k=2).h, h)

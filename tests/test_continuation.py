@@ -161,14 +161,14 @@ class TestArclengthStep:
         tangent = (system48.basis(6) / np.linalg.norm(system48.basis(6)), 0.0)
         calls = []
 
-        def recorder(c, lam, sys, parity=0):
+        def recorder(c, lam, sys, parity=0, parts=False):
             try:
-                J = assemble_jacobian(c, lam, sys, parity)
+                lin = assemble_jacobian(c, lam, sys, parity, parts=parts)
             except PositivityError:
                 calls.append((np.array(c), lam, False))
                 raise
             calls.append((np.array(c), lam, True))
-            return J
+            return lin
 
         monkeypatch.setattr(continuation, "assemble_jacobian", recorder)
         with pytest.raises(StepRejected) as info:
@@ -367,14 +367,16 @@ class TestDegeneracy:
         # point, so the solve stops there instead of converging onto it
         branch = trace_branch(3, 1, system48, max_points=60)
         calls = []
-        original = continuation.assemble_residual
+        original = continuation.assemble_jacobian
 
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
+        def counting(*args, parts=False):
+            result = original(*args, parts=parts)
+            if parts:
+                calls.append(1)
+            return result
 
-        # one residual per iteration of the extended system
-        monkeypatch.setattr(continuation, "assemble_residual", counting)
+        # one residual, with its Jacobian, per iteration of the extended system
+        monkeypatch.setattr(continuation, "assemble_jacobian", counting)
         assert locate_degenerate(branch, 1e-6, system48) is None
         assert 1 <= len(calls) <= 3
 
@@ -422,9 +424,9 @@ def test_extended_system_derivatives(k, q):
 
 def _recording(calls):
     """assemble_jacobian recording the parity of every call in calls."""
-    def wrapper(c, lam, sys, parity=0):
+    def wrapper(c, lam, sys, parity=0, parts=False):
         calls.append(parity)
-        return assemble_jacobian(c, lam, sys, parity)
+        return assemble_jacobian(c, lam, sys, parity, parts)
     return wrapper
 
 
@@ -465,9 +467,15 @@ class TestEvenSector:
         assert calls and set(calls) == {0}
 
     def test_even_k_assembles_no_full_jacobian(self, system48, monkeypatch):
+        # every block, even or odd, is built by collocation._block
         calls = []
-        monkeypatch.setattr(continuation, "assemble_jacobian", _recording(calls))
-        monkeypatch.setattr(collocation, "assemble_jacobian", _recording(calls))
+        original = collocation._block
+
+        def block(sys, parity, d):
+            calls.append(parity)
+            return original(sys, parity, d)
+
+        monkeypatch.setattr(collocation, "_block", block)
         report, branch = find_degenerate(2, system48, 1e-6)
         assert report is not None
         # the even block for the solves, the odd block for sigma_min only,
@@ -530,9 +538,10 @@ class TestEvenSector:
         parity = 1 if k == 2 else 0
         tangent = continuation._tangent(system48, a.coeffs[sector], a.lam,
                                         (b.coeffs - a.coeffs)[sector], b.lam - a.lam, k=k)
-        pt, J = arclength_step(a, tangent, 0.05, system48, k=k)
-        assert np.array_equal(J, assemble_jacobian(pt.coeffs[sector], pt.lam, system48, parity))
-        assert J.shape[0] == (25 if k == 2 else 49)
+        pt, lin = arclength_step(a, tangent, 0.05, system48, k=k)
+        fresh = assemble_jacobian(pt.coeffs[sector], pt.lam, system48, parity, parts=True)
+        assert all(map(np.array_equal, lin, fresh))
+        assert lin.J.shape[0] == (25 if k == 2 else 49)
         again, _ = arclength_step(a, tangent, 0.05, system48, k=k)
         assert np.array_equal(again.phi, pt.phi) and again.lam == pt.lam
 

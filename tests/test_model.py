@@ -7,8 +7,9 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from oracles import endpoint_residual, ode_residual
 
+from spherebif import gegenbauer
 from spherebif.collocation import DiscreteSystem, assemble_jacobian, build_grid
-from spherebif.gegenbauer import gegenbauer_eval
+from spherebif.gegenbauer import cube_integral, gegenbauer_eval, gegenbauer_norm2
 from spherebif.model import (
     ModelParams,
     PositivityError,
@@ -229,6 +230,22 @@ class TestBranchSlope:
             params = ModelParams(n, 1.0, 2.5)  # q below q_f for every n here
             for k in (2, 4, 6, 8, 10):
                 assert dlambda_ds0(k, params) < 0
+
+    def test_second_call_builds_no_rule(self, monkeypatch):
+        # the integrals of the slope are cached per (k, n): a trace's seed
+        # climbing a rung pays no second Gauss-Jacobi rule
+        params = ModelParams(3, 1.0, 2.5)
+        first = dlambda_ds0(40, params)
+        rules = []
+        original = gegenbauer.gauss_jacobi_rule
+        monkeypatch.setattr(gegenbauer, "gauss_jacobi_rule",
+                            lambda m, n: rules.append((m, n)) or original(m, n))
+        again = dlambda_ds0(40, params)
+        assert rules == [] and type(again) is float and again == first
+        # the cached integrals are the ones computed afresh, bit for bit
+        assert cube_integral(40, 3) == cube_integral.__wrapped__(40, 3)
+        assert gegenbauer_norm2(40, 3) == gegenbauer_norm2.__wrapped__(40, 3)
+        assert rules == [(62, 3), (41, 3)]
 
 
 class TestEigenConsistency:
