@@ -251,21 +251,22 @@ def _point_record(pt, event: str = "") -> dict:
 
 
 def _record_line(pt, event: str = "") -> str:
-    """json.dumps(_point_record(pt, event)) + newline, built directly: json
-    writes a finite float as its repr, and a profile that mirrors itself bit
-    for bit (as even k's do) has only its first half formatted.  A non-finite
-    field falls back to the encoder."""
-    phi, fields = pt.phi, (pt.s_coord, pt.lam, pt.sigma_min, pt.u_min)
-    if not (np.isfinite(fields).all() and np.isfinite(phi).all()):
-        return json.dumps(_point_record(pt, event)) + "\n"
+    """json.dumps(_point_record(pt, event)) + newline, each value formatted
+    directly: json writes a finite float as its repr, and a profile that
+    mirrors itself bit for bit (as even k's do) has only its first half
+    formatted.  A non-finite field falls back to the encoder."""
+    record, phi = _point_record(pt, event), pt.phi
+    floats = [v for v in record.values() if isinstance(v, float)]
+    if not (np.isfinite(floats).all() and np.isfinite(phi).all()):
+        return json.dumps(record) + "\n"
     bits, m = phi.view(np.uint64), phi.size
     mirror = np.array_equal(bits, bits[::-1])
     values = list(map(repr, phi[: (m + 1) // 2 if mirror else m].tolist()))
     values += values[m // 2 - 1 :: -1] if mirror else []
-    s, lam, sigma, u_min = map(float.__repr__, fields)
-    return (f'{{"s_coord": {s}, "lambda": {lam}, "nodal_count": {pt.nodal_count!r}, '
-            f'"sigma_min": {sigma}, "u_min": {u_min}, "phi": [{", ".join(values)}], '
-            f'"event": {json.dumps(event)}}}\n')
+    record["phi"] = f"[{', '.join(values)}]"
+    text = (v if key == "phi" else float.__repr__(v) if isinstance(v, float) else json.dumps(v)
+            for key, v in record.items())
+    return "{" + ", ".join(f"{json.dumps(key)}: {t}" for key, t in zip(record, text)) + "}\n"
 
 
 def _branch_files(cfg, tag) -> tuple:

@@ -292,6 +292,7 @@ def assemble_jacobian(c, lam: float, sys: DiscreteSystem, parity: int = 0, parts
     even-mode coefficients are c, with the even block's diagonal d.  For
     parity 0 or 1, ``parts=True`` returns the Linearization at (c, lam):
     its F and F_lam are bit for bit assemble_residual's and dresidual_dlambda's.
+    The solvers use only that form; J alone is for demos and tests.
     """
     V, w, eig, u = _sector_u(c, sys, parity)
     q, mu = sys.params.q, reduction_factor(lam, sys.params)

@@ -67,6 +67,7 @@ from typing import Callable
 
 import numpy as np
 
+# assemble_residual and dresidual_dlambda stay for perfbench's tracer to patch
 from .collocation import (
     CHOP_TOL,
     NEWTON_TOL,
@@ -313,14 +314,11 @@ def _tangent(sys, c, lam, ref, ref_lam, k=None, lin=None, weight=1.0):
     product c.c' + weight lam lam', oriented along (ref, ref_lam): its
     bordered row (ref, weight ref_lam) has the right-hand side 1.
 
-    lin, when given, is the sector's Linearization at (c, lam).
+    lin, when given, is the sector's Linearization at (c, lam) for mode k.
     """
     if lin is None:
-        parity = _parity(k)
-        J, flam = assemble_jacobian(c, lam, sys, parity), dresidual_dlambda(c, lam, sys, parity)
-    else:
-        J, flam = lin.J, lin.F_lam
-    z = _solve(_bordered(J, flam, ref, weight * ref_lam), np.append(np.zeros(c.size), 1.0))
+        lin = assemble_jacobian(c, lam, sys, _parity(k), parts=True)
+    z = _solve(_bordered(lin.J, lin.F_lam, ref, weight * ref_lam), np.append(np.zeros(c.size), 1.0))
     tc, tlam = z[:-1], z[-1]
     nrm = np.sqrt(tc @ tc + weight * tlam**2)
     return tc / nrm, tlam / nrm
@@ -581,7 +579,7 @@ def _fold_report(branch, sys, start, refs, gap, sigma_tol, earlier_steps=0):
         return A
 
     try:
-        star, _, v, steps = _newton(sys, branch.k, c, lam, v, residual, matrix)
+        star, lin, v, steps = _newton(sys, branch.k, c, lam, v, residual, matrix)
     except (ConvergenceError, PositivityError):
         return None
     a, b = branch.points[-2:]
@@ -591,12 +589,11 @@ def _fold_report(branch, sys, start, refs, gap, sigma_tol, earlier_steps=0):
             return None
     if abs(star.sigma_min) >= sigma_tol or star.nodal_count != a.nodal_count:
         return None
-    F = assemble_residual(star.coeffs[_modes(parity)], star.lam, sys, parity)
     return DegeneracyReport(
         point=star,
         kernel=v,
         s_bracket=(a.s_coord, b.s_coord),
-        residual_norm=float(np.max(np.abs(F))),
+        residual_norm=float(np.max(np.abs(lin.F))),
         branch_lambda_min=min([p.lam for p in branch.points] + [star.lam]),
         crossing_index=len(branch.points) - 2,
         endpoint_derivs=sys.endpoint_derivatives(star.coeffs),
